@@ -34,6 +34,7 @@ from .matrix import bcg_scale, classify
 from .oracle import conformance, estimate_exits
 from .report import (
     DEFAULT_Z_GRID,
+    STUDY_LEVELS,
     _round12,
     build_analytic_bundle,
     build_empirical_bundle,
@@ -179,11 +180,13 @@ def cmd_conformance(args) -> int:
     cfg = _load_config(args.config)
     out = _output_dir(cfg)
     analytic = build_analytic_bundle(cfg.params, cfg.thresholds)
-    empirical = build_empirical_bundle(
-        cfg.params, cfg.thresholds, cfg.n_paths, cfg.seed, horizon=cfg.horizon
+    # One sample serves the table, the joint functional and the study.
+    summary = estimate_exits(
+        cfg.params, cfg.thresholds, cfg.n_paths, cfg.seed, cfg.horizon,
+        levels=STUDY_LEVELS,
     )
-    rows = conformance(analytic, empirical)
-    rows += deviation_study(cfg.params, cfg.n_paths, cfg.seed)
+    rows = conformance(analytic, build_empirical_bundle(summary))
+    rows += deviation_study(summary, STUDY_LEVELS)
     if "csv" in cfg.formats:
         (out / "conformance.csv").write_text(rows_to_csv(rows))
     if "json" in cfg.formats:

@@ -13,7 +13,7 @@ instead of asserting it away.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,11 +36,21 @@ MAX_CENSOR_FRACTION = 0.001
 SE_MULTIPLE = 3.0
 
 
+def sample_mean_se(samples: np.ndarray, what: str) -> Tuple[float, float]:
+    """Sample mean and standard error (0.0 for a single sample)."""
+    if samples.size == 0:
+        raise NoDataError(f"all paths censored; no samples of {what}")
+    se = samples.std(ddof=1) / np.sqrt(samples.size) if samples.size > 1 else 0.0
+    return float(samples.mean()), float(se)
+
+
 @dataclass(frozen=True)
 class EmpiricalExitSummary:
     """Per-path exit data for a batch of simulated trajectories.
 
     Arrays are aligned by path; censored axes hold index -1 and NaN epochs.
+    ``study_mu`` maps each extra axis-A level to its exit-index array (-1
+    where censored).
     """
 
     n_paths: int
@@ -57,6 +67,7 @@ class EmpiricalExitSummary:
     level_at_nu: np.ndarray
     censored_a: np.ndarray
     censored_b: np.ndarray
+    study_mu: Dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def n_censored_a(self) -> int:
@@ -65,6 +76,14 @@ class EmpiricalExitSummary:
     @property
     def n_censored_b(self) -> int:
         return int(np.count_nonzero(self.censored_b))
+
+    def exit_index_a(self, level: int) -> np.ndarray:
+        """Axis-A exit indices at ``level``: ``mu`` at m, else a study level."""
+        if level == self.thresholds.m:
+            return self.mu
+        if level not in self.study_mu:
+            raise NoDataError(f"axis-A level {level} was not recorded")
+        return self.study_mu[level]
 
     def histogram(self, axis: str) -> Tuple[np.ndarray, np.ndarray]:
         """(counts, probabilities) of the exit index on one axis.
@@ -88,11 +107,15 @@ class EmpiricalExitSummary:
             "tau_nu_prev": (self.tau_nu_prev, self.censored_b),
         }
         values, cens = samples[name]
-        ok = values[~cens].astype(float)
-        if ok.size == 0:
-            raise NoDataError(f"all paths censored for {name}")
-        se = ok.std(ddof=1) / np.sqrt(ok.size) if ok.size > 1 else 0.0
-        return float(ok.mean()), float(se)
+        return sample_mean_se(values[~cens].astype(float), name)
+
+
+def _first_passage(idx, k, active, level, threshold) -> np.ndarray:
+    """Set index ``k`` on the pending active paths whose ``level`` (aligned
+    with ``active``) reaches ``threshold``; return the hit mask."""
+    hit = (idx[active] < 0) & (level >= threshold)
+    idx[active[hit]] = k
+    return hit
 
 
 def _simulate(
@@ -101,6 +124,7 @@ def _simulate(
     n_paths: int,
     seed: int,
     horizon: int,
+    levels: Sequence[int],
 ) -> EmpiricalExitSummary:
     rng = np.random.default_rng(seed)
     m, n = thresholds.m, thresholds.n
@@ -116,9 +140,19 @@ def _simulate(
     tau_nu_prev = np.full(n_paths, np.nan)
     lev_mu = np.full(n_paths, np.nan)
     lev_nu = np.full(n_paths, np.nan)
+    study = {level: np.full(n_paths, -1, dtype=np.int64)
+             for level in sorted(set(levels) - {m})}
+    # Levels never fall, so a path that reached the top study level has
+    # reached every lower one; when that level is above m, paths run on
+    # until they reach it.
+    top = max(study, default=m)
+    top_idx = study[top] if top > m else None
 
     for k in range(horizon + 1):
-        active = np.flatnonzero((mu < 0) | (nu < 0))
+        waiting = (mu < 0) | (nu < 0)
+        if top_idx is not None:
+            waiting |= top_idx < 0
+        active = np.flatnonzero(waiting)
         if active.size == 0:
             break
         dist = params.obs_initial if k == 0 else params.obs_interval
@@ -129,20 +163,22 @@ def _simulate(
         t[active] = t_prev + d
         level_a[active] += inc_a
         level_b[active] += inc_b
+        la = level_a[active]
 
-        hit = (mu[active] < 0) & (level_a[active] >= m)
+        hit = _first_passage(mu, k, active, la, m)
         hit_a = active[hit]
-        mu[hit_a] = k
         tau_mu[hit_a] = t[hit_a]
         tau_mu_prev[hit_a] = 0.0 if k == 0 else t_prev[hit]
         lev_mu[hit_a] = level_a[hit_a]
 
-        hit = (nu[active] < 0) & (level_b[active] >= n)
+        hit = _first_passage(nu, k, active, level_b[active], n)
         hit_b = active[hit]
-        nu[hit_b] = k
         tau_nu[hit_b] = t[hit_b]
         tau_nu_prev[hit_b] = 0.0 if k == 0 else t_prev[hit]
         lev_nu[hit_b] = level_b[hit_b]
+
+        for level, idx in study.items():
+            _first_passage(idx, k, active, la, level)
 
     return EmpiricalExitSummary(
         n_paths=n_paths, seed=seed, params=params, thresholds=thresholds,
@@ -151,6 +187,7 @@ def _simulate(
         tau_nu=tau_nu, tau_nu_prev=tau_nu_prev,
         level_at_mu=lev_mu, level_at_nu=lev_nu,
         censored_a=mu < 0, censored_b=nu < 0,
+        study_mu=study,
     )
 
 
@@ -160,17 +197,26 @@ def estimate_exits(
     n_paths: int,
     seed: int,
     horizon: int = DEFAULT_HORIZON,
+    levels: Sequence[int] = (),
 ) -> EmpiricalExitSummary:
     """Simulate ``n_paths`` trajectories and collect their exit records.
 
-    Deterministic for fixed (params, thresholds, n_paths, seed).  Fails with
-    HorizonError when more than MAX_CENSOR_FRACTION of paths are censored on
-    either axis.
+    Besides first passage at (m, n), records the axis-A exit index at every
+    level in ``levels`` in the same pass (see
+    ``EmpiricalExitSummary.exit_index_a``).  Without levels above m the
+    random stream is consumed as by a run without levels.
+
+    Deterministic for fixed (params, thresholds, n_paths, seed, levels).
+    Fails with HorizonError when more than MAX_CENSOR_FRACTION of paths are
+    censored on either axis or at any recorded level.
     """
     if n_paths < 1:
         raise ParameterError("n_paths must be >= 1")
-    summary = _simulate(params, thresholds, n_paths, seed, horizon)
-    worst = max(summary.n_censored_a, summary.n_censored_b)
+    summary = _simulate(params, thresholds, n_paths, seed, horizon, levels)
+    worst = max(
+        summary.n_censored_a, summary.n_censored_b,
+        *(int(np.count_nonzero(idx < 0)) for idx in summary.study_mu.values()),
+    )
     if worst > MAX_CENSOR_FRACTION * n_paths:
         raise HorizonError(
             f"{worst}/{n_paths} paths hit the {horizon}-observation cap "
@@ -189,31 +235,22 @@ def empirical_pgf(
         if axis == "a"
         else (summary.nu, summary.censored_b)
     )
-    ok = idx[~cens]
-    if ok.size == 0:
-        raise NoDataError("all paths censored; no exit-index samples")
-    samples = np.asarray(z, dtype=float) ** ok
-    se = samples.std(ddof=1) / np.sqrt(ok.size) if ok.size > 1 else 0.0
-    return float(samples.mean()), float(se)
+    return sample_mean_se(np.asarray(z, dtype=float) ** idx[~cens], "the exit index")
 
 
 def empirical_functional(
-    params: ModelParams,
-    thresholds: Thresholds,
+    summary: EmpiricalExitSummary,
     ctx: TransformContext,
-    n_paths: int,
-    seed: int,
-    horizon: int = DEFAULT_HORIZON,
     include_indicators: bool = True,
 ) -> Tuple[float, float]:
     """Unbiased sample estimate of the joint first-exceedance functional.
 
     Averages z^mu g^nu exp(-theta0 tau_mu_prev - theta1 tau_mu - vartheta0
-    tau_nu_prev - vartheta1 tau_nu) with the literal level indicators
-    1{level_at_mu <= m} 1{level_at_nu <= n} unless ``include_indicators``
-    is disabled.
+    tau_nu_prev - vartheta1 tau_nu) over the summary's paths, with the
+    literal level indicators 1{level_at_mu <= m} 1{level_at_nu <= n} unless
+    ``include_indicators`` is disabled.
     """
-    s = estimate_exits(params, thresholds, n_paths, seed, horizon)
+    s = summary
     ok = ~(s.censored_a | s.censored_b)
     samples = (
         ctx.z ** s.mu[ok]
@@ -227,11 +264,10 @@ def empirical_functional(
     )
     if include_indicators:
         samples = samples * (
-            (s.level_at_mu[ok] <= thresholds.m)
-            & (s.level_at_nu[ok] <= thresholds.n)
+            (s.level_at_mu[ok] <= s.thresholds.m)
+            & (s.level_at_nu[ok] <= s.thresholds.n)
         )
-    se = samples.std(ddof=1) / np.sqrt(samples.size) if samples.size > 1 else 0.0
-    return float(samples.mean()), float(se)
+    return sample_mean_se(samples, "the joint functional")
 
 
 def scan_exit_index(levels, threshold) -> int:

@@ -27,14 +27,18 @@ from .oracle import (
     AnalyticBundle,
     ConformanceRow,
     EmpiricalBundle,
+    EmpiricalExitSummary,
     empirical_functional,
     empirical_pgf,
-    estimate_exits,
+    sample_mean_se,
 )
 from .params import ModelParams, Thresholds
 from .transforms import TransformContext
 
 DEFAULT_Z_GRID = (0.25, 0.5, 0.75)
+
+#: Axis-A levels of the threshold-dependence study.
+STUDY_LEVELS = (2, 3, 5)
 
 REFERENCES = {
     "mean_exit_index_a": "closed-form exit-index mean, axis A",
@@ -110,15 +114,11 @@ def build_analytic_bundle(
 
 
 def build_empirical_bundle(
-    params: ModelParams,
-    thresholds: Thresholds,
-    n_paths: int,
-    seed: int,
+    summary: EmpiricalExitSummary,
     z_grid: Sequence[float] = DEFAULT_Z_GRID,
-    horizon: int = 10_000,
 ) -> EmpiricalBundle:
-    """Monte Carlo counterparts of the analytic bundle, same quantity names."""
-    summary = estimate_exits(params, thresholds, n_paths, seed, horizon)
+    """Monte Carlo counterparts of the analytic bundle, same quantity names,
+    all read from one simulated sample."""
     estimates: Dict[str, Tuple[float, float]] = {
         "mean_exit_index_a": summary.mean_se("mu"),
         "mean_exit_index_b": summary.mean_se("nu"),
@@ -132,30 +132,29 @@ def build_empirical_bundle(
         estimates[f"index_pgf_operator_a[z={z:g}]"] = pgf
         estimates[f"index_pgf_closed_a[z={z:g}]"] = pgf
     estimates["joint_functional"] = empirical_functional(
-        params, thresholds, TransformContext.neutral(), n_paths, seed + 1,
-        horizon=horizon,
+        summary, TransformContext.neutral()
     )
-    return EmpiricalBundle(params=params, thresholds=thresholds, estimates=estimates)
+    return EmpiricalBundle(
+        params=summary.params, thresholds=summary.thresholds, estimates=estimates
+    )
 
 
 def deviation_study(
-    params: ModelParams,
-    n_paths: int,
-    seed: int,
-    levels: Sequence[int] = (2, 3, 5),
+    summary: EmpiricalExitSummary,
+    levels: Sequence[int] = STUDY_LEVELS,
 ) -> List[ConformanceRow]:
     """Exit-index mean rows at higher thresholds, emitted without asserting.
 
-    The closed-form mean carries no threshold dependence, so these rows
-    document its growing deviation from simulation as the level rises.
+    Reads the axis-A exit index at each level from ``summary``, which must
+    have recorded them (``estimate_exits(..., levels=levels)``).  The
+    closed-form mean carries no threshold dependence, so these rows document
+    its growing deviation from simulation as the level rises.
     """
     rows: List[ConformanceRow] = []
-    e_mu, _ = expected_exit_index(params)
+    e_mu, _ = expected_exit_index(summary.params)
     for m in levels:
-        summary = estimate_exits(
-            params, Thresholds(m=m, n=m), n_paths, seed + m
-        )
-        est, se = summary.mean_se("mu")
+        idx = summary.exit_index_a(m)
+        est, se = sample_mean_se(idx[idx >= 0].astype(float), f"mu at level {m}")
         rel = abs(est - e_mu) / abs(e_mu) if e_mu else abs(est)
         rows.append(
             ConformanceRow(

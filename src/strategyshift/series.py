@@ -9,7 +9,6 @@ sums, which is exact.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .errors import DivergenceError, DomainError, OrderError
 
@@ -155,8 +154,13 @@ def d_extract(f: TruncatedSeries, k: int) -> float:
 def d_apply_2d(g) -> BivariateSeries:
     """Bivariate forward operator: (1 - x)(1 - y) * sum g[j, k] x^j y^k."""
     g = np.atleast_2d(np.asarray(g, dtype=float))
-    kernel = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return BivariateSeries(convolve2d(g, kernel))
+    rows, cols = g.shape
+    out = np.zeros((rows + 1, cols + 1))
+    out[:rows, :cols] += g
+    out[1:, :cols] -= g
+    out[:rows, 1:] -= g
+    out[1:, 1:] += g
+    return BivariateSeries(out)
 
 
 def d_extract_2d(f: BivariateSeries, mn) -> float:

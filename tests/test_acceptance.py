@@ -100,7 +100,8 @@ def test_criterion_3_exit_distribution():
 
 def test_criterion_4_mean_shift_conformance():
     analytic = build_analytic_bundle(REFERENCE, UNIT)
-    empirical = build_empirical_bundle(REFERENCE, UNIT, 100_000, 7)
+    summary = estimate_exits(REFERENCE, UNIT, 100_000, 7, levels=(2, 3, 5))
+    empirical = build_empirical_bundle(summary)
     rows = {r.quantity: r for r in conformance(analytic, empirical)}
 
     mu_row = rows["mean_exit_index_a"]
@@ -111,7 +112,7 @@ def test_criterion_4_mean_shift_conformance():
     )
     ok &= mu_row.verdict == "match"
 
-    study = deviation_study(REFERENCE, 20_000, 7, levels=(2, 3, 5))
+    study = deviation_study(summary, levels=(2, 3, 5))
     ok &= len(study) == 3
     ok &= all(r.verdict == "not-assertable" for r in study)
     # the documented anomaly: the closed form is flat in the threshold while

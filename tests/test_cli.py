@@ -131,6 +131,35 @@ class TestArtifacts:
         summary = json.loads((out / "summary.json").read_text())
         assert {"mean_mu", "se_mu", "n_paths"} <= set(summary)
 
+    def test_conformance_simulates_once(self, config_file, tmp_path, monkeypatch):
+        from strategyshift import oracle, report
+        from strategyshift.transforms import TransformContext
+
+        summaries = []
+        real = oracle.estimate_exits
+
+        def counting(*args, **kwargs):
+            summaries.append(real(*args, **kwargs))
+            return summaries[-1]
+
+        for module in (cli, oracle, report):
+            if hasattr(module, "estimate_exits"):
+                monkeypatch.setattr(module, "estimate_exits", counting)
+        assert cli.main(["conformance", str(config_file)]) == 0
+        assert len(summaries) == 1
+
+        # the study rows and the joint functional come from that one sample
+        rows = {r["quantity"]: r for r in json.loads(
+            (tmp_path / "out" / "conformance.json").read_text())}
+        expected = report.deviation_study(summaries[0])
+        assert len(expected) == len(report.STUDY_LEVELS)
+        for row in expected:
+            assert rows[row.quantity]["mc_estimate"] == report._round12(row.mc_estimate)
+            assert rows[row.quantity]["se"] == report._round12(row.se)
+        est, se = oracle.empirical_functional(summaries[0], TransformContext.neutral())
+        assert rows["joint_functional"]["mc_estimate"] == report._round12(est)
+        assert rows["joint_functional"]["se"] == report._round12(se)
+
     def test_conformance_csv_header(self, config_file, tmp_path):
         cli.main(["conformance", str(config_file)])
         header = (tmp_path / "out" / "conformance.csv").read_text().splitlines()[0]

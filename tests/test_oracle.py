@@ -20,6 +20,7 @@ from strategyshift.errors import (
     ParameterError,
 )
 from strategyshift.oracle import AnalyticBundle, EmpiricalBundle, scan_exit_index
+from strategyshift.params import MarkDistribution
 from strategyshift.report import build_analytic_bundle, build_empirical_bundle
 
 
@@ -76,6 +77,61 @@ class TestEstimateExits:
             assert rec.nu == scan_exit_index(path.cumulative_b, thresholds.n)
 
 
+GEOMETRIC_PARAMS = ModelParams(
+    2.0, 1.0,
+    IntervalDistribution.exponential(2.0),
+    IntervalDistribution.exponential(1.0),
+    mark_a=MarkDistribution.geometric(0.5),
+    mark_b=MarkDistribution.geometric(0.3),
+)
+
+
+class TestMultiLevelRecord:
+    @pytest.fixture(params=["reference", "geometric"])
+    def params(self, request, reference_params):
+        return reference_params if request.param == "reference" else GEOMETRIC_PARAMS
+
+    def test_per_path_invariants(self, params, unit_thresholds):
+        s = estimate_exits(params, unit_thresholds, 20_000, 41, levels=(2, 3, 5))
+        indices = [s.exit_index_a(level) for level in (1, 2, 3, 5)]
+        assert indices[0] is s.mu
+        for low, high in zip(indices, indices[1:]):
+            # a path reaching the higher level reached the lower one no later
+            assert np.all((high < 0) | ((low >= 0) & (low <= high)))
+        for idx, tau_prev, tau, level, cens, threshold in (
+            (s.mu, s.tau_mu_prev, s.tau_mu, s.level_at_mu, s.censored_a, s.thresholds.m),
+            (s.nu, s.tau_nu_prev, s.tau_nu, s.level_at_nu, s.censored_b, s.thresholds.n),
+        ):
+            assert np.array_equal(cens, idx < 0)
+            assert np.all(np.isnan(tau[cens])) and np.all(np.isnan(level[cens]))
+            later = idx > 0
+            assert np.all(tau_prev[later] < tau[later])
+            assert np.all(tau_prev[idx == 0] == 0.0)
+            assert np.all(level[~cens] >= threshold)
+
+    def test_levels_up_to_m_leave_the_stream_unchanged(self, params):
+        thresholds = Thresholds(m=5, n=5)
+        plain = estimate_exits(params, thresholds, 5000, 43)
+        multi = estimate_exits(params, thresholds, 5000, 43, levels=(2, 3, 5))
+        for name in ("mu", "nu", "tau_mu", "tau_mu_prev", "tau_nu", "tau_nu_prev",
+                     "level_at_mu", "level_at_nu"):
+            assert np.array_equal(getattr(plain, name), getattr(multi, name),
+                                  equal_nan=True), name
+        assert multi.exit_index_a(5) is multi.mu
+        assert sorted(multi.study_mu) == [2, 3]
+
+    def test_censoring_cap_applies_to_every_level(self, reference_params, unit_thresholds):
+        estimate_exits(reference_params, unit_thresholds, 2000, 3, horizon=20)
+        with pytest.raises(HorizonError):
+            estimate_exits(reference_params, unit_thresholds, 2000, 3, horizon=20,
+                           levels=(50,))
+
+    def test_unrecorded_level_raises(self, reference_params, unit_thresholds):
+        s = estimate_exits(reference_params, unit_thresholds, 100, 3, levels=(2,))
+        with pytest.raises(NoDataError):
+            s.exit_index_a(3)
+
+
 class TestEmpiricalPgf:
     @pytest.fixture
     def summary(self, reference_params, unit_thresholds):
@@ -112,8 +168,8 @@ class TestEmpiricalPgf:
 class TestEmpiricalFunctional:
     def test_neutral_without_indicators_is_one(self, reference_params, unit_thresholds):
         estimate, se = empirical_functional(
-            reference_params, unit_thresholds, TransformContext.neutral(),
-            5000, 31, include_indicators=False,
+            estimate_exits(reference_params, unit_thresholds, 5000, 31),
+            TransformContext.neutral(), include_indicators=False,
         )
         assert estimate == 1.0
         assert se == 0.0
@@ -125,8 +181,9 @@ class TestEmpiricalFunctional:
             IntervalDistribution.exponential(1.0),
         )
         with pytest.raises(HorizonError):
-            empirical_functional(params, unit_thresholds,
-                                 TransformContext.neutral(), 200, 1, horizon=50)
+            empirical_functional(estimate_exits(params, unit_thresholds, 200, 1,
+                                                horizon=50),
+                                 TransformContext.neutral())
 
     def test_matches_window_enumeration_oracle(self, reference_params, unit_thresholds):
         # Independent oracle for the neutral-argument functional at m = n = 1:
@@ -169,8 +226,8 @@ class TestEmpiricalFunctional:
         assert tail < 1e-3
 
         estimate, se = empirical_functional(
-            reference_params, unit_thresholds, TransformContext.neutral(),
-            100_000, 17,
+            estimate_exits(reference_params, unit_thresholds, 100_000, 17),
+            TransformContext.neutral(),
         )
         assert abs(estimate - oracle_value) <= 3 * se + tail
 
@@ -178,14 +235,16 @@ class TestEmpiricalFunctional:
 class TestConformance:
     def test_reference_bundle_matches(self, reference_params, unit_thresholds):
         analytic = build_analytic_bundle(reference_params, unit_thresholds)
-        empirical = build_empirical_bundle(reference_params, unit_thresholds, 40_000, 7)
+        empirical = build_empirical_bundle(
+            estimate_exits(reference_params, unit_thresholds, 40_000, 7))
         rows = {r.quantity: r for r in conformance(analytic, empirical)}
         assert rows["mean_exit_index_a"].verdict == "match"
         assert rows["mean_exit_index_b"].verdict == "match"
 
     def test_singular_constants_not_assertable(self, reference_params, unit_thresholds):
         analytic = build_analytic_bundle(reference_params, unit_thresholds)
-        empirical = build_empirical_bundle(reference_params, unit_thresholds, 10_000, 3)
+        empirical = build_empirical_bundle(
+            estimate_exits(reference_params, unit_thresholds, 10_000, 3))
         rows = {r.quantity: r for r in conformance(analytic, empirical)}
         row = rows["index_pgf_closed_a[z=0.5]"]
         assert row.analytic == "singular"
@@ -198,7 +257,7 @@ class TestConformance:
             IntervalDistribution.exponential(1.0),
         )
         analytic = build_analytic_bundle(reference_params, unit_thresholds)
-        empirical = build_empirical_bundle(other, unit_thresholds, 1000, 3)
+        empirical = build_empirical_bundle(estimate_exits(other, unit_thresholds, 1000, 3))
         with pytest.raises(ComparisonError):
             conformance(analytic, empirical)
 
