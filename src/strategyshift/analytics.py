@@ -4,13 +4,15 @@ Three routes are provided and deliberately kept separate so the Monte Carlo
 harness can confront each one:
 
   * ``phi_functional`` — the operator-calculus evaluation of the joint
-    first-exceedance functional, built from truncated series and the
-    two-dimensional extraction operator.
+    first-exceedance functional, built from truncated series; the kernel is
+    separable, so its two-dimensional extraction is a product of univariate
+    ones.
   * ``lemma_pgf_a`` / ``lemma_pgf_b`` — the memoryless-observation closed
     forms for the exit-index PGFs, evaluated term by term exactly as printed
     in the source formulas.
-  * ``expected_exit_index`` / ``expected_shift_time`` — the closed-form
-    means of the exit indices and shift epochs.
+  * ``axis_means`` — the closed-form means of one axis's exit index, shift
+    epoch and prior epoch; ``expected_exit_index`` / ``expected_shift_time``
+    collect them for both axes.
 
 The printed closed forms are known to be suspect in places (duplicated
 bracket sums, threshold-independent means); they are evaluated faithfully
@@ -20,16 +22,13 @@ and judged by the conformance harness, not patched here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Tuple
 
 from .errors import DomainError, NoExitError, SingularConstantError
 from .params import ModelParams
-from .series import BivariateSeries, TruncatedSeries, d_extract_2d
+from .series import BivariateSeries, TruncatedSeries, d_extract
 from .transforms import TransformContext, gamma_series
-
-#: Extra series orders kept beyond the extraction index.  The generating
-#: functions in scope have geometric tails, so a small guard suffices; the
-#: round-trip tests confirm it.
-ORDER_GUARD = 8
 
 
 def axis_factor(
@@ -48,40 +47,67 @@ def axis_factor(
     phi, G, G0 are the marginal-transform series at theta1, theta0 + theta1,
     and the initial-interval analog.  Zero intensity collapses the numerator
     to zero; that case is short-circuited to avoid inverting 1 - w at w = 1.
+    Each distinct factor is built once per process; the returned
+    coefficients are shared and read-only.
     """
+    if order < 0:
+        raise DomainError("series order must be nonnegative")
+    return _axis_factor(
+        order, weight, theta0, theta1, intensity, mark, obs_initial, obs_interval
+    )
+
+
+@lru_cache(maxsize=256)
+def _axis_factor(
+    order, weight, theta0, theta1, intensity, mark, obs_initial, obs_interval
+) -> TruncatedSeries:
     if intensity == 0.0:
-        return TruncatedSeries.constant(0.0, order)
-    delta_t1 = obs_interval.lst(theta1)
-    phi = gamma_series(order, theta1, intensity, mark, obs_interval)
-    big = gamma_series(order, theta0 + theta1, intensity, mark, obs_interval)
-    big0 = gamma_series(order, theta0 + theta1, intensity, mark, obs_initial)
-    numerator = (delta_t1 - phi) * (weight - weight * big0 * big + big0)
-    denominator = 1.0 - weight * big
-    return numerator * denominator.reciprocal()
+        factor = TruncatedSeries.constant(0.0, order)
+    else:
+        delta_t1 = obs_interval.lst(theta1)
+        phi = gamma_series(order, theta1, intensity, mark, obs_interval)
+        big = gamma_series(order, theta0 + theta1, intensity, mark, obs_interval)
+        big0 = gamma_series(order, theta0 + theta1, intensity, mark, obs_initial)
+        numerator = (delta_t1 - phi) * (weight - weight * big0 * big + big0)
+        denominator = 1.0 - weight * big
+        factor = numerator * denominator.reciprocal()
+    factor.coeffs.setflags(write=False)
+    return factor
 
 
-def phi_series(
-    m: int, n: int, ctx: TransformContext, params: ModelParams, guard: int = ORDER_GUARD
-) -> BivariateSeries:
-    """Bivariate series kernel of the joint functional, ready for extraction."""
+def _axis_factors(m: int, n: int, ctx: TransformContext, params: ModelParams):
+    # Truncated products, reciprocals and exponentials are exact on every
+    # retained coefficient, so extraction at (m, n) needs orders m and n only.
     fx = axis_factor(
-        m + guard, ctx.z, ctx.theta0, ctx.theta1,
+        m, ctx.z, ctx.theta0, ctx.theta1,
         params.lambda_a, params.mark_a, params.obs_initial, params.obs_interval,
     )
     fy = axis_factor(
-        n + guard, ctx.g, ctx.vartheta0, ctx.vartheta1,
+        n, ctx.g, ctx.vartheta0, ctx.vartheta1,
         params.lambda_b, params.mark_b, params.obs_initial, params.obs_interval,
     )
-    return BivariateSeries.separable(fx, fy)
+    return fx, fy
+
+
+def phi_series(
+    m: int, n: int, ctx: TransformContext, params: ModelParams
+) -> BivariateSeries:
+    """Bivariate series kernel of the joint functional, ready for extraction."""
+    return BivariateSeries.separable(*_axis_factors(m, n, ctx, params))
 
 
 def phi_functional(
-    m: int, n: int, ctx: TransformContext, params: ModelParams, guard: int = ORDER_GUARD
+    m: int, n: int, ctx: TransformContext, params: ModelParams
 ) -> float:
-    """Operator-calculus value of the joint first-exceedance functional."""
+    """Operator-calculus value of the joint first-exceedance functional.
+
+    The kernel is separable, so its two-dimensional extraction at (m, n) is
+    the product of the two univariate extractions; no grid is built.
+    """
     if m < 0 or n < 0:
         raise DomainError("thresholds m, n must be nonnegative integers")
-    return d_extract_2d(phi_series(m, n, ctx, params, guard), (m, n))
+    fx, fy = _axis_factors(m, n, ctx, params)
+    return d_extract(fx, m) * d_extract(fy, n)
 
 
 #: Slots of the joint functional selected by each marginal quantity.
@@ -201,24 +227,34 @@ def lemma_pgf_b(g: float, n: int, constants: LemmaConstants) -> float:
     )
 
 
+def axis_means(params: ModelParams, intensity: float) -> Tuple[float, float, float]:
+    """Closed-form means on one axis with the given intensity.
+
+    Returns (E[exit index], E[shift epoch], E[prior epoch]) with
+    E[exit index] = 1 / (delta_mean * lambda), E[shift epoch] =
+    delta0_mean + 1/lambda - delta_mean and prior = E[shift epoch] -
+    delta_mean.  A zero-intensity axis never exits.
+    """
+    if intensity <= 0.0:
+        raise NoExitError("closed-form means need a positive intensity")
+    d0, d = params.delta0_mean, params.delta_mean
+    shift = d0 + 1.0 / intensity - d
+    return 1.0 / (d * intensity), shift, shift - d
+
+
 def expected_exit_index(params: ModelParams):
-    """Closed-form means of the two exit indices: 1 / (delta_mean * lambda)."""
-    if params.lambda_a <= 0.0 or params.lambda_b <= 0.0:
-        raise NoExitError("exit-index mean needs positive intensities")
-    d = params.delta_mean
-    return 1.0 / (d * params.lambda_a), 1.0 / (d * params.lambda_b)
+    """Closed-form means of the two exit indices (see ``axis_means``)."""
+    index_a, _, _ = axis_means(params, params.lambda_a)
+    index_b, _, _ = axis_means(params, params.lambda_b)
+    return index_a, index_b
 
 
 def expected_shift_time(params: ModelParams):
     """Closed-form shift-epoch means and their one-interval-earlier priors.
 
-    Returns (E[tau_mu], E[tau_nu], E[tau_mu_prev], E[tau_nu_prev]) with
-    E[tau] = delta0_mean + 1/lambda - delta_mean and prior = E[tau] -
-    delta_mean.
+    Returns (E[tau_mu], E[tau_nu], E[tau_mu_prev], E[tau_nu_prev]) from
+    ``axis_means``.
     """
-    if params.lambda_a <= 0.0 or params.lambda_b <= 0.0:
-        raise NoExitError("shift-time mean needs positive intensities")
-    d0, d = params.delta0_mean, params.delta_mean
-    ta = d0 + 1.0 / params.lambda_a - d
-    tb = d0 + 1.0 / params.lambda_b - d
-    return ta, tb, ta - d, tb - d
+    _, ta, prior_a = axis_means(params, params.lambda_a)
+    _, tb, prior_b = axis_means(params, params.lambda_b)
+    return ta, tb, prior_a, prior_b

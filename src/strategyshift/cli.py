@@ -16,6 +16,7 @@ from pathlib import Path
 from . import config as config_mod
 from .analytics import (
     LemmaConstants,
+    axis_means,
     lemma_pgf_a,
     lemma_pgf_b,
     marginal_pgf,
@@ -103,15 +104,15 @@ def cmd_simulate(args) -> int:
 
 def _axis_means(cfg, axis: str):
     lam = cfg.params.lambda_a if axis == "a" else cfg.params.lambda_b
-    if lam <= 0.0:
+    try:
+        index, shift, prior = axis_means(cfg.params, lam)
+    except NoExitError:
         return {"exit_index_mean": "no shift predicted",
                 "shift_time_mean": "no shift predicted",
                 "prior_time_mean": "no shift predicted"}
-    d0, d = cfg.params.delta0_mean, cfg.params.delta_mean
-    shift = d0 + 1.0 / lam - d
-    return {"exit_index_mean": _round12(1.0 / (d * lam)),
+    return {"exit_index_mean": _round12(index),
             "shift_time_mean": _round12(shift),
-            "prior_time_mean": _round12(shift - d)}
+            "prior_time_mean": _round12(prior)}
 
 
 def cmd_analyze(args) -> int:

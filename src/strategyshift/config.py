@@ -9,6 +9,7 @@ are rejected so a config cannot silently misspell an option.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,6 +114,29 @@ def _require(block: dict, key: str, block_name: str):
     return block[key]
 
 
+def _number(block: dict, key: str, block_name: str, default=None,
+            integer: bool = False):
+    """``block[key]`` as a finite float, or as an int when ``integer``.
+
+    A missing key takes ``default``, or is an error when there is none.
+    Non-numbers, non-finite values and, with ``integer``, fractional values
+    are rejected with the entry's field name.
+    """
+    field = f"{block_name}.{key}"
+    raw = _require(block, key, block_name) if default is None else block.get(key, default)
+    try:
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{field} must be a number, got {raw!r}", field=field) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{field} must be finite, got {raw!r}", field=field)
+    if not integer:
+        return value
+    if not value.is_integer():
+        raise ConfigError(f"{field} must be an integer, got {raw!r}", field=field)
+    return int(raw) if isinstance(raw, int) else int(value)
+
+
 def _check_keys(block: dict, block_name: str, allowed):
     unknown = set(block) - allowed
     if unknown:
@@ -131,9 +155,9 @@ def _parse_mark(raw, where: str) -> MarkDistribution:
     family = raw.get("family", "unit")
     try:
         if family == "fixed":
-            return MarkDistribution.fixed(int(_require(raw, "value", where)))
+            return MarkDistribution.fixed(_number(raw, "value", where, integer=True))
         if family == "geometric":
-            return MarkDistribution.geometric(float(_require(raw, "p", where)))
+            return MarkDistribution.geometric(_number(raw, "p", where))
         return MarkDistribution(family=family)
     except (ParameterError, UnsupportedConfigurationError) as exc:
         raise ConfigError(str(exc), field=where) from exc
@@ -160,31 +184,33 @@ def from_dict(doc: dict) -> RunConfig:
 
     try:
         params = ModelParams(
-            lambda_a=float(_require(proc, "lambda_a", "process")),
-            lambda_b=float(_require(proc, "lambda_b", "process")),
+            lambda_a=_number(proc, "lambda_a", "process"),
+            lambda_b=_number(proc, "lambda_b", "process"),
             obs_initial=IntervalDistribution(
                 str(_require(obs, "family", "observation")),
-                float(_require(obs, "initial_mean", "observation")),
+                _number(obs, "initial_mean", "observation"),
             ),
             obs_interval=IntervalDistribution(
                 str(obs["family"]),
-                float(_require(obs, "interval_mean", "observation")),
+                _number(obs, "interval_mean", "observation"),
             ),
             mark_a=_parse_mark(proc.get("mark_a"), "process.mark_a"),
             mark_b=_parse_mark(proc.get("mark_b"), "process.mark_b"),
         )
+        # Thresholds are counts of mark units: a fractional one would be
+        # simulated as its ceiling but analysed as its floor.
         thresholds = Thresholds(
-            m=float(_require(thr, "m", "thresholds")),
-            n=float(_require(thr, "n", "thresholds")),
+            m=float(_number(thr, "m", "thresholds", integer=True)),
+            n=float(_number(thr, "n", "thresholds", integer=True)),
         )
     except (ParameterError, UnsupportedConfigurationError) as exc:
         raise ConfigError(str(exc)) from exc
 
     matrix, mode, scale = _parse_matrix(doc.get("matrix"))
 
-    n_paths = int(_require(sim, "paths", "simulation"))
-    seed = int(_require(sim, "seed", "simulation"))
-    horizon = int(sim.get("horizon", 10_000))
+    n_paths = _number(sim, "paths", "simulation", integer=True)
+    seed = _number(sim, "seed", "simulation", integer=True)
+    horizon = _number(sim, "horizon", "simulation", 10_000, integer=True)
     if n_paths < 1:
         raise ConfigError("simulation.paths must be >= 1", field="simulation.paths")
     if horizon < 1:
@@ -221,7 +247,7 @@ def _parse_matrix(raw):
     _check_keys(raw, "matrix", _ALLOWED_KEYS["matrix"])
     mode = raw.get("mode", "row-dependent")
     labels = raw.get("labels")
-    scale = float(raw.get("scale_factor", DEFAULT_SCALE_FACTOR))
+    scale = _number(raw, "scale_factor", "matrix", DEFAULT_SCALE_FACTOR)
     if mode == "uniform":
         labels = tuple(labels) if labels else ("I", "II", "III", "IV")
         if len(labels) != 4:
@@ -229,9 +255,7 @@ def _parse_matrix(raw):
                               field="matrix.labels")
         return (
             StrategyMatrix.uniform(
-                float(_require(raw, "m", "matrix")),
-                float(_require(raw, "n", "matrix")),
-                labels,
+                _number(raw, "m", "matrix"), _number(raw, "n", "matrix"), labels
             ),
             mode,
             scale,
@@ -245,9 +269,11 @@ def _parse_matrix(raw):
         return (
             StrategyMatrix(
                 labels=labels,
-                a_threshold_low=float(raw.get("a_threshold_low", default.a_threshold_low)),
-                a_threshold_high=float(raw.get("a_threshold_high", default.a_threshold_high)),
-                b_threshold=float(raw.get("b_threshold", default.b_threshold)),
+                a_threshold_low=_number(raw, "a_threshold_low", "matrix",
+                                        default.a_threshold_low),
+                a_threshold_high=_number(raw, "a_threshold_high", "matrix",
+                                         default.a_threshold_high),
+                b_threshold=_number(raw, "b_threshold", "matrix", default.b_threshold),
             ),
             mode,
             scale,

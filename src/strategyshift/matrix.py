@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError
+from .analytics import axis_means
+from .errors import DomainError, NoExitError
 from .params import ModelParams
 
 GENERIC_LABELS = ("I", "II", "III", "IV")
@@ -126,12 +127,13 @@ def shift_advisor(
     after_b = matrix.label_for(level_a > matrix.a_threshold_high, True)
 
     def axis(intensity: float, region_after: str) -> AxisAdvice:
-        # Static axis: a no-exit condition is advice, not an error.
-        if intensity <= 0.0:
+        try:
+            _, shift, prior = axis_means(params, intensity)
+        except NoExitError:
+            # Static axis: a no-exit condition is advice, not an error.
             return AxisAdvice(False, None, None, region_after,
                               note="no shift predicted")
-        shift = params.delta0_mean + 1.0 / intensity - params.delta_mean
-        return AxisAdvice(True, shift, shift - params.delta_mean, region_after)
+        return AxisAdvice(True, shift, prior, region_after)
 
     advice_a = axis(params.lambda_a, after_a)
     advice_b = axis(params.lambda_b, after_b)

@@ -21,6 +21,7 @@ from .errors import (
     ComparisonError,
     HorizonError,
     NoDataError,
+    NoExitError,
     ParameterError,
 )
 from .params import ModelParams, Thresholds
@@ -207,11 +208,24 @@ def estimate_exits(
     random stream is consumed as by a run without levels.
 
     Deterministic for fixed (params, thresholds, n_paths, seed, levels).
-    Fails with HorizonError when more than MAX_CENSOR_FRACTION of paths are
-    censored on either axis or at any recorded level.
+    Fails with NoExitError, before any draw, when an axis with zero drift
+    has a positive threshold or recorded level, and with HorizonError when
+    more than MAX_CENSOR_FRACTION of paths are censored on either axis or at
+    any recorded level.
     """
     if n_paths < 1:
         raise ParameterError("n_paths must be >= 1")
+    # A level with zero drift never moves, so no positive threshold is ever
+    # reached: fail before drawing instead of stepping to the horizon.
+    for axis, intensity, mark, level in (
+        ("A", params.lambda_a, params.mark_a, max((thresholds.m, *levels))),
+        ("B", params.lambda_b, params.mark_b, thresholds.n),
+    ):
+        if level > 0 and intensity * mark.mean() == 0.0:
+            raise NoExitError(
+                f"axis {axis} has zero drift (intensity times mean mark) and "
+                f"never reaches level {level:g}"
+            )
     summary = _simulate(params, thresholds, n_paths, seed, horizon, levels)
     worst = max(
         summary.n_censored_a, summary.n_censored_b,
@@ -220,8 +234,7 @@ def estimate_exits(
     if worst > MAX_CENSOR_FRACTION * n_paths:
         raise HorizonError(
             f"{worst}/{n_paths} paths hit the {horizon}-observation cap "
-            "before exceedance; raise the horizon (or check for a zero "
-            "intensity) to keep estimates unbiased"
+            "before exceedance; raise the horizon to keep estimates unbiased"
         )
     return summary
 

@@ -11,8 +11,7 @@ coefficient expansions used by the operator calculus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
 
 from .errors import DomainError
 from .params import IntervalDistribution, MarkDistribution
@@ -73,12 +72,23 @@ def gamma_series(
     """gamma_marginal with a formal series variable in the z slot.
 
     Expands the interval LST at theta + lambda * (1 - h(x)) as a truncated
-    power series in x.
+    power series in x.  Each distinct series is built once per process; the
+    returned coefficients are shared and read-only.
     """
+    if order < 0:
+        raise DomainError("series order must be nonnegative")
     if theta < 0.0:
         raise DomainError("theta must be nonnegative")
+    return _gamma_series(order, theta, intensity, mark, interval)
+
+
+@lru_cache(maxsize=256)
+def _gamma_series(order, theta, intensity, mark, interval) -> TruncatedSeries:
     h = TruncatedSeries(mark.pgf_coefficients(order))
     inner = theta + intensity * (1.0 - h)
     if interval.family == "exponential":
-        return (1.0 + interval.mean * inner).reciprocal()
-    return (-interval.mean * inner).exp()
+        series = (1.0 + interval.mean * inner).reciprocal()
+    else:
+        series = (-interval.mean * inner).exp()
+    series.coeffs.setflags(write=False)
+    return series

@@ -4,6 +4,7 @@ import pytest
 from strategyshift import (
     IntervalDistribution,
     LemmaConstants,
+    MarkDistribution,
     ModelParams,
     TransformContext,
     d_extract,
@@ -14,9 +15,10 @@ from strategyshift import (
     marginal_pgf,
     phi_functional,
 )
-from strategyshift.analytics import axis_factor, phi_series
+from strategyshift.analytics import axis_factor, axis_means, phi_series
 from strategyshift.errors import DomainError, NoExitError, SingularConstantError
 from strategyshift.series import d_extract_2d
+from strategyshift.transforms import gamma_series
 
 
 def _exp_params(lambda_a=1.0, lambda_b=1.0, d0=1.0, d=1.0):
@@ -25,6 +27,31 @@ def _exp_params(lambda_a=1.0, lambda_b=1.0, d0=1.0, d=1.0):
         IntervalDistribution.exponential(d0),
         IntervalDistribution.exponential(d),
     )
+
+
+#: Deterministic intervals with distinct means and non-unit marks, so both
+#: interval families and every mark family but unit reach the series kernel.
+DETERMINISTIC_PARAMS = ModelParams(
+    1.3, 0.7,
+    IntervalDistribution.deterministic(2.0),
+    IntervalDistribution.deterministic(0.5),
+    mark_a=MarkDistribution.geometric(0.4),
+    mark_b=MarkDistribution.fixed(2),
+)
+
+CONTEXTS = (
+    TransformContext.neutral(),
+    TransformContext(z=0.5, g=0.7, theta1=0.2, vartheta0=0.1),
+    TransformContext(z=0.3, g=0.9, theta0=0.4, vartheta1=0.6),
+)
+
+
+def _factor(order, ctx, params, axis):
+    if axis == "a":
+        return axis_factor(order, ctx.z, ctx.theta0, ctx.theta1, params.lambda_a,
+                           params.mark_a, params.obs_initial, params.obs_interval)
+    return axis_factor(order, ctx.g, ctx.vartheta0, ctx.vartheta1, params.lambda_b,
+                       params.mark_b, params.obs_initial, params.obs_interval)
 
 
 class TestPhiFunctional:
@@ -51,12 +78,53 @@ class TestPhiFunctional:
                 value = phi_functional(m, n, TransformContext.neutral(), reference_params)
                 assert np.isfinite(value)
 
-    def test_guard_order_is_sufficient(self, reference_params):
-        # widening the guard must not change the extracted value
-        ctx = TransformContext(z=0.5, g=0.5)
-        v8 = phi_functional(2, 2, ctx, reference_params, guard=8)
-        v40 = phi_functional(2, 2, ctx, reference_params, guard=40)
-        assert v8 == pytest.approx(v40, abs=1e-12)
+    @pytest.mark.parametrize("params", [None, DETERMINISTIC_PARAMS],
+                             ids=["reference", "deterministic"])
+    def test_extraction_needs_order_m_only(self, reference_params, params):
+        # a factor of order m extracts the same value at m as one of order
+        # m + 40, on both axes, at neutral and non-neutral contexts
+        p = params or reference_params
+        for ctx in CONTEXTS:
+            for k in range(7):
+                for axis in ("a", "b"):
+                    exact = d_extract(_factor(k, ctx, p, axis), k)
+                    wide = d_extract(_factor(k + 40, ctx, p, axis), k)
+                    assert abs(exact - wide) <= 1e-12
+            for m in range(7):
+                for n in range(7):
+                    wide = (d_extract(_factor(m + 40, ctx, p, "a"), m)
+                            * d_extract(_factor(n + 40, ctx, p, "b"), n))
+                    assert abs(phi_functional(m, n, ctx, p) - wide) <= 1e-12
+
+    @pytest.mark.parametrize("params", [None, DETERMINISTIC_PARAMS],
+                             ids=["reference", "deterministic"])
+    def test_matches_bivariate_extraction(self, reference_params, params):
+        # the grid-free product equals the two-dimensional extraction
+        p = params or reference_params
+        for ctx in CONTEXTS[1:]:
+            for m in range(7):
+                for n in range(7):
+                    joint = d_extract_2d(phi_series(m, n, ctx, p), (m, n))
+                    assert abs(phi_functional(m, n, ctx, p) - joint) <= 1e-12
+
+    def test_cached_series_are_read_only(self, reference_params):
+        p = reference_params
+        g = gamma_series(5, 0.0, p.lambda_a, p.mark_a, p.obs_interval)
+        f = _factor(5, CONTEXTS[1], p, "a")
+        for series in (g, f):
+            with pytest.raises(ValueError):
+                series.coeffs[0] = 0.0
+        # a repeated request returns the cached series, unchanged
+        assert gamma_series(5, 0.0, p.lambda_a, p.mark_a, p.obs_interval) is g
+        assert _factor(5, CONTEXTS[1], p, "a") is f
+
+    def test_negative_order_rejected(self, reference_params):
+        p = reference_params
+        with pytest.raises(DomainError):
+            gamma_series(-1, 0.0, p.lambda_a, p.mark_a, p.obs_interval)
+        with pytest.raises(DomainError):
+            axis_factor(-1, 1.0, 0.0, 0.0, p.lambda_a, p.mark_a,
+                        p.obs_initial, p.obs_interval)
 
     def test_negative_threshold_rejected(self, reference_params):
         with pytest.raises(DomainError):
@@ -151,6 +219,15 @@ class TestClosedFormMeans:
             expected_exit_index(_exp_params(lambda_a=0.0))
         with pytest.raises(NoExitError):
             expected_shift_time(_exp_params(lambda_b=0.0))
+
+    def test_axis_means_feed_both_axes(self):
+        params = _exp_params(lambda_a=0.5, lambda_b=2.0, d0=1.7, d=0.8)
+        a, b = axis_means(params, 0.5), axis_means(params, 2.0)
+        assert expected_exit_index(params) == (a[0], b[0])
+        assert expected_shift_time(params) == (a[1], b[1], a[2], b[2])
+        assert a == (1.0 / (0.8 * 0.5), 1.7 + 2.0 - 0.8, 1.7 + 2.0 - 0.8 - 0.8)
+        with pytest.raises(NoExitError):
+            axis_means(params, 0.0)
 
     def test_mean_consistency_identity(self):
         # shift mean minus initial mean equals interval mean times (index mean - 1)

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,44 @@ REFERENCE_DOC = {
     "simulation": {"paths": 5000, "seed": 11},
     "output": {"directory": "out"},
 }
+
+
+#: Every numeric entry set, so each can be corrupted in turn.
+FULL_DOC = {
+    "process": {"lambda_a": 1.0, "lambda_b": 1.0,
+                "mark_a": {"family": "fixed", "value": 2},
+                "mark_b": {"family": "geometric", "p": 0.5}},
+    "observation": {"family": "exponential", "initial_mean": 2.0, "interval_mean": 1.0},
+    "thresholds": {"m": 2, "n": 3},
+    "matrix": {"mode": "row-dependent", "a_threshold_low": 0.0,
+               "a_threshold_high": 17.6, "b_threshold": 10.0, "scale_factor": 100.0},
+    "simulation": {"paths": 1000, "seed": 5, "horizon": 500},
+    "output": {"directory": "out"},
+}
+
+NUMERIC_FIELDS = [
+    "process.lambda_a", "process.lambda_b", "process.mark_a.value",
+    "process.mark_b.p", "observation.initial_mean", "observation.interval_mean",
+    "thresholds.m", "thresholds.n", "matrix.a_threshold_low",
+    "matrix.a_threshold_high", "matrix.b_threshold", "matrix.scale_factor",
+    "matrix.m", "matrix.n", "simulation.paths", "simulation.seed",
+    "simulation.horizon",
+]
+
+INTEGER_FIELDS = ["process.mark_a.value", "thresholds.m", "thresholds.n",
+                  "simulation.paths", "simulation.seed", "simulation.horizon"]
+
+
+def _doc_with(field, value):
+    doc = json.loads(json.dumps(FULL_DOC))
+    if field in ("matrix.m", "matrix.n"):
+        doc["matrix"] = {"mode": "uniform", "m": 1.0, "n": 1.0}
+    *path, key = field.split(".")
+    block = doc
+    for name in path:
+        block = block[name]
+    block[key] = value
+    return doc
 
 
 @pytest.fixture
@@ -55,6 +94,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_mod.from_dict(doc)
 
+    def test_full_doc_accepted(self):
+        config_mod.from_dict(FULL_DOC)
+        config_mod.from_dict(_doc_with("matrix.m", 2.5))
+        assert config_mod.from_dict(_doc_with("thresholds.m", 4.0)).thresholds.m == 4.0
+
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "x", None])
+    def test_bad_number_rejected(self, field, value):
+        with pytest.raises(ConfigError) as excinfo:
+            config_mod.from_dict(_doc_with(field, value))
+        assert excinfo.value.field == field
+
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_fractional_count_rejected(self, field):
+        with pytest.raises(ConfigError) as excinfo:
+            config_mod.from_dict(_doc_with(field, 1.5))
+        assert excinfo.value.field == field
+
     def test_uniform_matrix_mode(self):
         doc = json.loads(json.dumps(REFERENCE_DOC))
         doc["matrix"] = {"mode": "uniform", "m": 2.0, "n": 3.0}
@@ -65,6 +122,24 @@ class TestConfig:
 class TestExitCodes:
     def test_simulate_ok(self, config_file):
         assert cli.main(["simulate", str(config_file)]) == 0
+
+    def test_non_finite_config_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(_doc_with("process.lambda_a", math.nan)))
+        for command in ("simulate", "analyze"):
+            assert cli.main([command, str(bad)]) == 3
+        assert "process.lambda_a" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "analysis.json").exists()
+
+    def test_zero_intensity_simulate_fails_fast(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        doc = json.loads(json.dumps(REFERENCE_DOC))
+        doc["process"]["lambda_b"] = 0.0
+        doc["simulation"]["paths"] = 20_000
+        path = tmp_path / "static.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["simulate", str(path)]) == 4
 
     def test_missing_config(self, tmp_path):
         assert cli.main(["simulate", str(tmp_path / "nope.json")]) == 2
@@ -202,6 +277,62 @@ class TestArtifacts:
         assert report["index_pgf_closed"]["note"] == (
             "requires memoryless observation intervals"
         )
+
+    @staticmethod
+    def _clear_series_caches():
+        from strategyshift import analytics, transforms
+
+        transforms._gamma_series.cache_clear()
+        analytics._axis_factor.cache_clear()
+
+    def test_analyze_expands_each_series_once(self, tmp_path, monkeypatch):
+        from strategyshift.series import TruncatedSeries
+
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        doc = _doc_with("thresholds.m", 200)
+        doc["thresholds"]["n"] = 200
+        doc["observation"]["family"] = "deterministic"
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+
+        orders = []
+        real = TruncatedSeries.exp
+
+        def counting(self):
+            orders.append(self.order)
+            return real(self)
+
+        monkeypatch.setattr(TruncatedSeries, "exp", counting)
+        self._clear_series_caches()
+        assert cli.main(["analyze", str(path)]) == 0
+        # one expansion per interval (initial, later) per axis at the top order
+        assert orders.count(200) == 4
+        calls = len(orders)
+        assert cli.main(["analyze", str(path)]) == 0
+        assert len(orders) == calls
+
+    def test_series_cache_does_not_leak_between_configs(self, tmp_path, monkeypatch):
+        x = _doc_with("observation.initial_mean", 3.0)
+        x["observation"]["family"] = "deterministic"
+        y = _doc_with("process.lambda_a", 0.4)
+        y["process"]["mark_a"] = {"family": "geometric", "p": 0.3}
+        outputs = []
+
+        def analyze(doc):
+            out = tmp_path / f"run{len(outputs)}"
+            monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(out))
+            path = out.with_suffix(".json")
+            path.write_text(json.dumps(doc))
+            assert cli.main(["analyze", str(path)]) == 0
+            outputs.append((out / "analysis.json").read_bytes())
+            return outputs[-1]
+
+        self._clear_series_caches()
+        fresh_y = analyze(y)
+        self._clear_series_caches()
+        first_x, then_y, again_x = analyze(x), analyze(y), analyze(x)
+        assert again_x == first_x
+        assert then_y == fresh_y != first_x
 
     def test_byte_identical_reruns(self, config_file, tmp_path, monkeypatch):
         def run_into(d):

@@ -17,6 +17,7 @@ from strategyshift.errors import (
     ComparisonError,
     HorizonError,
     NoDataError,
+    NoExitError,
     ParameterError,
 )
 from strategyshift.oracle import AnalyticBundle, EmpiricalBundle, scan_exit_index
@@ -53,8 +54,39 @@ class TestEstimateExits:
             IntervalDistribution.exponential(1.0),
             IntervalDistribution.exponential(1.0),
         )
-        with pytest.raises(HorizonError):
+        with pytest.raises(NoExitError):
             estimate_exits(params, unit_thresholds, 100, 3, horizon=50)
+
+    @pytest.mark.parametrize("lambda_a, mark_a, m, levels", [
+        (0.0, MarkDistribution.unit(), 1, ()),
+        (1.0, MarkDistribution.fixed(0), 1, ()),
+        (0.0, MarkDistribution.unit(), 0, (2,)),
+    ])
+    def test_zero_drift_fails_before_drawing(self, monkeypatch, lambda_a, mark_a,
+                                             m, levels):
+        from strategyshift import oracle
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a zero-drift run drew increments")
+
+        monkeypatch.setattr(oracle, "compound_increments", no_draws)
+        exp1 = IntervalDistribution.exponential(1.0)
+        static_a = ModelParams(lambda_a, 1.0, exp1, exp1, mark_a=mark_a)
+        with pytest.raises(NoExitError):
+            estimate_exits(static_a, Thresholds(m=m, n=1), 20_000, 3, levels=levels)
+        static_b = ModelParams(1.0, lambda_a, exp1, exp1, mark_b=mark_a)
+        with pytest.raises(NoExitError):
+            estimate_exits(static_b, Thresholds(m=1, n=1), 20_000, 3)
+
+    def test_zero_drift_at_zero_threshold_simulates(self):
+        # level 0 is reached at the first observation, drift or not
+        params = ModelParams(
+            0.0, 1.0,
+            IntervalDistribution.exponential(1.0),
+            IntervalDistribution.exponential(1.0),
+        )
+        s = estimate_exits(params, Thresholds(m=0, n=1), 1000, 3)
+        assert np.all(s.mu == 0)
 
     def test_se_shrinks_with_sample_size(self, reference_params, unit_thresholds):
         _, se_small = estimate_exits(reference_params, unit_thresholds, 10_000, 5).mean_se("mu")
@@ -180,7 +212,7 @@ class TestEmpiricalFunctional:
             IntervalDistribution.exponential(1.0),
             IntervalDistribution.exponential(1.0),
         )
-        with pytest.raises(HorizonError):
+        with pytest.raises(NoExitError):
             empirical_functional(estimate_exits(params, unit_thresholds, 200, 1,
                                                 horizon=50),
                                  TransformContext.neutral())
