@@ -75,7 +75,8 @@ def _output_dir(cfg) -> Path:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def cmd_simulate(args) -> int:

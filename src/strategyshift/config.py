@@ -293,4 +293,4 @@ def load(path) -> RunConfig:
 
 def dumps(config: RunConfig) -> str:
     """Serialize a normalized config (stable key order)."""
-    return json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
+    return json.dumps(config.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -1,9 +1,21 @@
 """Monte Carlo verification engine.
 
-Simulates the observed two-parameter process path by path (vectorized across
-paths, stepping one observation epoch at a time) and turns the results into
-empirical exit summaries, empirical transforms, and a conformance table that
-confronts every closed-form claim with its simulated counterpart.
+Simulates the observed two-parameter process (vectorized across paths) and
+turns the results into empirical exit summaries, empirical transforms, and a
+conformance table that confronts every closed-form claim with its simulated
+counterpart.
+
+The simulator is event-driven and exact: it draws each path's crossing times
+and the observation epochs around them instead of stepping through every
+observation.  A level first reaches its threshold L at an arrival J of its
+Poisson stream (J = L for unit marks, ceil(L / v) for a fixed mark v,
+1 + Binomial(L - 1, p) for geometric(p) marks), so at the continuous time
+T ~ Gamma(J, 1 / lambda).  The exit index is the first observation epoch at
+or after T and the prior epoch is the one before it: plain arithmetic for
+deterministic intervals, a few memoryless draws around T for exponential ones
+(``_PoissonEpochs``).  The level at exit adds the increments over (T, epoch].
+A path thus costs a fixed number of draws per recorded level, whatever its
+exit index.
 
 Quantities whose printed closed forms are documented as suspect are carried
 in the table with verdict "not-assertable": their rows report the deviation
@@ -12,6 +24,7 @@ instead of asserting it away.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -111,12 +124,162 @@ class EmpiricalExitSummary:
         return sample_mean_se(values[~cens].astype(float), name)
 
 
-def _first_passage(idx, k, active, level, threshold) -> np.ndarray:
-    """Set index ``k`` on the pending active paths whose ``level`` (aligned
-    with ``active``) reaches ``threshold``; return the hit mask."""
-    hit = (idx[active] < 0) & (level >= threshold)
-    idx[active[hit]] = k
-    return hit
+#: A gap whose expected epoch count exceeds this is drawn at this mean (numpy
+#: refuses Poisson means near 2**63).  Such a gap holds more epochs than any
+#: horizon, so every index at or past it is censored either way.
+_MAX_GAP_EPOCHS = 1e18
+
+
+def _crossing(rng, intensity, mark, need):
+    """(arrivals, total, elapsed time) at the arrival that first brings a
+    fresh compound Poisson stream to ``need`` or above (an int64 array,
+    entries >= 1)."""
+    if mark.family == "unit":
+        arrivals, total = need, need
+    elif mark.family == "fixed":
+        arrivals = -(-need // mark.value)
+        total = arrivals * mark.value
+    else:
+        # The totals a sum of geometric(p) marks visits are the successes of
+        # Bernoulli(p) trials over the levels 1, 2, ...: it visits
+        # Binomial(need - 1, p) levels below ``need``, and its first total at
+        # or above ``need`` is need - 1 + Geometric(p) by memorylessness.
+        arrivals = 1 + rng.binomial(need - 1, mark.p)
+        total = need - 1 + rng.geometric(mark.p, need.size)
+    return arrivals, total, rng.gamma(arrivals, 1.0 / intensity)
+
+
+def _bridged_crossing(rng, mark, level, top, top_arrivals, top_times):
+    """(arrivals, time) at the first crossing of ``level`` <= ``top`` by a
+    stream that first reached ``top`` at arrival ``top_arrivals``, time
+    ``top_times``."""
+    shape = top_arrivals.shape
+    if level <= 0:
+        return np.zeros(shape, dtype=np.int64), np.zeros(shape)
+    if mark.family == "unit":
+        arrivals = np.full(shape, level, dtype=np.int64)
+    elif mark.family == "fixed":
+        arrivals = np.full(shape, -(-level // mark.value), dtype=np.int64)
+    else:
+        # Given their number, the levels visited below ``top`` are a uniform
+        # subset of 1 .. top - 1.
+        arrivals = 1 + rng.hypergeometric(level - 1, top - level, top_arrivals - 1)
+    # The arrivals before a given one of a Poisson stream are uniform order
+    # statistics on (0, its time).
+    times = top_times.copy()
+    inner = arrivals < top_arrivals
+    times[inner] *= rng.beta(arrivals[inner], top_arrivals[inner] - arrivals[inner])
+    return arrivals, times
+
+
+class _ArithmeticEpochs:
+    """Observation epochs t0 + k d, k = 0, 1, ..., of deterministic later
+    intervals."""
+
+    def __init__(self, t0, d, cap):
+        self.t0, self.d, self.cap = t0, d, cap
+
+    def first_at_or_after(self, times, rows):
+        """Index (at most ``cap``), previous epoch (0 before index 0) and
+        epoch of the first observation at or after ``times`` on ``rows``."""
+        t0 = self.t0[rows]
+        index = np.clip(np.ceil((times - t0) / self.d), 0, self.cap)
+        epoch = t0 + index * self.d
+        return index.astype(np.int64), np.where(index > 0, epoch - self.d, 0.0), epoch
+
+
+def _scatter(size, rows, values):
+    out = np.full(size, np.nan if values.dtype.kind == "f" else 0, dtype=values.dtype)
+    out[rows] = values
+    return out
+
+
+class _PoissonEpochs:
+    """Observation epochs of exponential later intervals, sampled only around
+    the times asked about.
+
+    After the first epoch t0 the epochs form a Poisson process of rate 1/d.
+    A time q past a path's last sampled epoch F samples one segment: looking
+    back from q, the last epoch before q lies Exp(d) earlier, at p, unless
+    that reaches back past F (then p = F and no epoch lies in (F, q)); the
+    epochs strictly between F and p number Poisson((p - F) / d) and are
+    uniform there; the first epoch at or after q is x = q + Exp(d).  A time
+    at or before F falls in a sampled segment.  In (p, x] its epoch is x.  In
+    (F, p) only its index is drawn: the binomial share of the segment's
+    uniform epochs before it.  Such times must come in increasing order per
+    path, so that each share is drawn given the ones before it.
+    """
+
+    def __init__(self, rng, t0, d, cap):
+        n = t0.size
+        self.rng, self.t0, self.d, self.cap = rng, t0, d, cap
+        self.last = t0.copy()
+        self.last_index = np.zeros(n, dtype=np.int64)
+        # One (F, index of F, p, epochs in (F, q), x) per extending call,
+        # NaN/0 on the paths that call did not extend.
+        self.segments = []
+        # Per path: the segment of the last time looked up inside (F, p), that
+        # time, and how many of the segment's uniform epochs lie before it.
+        self.cursor = np.full(n, -1)
+        self.cursor_time = np.zeros(n)
+        self.cursor_below = np.zeros(n, dtype=np.int64)
+
+    def first_at_or_after(self, times, rows):
+        """As ``_ArithmeticEpochs.first_at_or_after``; the previous epoch and
+        the epoch are NaN where only the index is drawn."""
+        index = np.zeros(rows.size, dtype=np.int64)
+        prev = np.zeros(rows.size)
+        epoch = self.t0[rows]
+        ahead = times > self.last[rows]
+        if ahead.any():
+            index[ahead], prev[ahead], epoch[ahead] = self._extend(times[ahead],
+                                                                   rows[ahead])
+        inside = ~ahead & (times > self.t0[rows])
+        if inside.any():
+            index[inside], prev[inside], epoch[inside] = self._look_up(
+                times[inside], rows[inside])
+        return index, prev, epoch
+
+    def _extend(self, times, rows):
+        rng, d = self.rng, self.d
+        last, last_index = self.last[rows], self.last_index[rows]
+        back = rng.exponential(d, rows.size)
+        empty = back >= times - last
+        mean = np.where(empty, 0.0,
+                        np.minimum((times - back - last) / d, _MAX_GAP_EPOCHS))
+        count = np.where(empty, 0, 1 + rng.poisson(mean))
+        prev = np.where(empty, last, times - back)
+        epoch = times + rng.exponential(d, rows.size)
+        index = np.minimum(last_index + count + 1, self.cap)
+        self.segments.append(tuple(_scatter(self.t0.size, rows, v)
+                                   for v in (last, last_index, prev, count, epoch)))
+        self.last[rows], self.last_index[rows] = epoch, index
+        return index, prev, epoch
+
+    def _look_up(self, times, rows):
+        index = np.empty(rows.size, dtype=np.int64)
+        prev = np.full(rows.size, np.nan)
+        epoch = np.full(rows.size, np.nan)
+        for number, (start, start_index, p, count, x) in enumerate(self.segments):
+            hit = (start[rows] < times) & (times <= x[rows])
+            late = hit & (times >= p[rows])
+            r = rows[late]
+            index[late] = np.minimum(start_index[r] + count[r] + 1, self.cap)
+            prev[late], epoch[late] = p[r], x[r]
+            early = hit & ~late
+            if not early.any():
+                continue
+            r, t = rows[early], times[early]
+            fresh = r[self.cursor[r] != number]
+            self.cursor[fresh] = number
+            self.cursor_time[fresh] = start[fresh]
+            self.cursor_below[fresh] = 0
+            since, below = self.cursor_time[r], self.cursor_below[r]
+            below = below + self.rng.binomial(count[r] - 1 - below,
+                                              (t - since) / (p[r] - since))
+            self.cursor_time[r], self.cursor_below[r] = t, below
+            index[early] = np.minimum(start_index[r] + 1 + below, self.cap)
+        return index, prev, epoch
 
 
 def _simulate(
@@ -128,59 +291,53 @@ def _simulate(
     levels: Sequence[int],
 ) -> EmpiricalExitSummary:
     rng = np.random.default_rng(seed)
-    m, n = thresholds.m, thresholds.n
+    cap = horizon + 1  # an index above the horizon is censored
+    rows = np.arange(n_paths)
+    t0 = params.obs_initial.sample(rng, n_paths)
+    d = params.obs_interval.mean
+    if params.obs_interval.family == "exponential":
+        epochs = _PoissonEpochs(rng, t0, d, cap)
+    else:
+        epochs = _ArithmeticEpochs(t0, d, cap)
 
-    level_a = np.zeros(n_paths)
-    level_b = np.zeros(n_paths)
-    t = np.zeros(n_paths)
-    mu = np.full(n_paths, -1, dtype=np.int64)
-    nu = np.full(n_paths, -1, dtype=np.int64)
-    tau_mu = np.full(n_paths, np.nan)
-    tau_mu_prev = np.full(n_paths, np.nan)
-    tau_nu = np.full(n_paths, np.nan)
-    tau_nu_prev = np.full(n_paths, np.nan)
-    lev_mu = np.full(n_paths, np.nan)
-    lev_nu = np.full(n_paths, np.nan)
-    study = {level: np.full(n_paths, -1, dtype=np.int64)
-             for level in sorted(set(levels) - {m})}
-    # Levels never fall, so a path that reached the top study level has
-    # reached every lower one; when that level is above m, paths run on
-    # until they reach it.
-    top = max(study, default=m)
-    top_idx = study[top] if top > m else None
+    crossings = []
+    for intensity, mark, threshold in ((params.lambda_a, params.mark_a, thresholds.m),
+                                       (params.lambda_b, params.mark_b, thresholds.n)):
+        level = math.ceil(threshold)
+        if level > 0:
+            need = np.full(n_paths, level, dtype=np.int64)
+            crossings.append(_crossing(rng, intensity, mark, need))
+        else:
+            zeros = np.zeros(n_paths, dtype=np.int64)
+            crossings.append((zeros, zeros, np.zeros(n_paths)))
 
-    for k in range(horizon + 1):
-        waiting = (mu < 0) | (nu < 0)
-        if top_idx is not None:
-            waiting |= top_idx < 0
-        active = np.flatnonzero(waiting)
-        if active.size == 0:
-            break
-        dist = params.obs_initial if k == 0 else params.obs_interval
-        d = dist.sample(rng, active.size)
-        inc_a = compound_increments(rng, params.lambda_a, params.mark_a, d)
-        inc_b = compound_increments(rng, params.lambda_b, params.mark_b, d)
-        t_prev = t[active]
-        t[active] = t_prev + d
-        level_a[active] += inc_a
-        level_b[active] += inc_b
-        la = level_a[active]
+    # Both axes read the same epochs: place the earlier crossing first.
+    (_, _, time_a), (_, _, time_b) = crossings
+    a_first = time_a <= time_b
+    first = epochs.first_at_or_after(np.minimum(time_a, time_b), rows)
+    second = epochs.first_at_or_after(np.maximum(time_a, time_b), rows)
+    exits = []
+    for in_first, (_, total, crossed), intensity, mark in (
+        (a_first, crossings[0], params.lambda_a, params.mark_a),
+        (~a_first, crossings[1], params.lambda_b, params.mark_b),
+    ):
+        index, prev, epoch = (np.where(in_first, f, s) for f, s in zip(first, second))
+        level = np.full(n_paths, np.nan)
+        ok = index < cap
+        level[ok] = total[ok] + compound_increments(rng, intensity, mark,
+                                                    epoch[ok] - crossed[ok])
+        exits.append((index, prev, epoch, level))
 
-        hit = _first_passage(mu, k, active, la, m)
-        hit_a = active[hit]
-        tau_mu[hit_a] = t[hit_a]
-        tau_mu_prev[hit_a] = 0.0 if k == 0 else t_prev[hit]
-        lev_mu[hit_a] = level_a[hit_a]
+    study = _study_indices(rng, epochs, params, thresholds, levels, crossings[0],
+                           exits[0], cap)
+    for index, prev, epoch, level in exits:
+        censored = index >= cap
+        index[censored] = -1
+        prev[censored] = epoch[censored] = np.nan
+    for index in study.values():
+        index[index >= cap] = -1
 
-        hit = _first_passage(nu, k, active, level_b[active], n)
-        hit_b = active[hit]
-        tau_nu[hit_b] = t[hit_b]
-        tau_nu_prev[hit_b] = 0.0 if k == 0 else t_prev[hit]
-        lev_nu[hit_b] = level_b[hit_b]
-
-        for level, idx in study.items():
-            _first_passage(idx, k, active, la, level)
-
+    (mu, tau_mu_prev, tau_mu, lev_mu), (nu, tau_nu_prev, tau_nu, lev_nu) = exits
     return EmpiricalExitSummary(
         n_paths=n_paths, seed=seed, params=params, thresholds=thresholds,
         mu=mu, nu=nu,
@@ -190,6 +347,39 @@ def _simulate(
         censored_a=mu < 0, censored_b=nu < 0,
         study_mu=study,
     )
+
+
+def _study_indices(rng, epochs, params, thresholds, levels, crossing, exit_a, cap):
+    """Axis-A exit indices (at most ``cap``) at the study levels, drawn after
+    the (m, n) record so that they leave it unchanged.
+
+    A level at or below m is crossed on the way to m: its crossing is bridged
+    back from the crossing of m.  A level above m continues the stream from
+    the axis-A exit (epoch and level at exit), then from each crossing above.
+    """
+    top = math.ceil(thresholds.m)
+    rows = np.arange(exit_a[0].size)
+    levels = sorted(set(levels) - {thresholds.m})
+    study = {}
+    arrivals, _, times = crossing
+    bridged, above = {}, top
+    for level in reversed([level for level in levels if level <= top]):
+        arrivals, times = _bridged_crossing(rng, params.mark_a, level, above,
+                                            arrivals, times)
+        bridged[level], above = times, level
+    for level in sorted(bridged):
+        study[level] = epochs.first_at_or_after(bridged[level], rows)[0]
+
+    index, _, time, total = (values.copy() for values in exit_a)
+    for level in (level for level in levels if level > top):
+        go = np.flatnonzero((index < cap) & (total < level))
+        _, reached, elapsed = _crossing(rng, params.lambda_a, params.mark_a,
+                                        (level - total[go]).astype(np.int64))
+        time[go] += elapsed
+        total[go] += reached
+        index[go] = epochs.first_at_or_after(time[go], go)[0]
+        study[level] = index.copy()
+    return study
 
 
 def estimate_exits(
@@ -203,9 +393,10 @@ def estimate_exits(
     """Simulate ``n_paths`` trajectories and collect their exit records.
 
     Besides first passage at (m, n), records the axis-A exit index at every
-    level in ``levels`` in the same pass (see
-    ``EmpiricalExitSummary.exit_index_a``).  Without levels above m the
-    random stream is consumed as by a run without levels.
+    level in ``levels`` from the same paths (see
+    ``EmpiricalExitSummary.exit_index_a``).  Those are drawn after the
+    (m, n) record, which is therefore the same with or without levels.
+    An index above ``horizon`` counts as censored.
 
     Deterministic for fixed (params, thresholds, n_paths, seed, levels).
     Fails with NoExitError, before any draw, when an axis with zero drift
@@ -216,7 +407,7 @@ def estimate_exits(
     if n_paths < 1:
         raise ParameterError("n_paths must be >= 1")
     # A level with zero drift never moves, so no positive threshold is ever
-    # reached: fail before drawing instead of stepping to the horizon.
+    # reached (its crossing time is infinite): fail before drawing.
     for axis, intensity, mark, level in (
         ("A", params.lambda_a, params.mark_a, max((thresholds.m, *levels))),
         ("B", params.lambda_b, params.mark_b, thresholds.n),
@@ -281,16 +472,6 @@ def empirical_functional(
             & (s.level_at_nu[ok] <= s.thresholds.n)
         )
     return sample_mean_se(samples, "the joint functional")
-
-
-def scan_exit_index(levels, threshold) -> int:
-    """Plain linear scan for the first reach-or-exceed index (cross-check
-    implementation, intentionally independent of the path machinery).
-    """
-    for i, value in enumerate(levels):
-        if value >= threshold:
-            return i
-    return -1
 
 
 @dataclass(frozen=True)

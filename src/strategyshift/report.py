@@ -22,7 +22,7 @@ from .analytics import (
     marginal_pgf,
     phi_functional,
 )
-from .errors import NoExitError, SingularConstantError
+from .errors import DomainError, NoExitError, SingularConstantError
 from .oracle import (
     AnalyticBundle,
     ConformanceRow,
@@ -92,17 +92,17 @@ def build_analytic_bundle(
         values[name] = marginal_pgf("index_a", z, m, n, params)
         references[name] = "exit-index PGF via the operator route, axis A"
 
+    note = None
     try:
         constants = LemmaConstants.from_params(params)
-        for z in z_grid:
-            name = f"index_pgf_closed_a[z={z:g}]"
-            values[name] = lemma_pgf_a(z, m, constants)
-            references[name] = "exit-index PGF, memoryless closed form, axis A"
+    except DomainError:
+        note = "requires memoryless observation intervals"
     except (SingularConstantError, NoExitError):
-        for z in z_grid:
-            name = f"index_pgf_closed_a[z={z:g}]"
-            values[name] = "singular"
-            references[name] = "exit-index PGF, memoryless closed form, axis A"
+        note = "singular"
+    for z in z_grid:
+        name = f"index_pgf_closed_a[z={z:g}]"
+        values[name] = note or lemma_pgf_a(z, m, constants)
+        references[name] = "exit-index PGF, memoryless closed form, axis A"
 
     values["joint_functional"] = phi_functional(
         m, n, TransformContext.neutral(), params
@@ -206,7 +206,7 @@ def rows_to_json(rows: List[ConformanceRow]) -> str:
         }
         for r in rows
     ]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _round12(x: float) -> float:

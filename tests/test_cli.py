@@ -278,6 +278,39 @@ class TestArtifacts:
             "requires memoryless observation intervals"
         )
 
+    def test_conformance_deterministic_intervals(self, tmp_path, monkeypatch):
+        # The memoryless closed-form PGF rows are labelled, not fatal.
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        doc = json.loads(json.dumps(REFERENCE_DOC))
+        doc["observation"]["family"] = "deterministic"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["conformance", str(path)]) == 0
+        rows = json.loads((tmp_path / "out" / "conformance.json").read_text())
+        closed = [r for r in rows if r["quantity"].startswith("index_pgf_closed_a")]
+        assert len(closed) == 3
+        for row in closed:
+            assert row["analytic"] == "requires memoryless observation intervals"
+            assert row["verdict"] == "not-assertable"
+
+    def test_json_writers_refuse_nan(self, tmp_path):
+        import dataclasses
+
+        from strategyshift.oracle import ConformanceRow
+        from strategyshift.report import rows_to_json
+
+        nan = float("nan")
+        target = tmp_path / "summary.json"
+        with pytest.raises(ValueError):
+            cli._write_json(target, {"mean_mu": nan})
+        assert not target.exists()
+        row = ConformanceRow("q", "ref", 1.0, nan, 0.1, None, "not-assertable")
+        with pytest.raises(ValueError):
+            rows_to_json([row])
+        cfg = config_mod.from_dict(REFERENCE_DOC)
+        with pytest.raises(ValueError):
+            config_mod.dumps(dataclasses.replace(cfg, scale_factor=nan))
+
     @staticmethod
     def _clear_series_caches():
         from strategyshift import analytics, transforms

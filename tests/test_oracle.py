@@ -20,9 +20,19 @@ from strategyshift.errors import (
     NoExitError,
     ParameterError,
 )
-from strategyshift.oracle import AnalyticBundle, EmpiricalBundle, scan_exit_index
+from strategyshift.oracle import AnalyticBundle, EmpiricalBundle
 from strategyshift.params import MarkDistribution
 from strategyshift.report import build_analytic_bundle, build_empirical_bundle
+
+
+def scan_exit_index(levels, threshold) -> int:
+    """Plain linear scan for the first reach-or-exceed index (cross-check
+    implementation, intentionally independent of the path machinery).
+    """
+    for i, value in enumerate(levels):
+        if value >= threshold:
+            return i
+    return -1
 
 
 class TestEstimateExits:
@@ -64,12 +74,11 @@ class TestEstimateExits:
     ])
     def test_zero_drift_fails_before_drawing(self, monkeypatch, lambda_a, mark_a,
                                              m, levels):
-        from strategyshift import oracle
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"a zero-drift run used the generator: {name}")
 
-        def no_draws(*args, **kwargs):
-            raise AssertionError("a zero-drift run drew increments")
-
-        monkeypatch.setattr(oracle, "compound_increments", no_draws)
+        monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
         exp1 = IntervalDistribution.exponential(1.0)
         static_a = ModelParams(lambda_a, 1.0, exp1, exp1, mark_a=mark_a)
         with pytest.raises(NoExitError):
@@ -151,6 +160,15 @@ class TestMultiLevelRecord:
                                   equal_nan=True), name
         assert multi.exit_index_a(5) is multi.mu
         assert sorted(multi.study_mu) == [2, 3]
+
+    def test_levels_above_m_leave_the_record_unchanged(self, params, unit_thresholds):
+        # Study levels are drawn after the (m, n) record, wherever they lie.
+        plain = estimate_exits(params, unit_thresholds, 5000, 47)
+        multi = estimate_exits(params, unit_thresholds, 5000, 47, levels=(2, 3, 5))
+        for name in ("mu", "nu", "tau_mu", "tau_mu_prev", "tau_nu", "tau_nu_prev",
+                     "level_at_mu", "level_at_nu"):
+            assert np.array_equal(getattr(plain, name), getattr(multi, name),
+                                  equal_nan=True), name
 
     def test_censoring_cap_applies_to_every_level(self, reference_params, unit_thresholds):
         estimate_exits(reference_params, unit_thresholds, 2000, 3, horizon=20)
