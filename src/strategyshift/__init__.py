@@ -25,9 +25,7 @@ from .matrix import (
     shift_advisor,
 )
 from .oracle import (
-    ConformanceRow,
     EmpiricalExitSummary,
-    conformance,
     empirical_functional,
     empirical_pgf,
     estimate_exits,
@@ -45,6 +43,7 @@ from .process import (
     increment_moments,
     sample_path,
 )
+from .report import ConformanceRow, conformance_rows
 from .series import (
     BivariateSeries,
     TruncatedSeries,
@@ -76,7 +75,7 @@ __all__ = [
     "bcg_classify",
     "bcg_scale",
     "classify",
-    "conformance",
+    "conformance_rows",
     "d_apply",
     "d_apply_2d",
     "d_extract",

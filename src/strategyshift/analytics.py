@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Tuple, Union
 
 from .errors import DomainError, NoExitError, SingularConstantError
 from .params import ModelParams
@@ -141,24 +141,13 @@ def marginal_pgf(
 class LemmaConstants:
     """Scalar constants of the memoryless closed-form exit-index PGFs.
 
-    Each (alpha, beta) pair comes from one interval mean and one intensity
-    and satisfies alpha + beta = 1.  kappa (a-side) and kappa1 (b-side) are
-    1 / (lambda * (delta0_mean - delta_mean)) and are undefined when the two
-    interval means coincide.
+    kappa (a-side) and kappa1 (b-side) are 1 / (lambda * (delta0_mean -
+    delta_mean)) and are undefined when the two interval means coincide.
     """
 
-    alpha_a: float
-    beta_a: float
-    alpha_a0: float
-    beta_a0: float
-    alpha_b: float
-    beta_b: float
-    alpha_b0: float
-    beta_b0: float
     kappa: float
     kappa1: float
     delta0_mean: float
-    delta_mean: float
     lambda_a: float
     lambda_b: float
 
@@ -178,21 +167,24 @@ class LemmaConstants:
             )
         if la <= 0.0 or lb <= 0.0:
             raise NoExitError("closed-form constants need positive intensities")
-
-        def pair(mean, lam):
-            return mean * lam / (1.0 + mean * lam), 1.0 / (1.0 + mean * lam)
-
-        aa, ba = pair(d, la)
-        aa0, ba0 = pair(d0, la)
-        ab, bb = pair(d, lb)
-        ab0, bb0 = pair(d0, lb)
         return cls(
-            alpha_a=aa, beta_a=ba, alpha_a0=aa0, beta_a0=ba0,
-            alpha_b=ab, beta_b=bb, alpha_b0=ab0, beta_b0=bb0,
             kappa=1.0 / (la * (d0 - d)),
             kappa1=1.0 / (lb * (d0 - d)),
-            delta0_mean=d0, delta_mean=d, lambda_a=la, lambda_b=lb,
+            delta0_mean=d0, lambda_a=la, lambda_b=lb,
         )
+
+
+def lemma_constants_or_note(params: ModelParams) -> Union[LemmaConstants, str]:
+    """The closed-form PGF constants, or the note that stands in for the
+    memoryless closed-form PGFs when they are undefined."""
+    try:
+        return LemmaConstants.from_params(params)
+    except DomainError:
+        return "requires memoryless observation intervals"
+    except SingularConstantError:
+        return "singular"
+    except NoExitError:
+        return "no shift predicted"
 
 
 def _lemma_pgf(z: float, level: int, d0_lam: float, kappa: float) -> float:

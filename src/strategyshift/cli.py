@@ -15,8 +15,8 @@ from pathlib import Path
 
 from . import config as config_mod
 from .analytics import (
-    LemmaConstants,
     axis_means,
+    lemma_constants_or_note,
     lemma_pgf_a,
     lemma_pgf_b,
     marginal_pgf,
@@ -28,18 +28,15 @@ from .errors import (
     HorizonError,
     NoExitError,
     ParameterError,
-    SingularConstantError,
     StrategyShiftError,
 )
 from .matrix import bcg_scale, classify
-from .oracle import conformance, estimate_exits
+from .oracle import estimate_exits
 from .report import (
     DEFAULT_Z_GRID,
     STUDY_LEVELS,
     _round12,
-    build_analytic_bundle,
-    build_empirical_bundle,
-    deviation_study,
+    conformance_rows,
     histogram_csv,
     rows_to_csv,
     rows_to_json,
@@ -123,20 +120,12 @@ def cmd_analyze(args) -> int:
     report = {"means": {"a": _axis_means(cfg, "a"), "b": _axis_means(cfg, "b")}}
 
     z_grid = list(DEFAULT_Z_GRID)
-    closed: dict = {}
-    if not cfg.params.is_memoryless():
-        closed["note"] = "requires memoryless observation intervals"
+    constants = lemma_constants_or_note(cfg.params)
+    if isinstance(constants, str):
+        closed = {"note": constants}
     else:
-        try:
-            constants = LemmaConstants.from_params(cfg.params)
-            closed["a"] = {f"{z:g}": _round12(lemma_pgf_a(z, m, constants))
-                           for z in z_grid}
-            closed["b"] = {f"{z:g}": _round12(lemma_pgf_b(z, n, constants))
-                           for z in z_grid}
-        except SingularConstantError:
-            closed["note"] = "singular"
-        except NoExitError:
-            closed["note"] = "no shift predicted"
+        closed = {"a": {f"{z:g}": _round12(lemma_pgf_a(z, m, constants)) for z in z_grid},
+                  "b": {f"{z:g}": _round12(lemma_pgf_b(z, n, constants)) for z in z_grid}}
     report["index_pgf_closed"] = closed
 
     operator: dict = {"a": {}, "b": {}}
@@ -181,14 +170,12 @@ def cmd_classify(args) -> int:
 def cmd_conformance(args) -> int:
     cfg = _load_config(args.config)
     out = _output_dir(cfg)
-    analytic = build_analytic_bundle(cfg.params, cfg.thresholds)
     # One sample serves the table, the joint functional and the study.
     summary = estimate_exits(
         cfg.params, cfg.thresholds, cfg.n_paths, cfg.seed, cfg.horizon,
         levels=STUDY_LEVELS,
     )
-    rows = conformance(analytic, build_empirical_bundle(summary))
-    rows += deviation_study(summary, STUDY_LEVELS)
+    rows = conformance_rows(summary)
     if "csv" in cfg.formats:
         (out / "conformance.csv").write_text(rows_to_csv(rows))
     if "json" in cfg.formats:

@@ -213,6 +213,8 @@ def from_dict(doc: dict) -> RunConfig:
     horizon = _number(sim, "horizon", "simulation", 10_000, integer=True)
     if n_paths < 1:
         raise ConfigError("simulation.paths must be >= 1", field="simulation.paths")
+    if seed < 0:
+        raise ConfigError("simulation.seed must be >= 0", field="simulation.seed")
     if horizon < 1:
         raise ConfigError("simulation.horizon must be >= 1", field="simulation.horizon")
 

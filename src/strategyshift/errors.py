@@ -41,10 +41,6 @@ class NoDataError(StrategyShiftError):
     """An empirical estimate was requested from an all-censored sample."""
 
 
-class ComparisonError(StrategyShiftError):
-    """Analytic and empirical bundles were built from different parameters."""
-
-
 class ConfigError(StrategyShiftError):
     """A run configuration failed validation.
 

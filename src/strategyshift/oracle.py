@@ -1,9 +1,8 @@
 """Monte Carlo verification engine.
 
 Simulates the observed two-parameter process (vectorized across paths) and
-turns the results into empirical exit summaries, empirical transforms, and a
-conformance table that confronts every closed-form claim with its simulated
-counterpart.
+turns the results into empirical exit summaries and empirical transforms, the
+Monte Carlo side of the conformance table (``report.conformance_rows``).
 
 The simulator is event-driven and exact: it draws each path's crossing times
 and the observation epochs around them instead of stepping through every
@@ -16,27 +15,17 @@ deterministic intervals, a few memoryless draws around T for exponential ones
 (``_PoissonEpochs``).  The level at exit adds the increments over (T, epoch].
 A path thus costs a fixed number of draws per recorded level, whatever its
 exit index.
-
-Quantities whose printed closed forms are documented as suspect are carried
-in the table with verdict "not-assertable": their rows report the deviation
-instead of asserting it away.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    ComparisonError,
-    HorizonError,
-    NoDataError,
-    NoExitError,
-    ParameterError,
-)
+from .errors import HorizonError, NoDataError, NoExitError, ParameterError
 from .params import ModelParams, Thresholds
 from .process import compound_increments
 from .transforms import TransformContext
@@ -45,9 +34,6 @@ from .transforms import TransformContext
 #: censored, and a run fails when censoring exceeds MAX_CENSOR_FRACTION.
 DEFAULT_HORIZON = 10_000
 MAX_CENSOR_FRACTION = 0.001
-
-#: Match verdicts use the standard 3-standard-error gate.
-SE_MULTIPLE = 3.0
 
 
 def sample_mean_se(samples: np.ndarray, what: str) -> Tuple[float, float]:
@@ -472,70 +458,3 @@ def empirical_functional(
             & (s.level_at_nu[ok] <= s.thresholds.n)
         )
     return sample_mean_se(samples, "the joint functional")
-
-
-@dataclass(frozen=True)
-class ConformanceRow:
-    """One analytic-vs-empirical comparison in the conformance table."""
-
-    quantity: str
-    reference: str
-    analytic: Union[float, str]
-    mc_estimate: float
-    se: float
-    rel_dev: Optional[float]
-    verdict: str
-
-
-@dataclass(frozen=True)
-class AnalyticBundle:
-    """Closed-form values keyed by quantity name.
-
-    ``assertable`` marks the quantities whose printed formulas are trusted
-    enough to gate on; the rest are carried for documentation.
-    """
-
-    params: ModelParams
-    thresholds: Thresholds
-    values: Dict[str, Union[float, str]]
-    references: Dict[str, str]
-    assertable: Dict[str, bool] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class EmpiricalBundle:
-    """Monte Carlo estimates (value, SE) keyed by quantity name."""
-
-    params: ModelParams
-    thresholds: Thresholds
-    estimates: Dict[str, Tuple[float, float]]
-
-
-def conformance(
-    analytic: AnalyticBundle, empirical: EmpiricalBundle
-) -> List[ConformanceRow]:
-    """Join the two bundles into verdict rows under the 3-SE match rule."""
-    if analytic.params != empirical.params or analytic.thresholds != empirical.thresholds:
-        raise ComparisonError(
-            "analytic and empirical bundles were built from different "
-            "parameters or thresholds"
-        )
-    rows = []
-    for name, value in analytic.values.items():
-        if name not in empirical.estimates:
-            raise ComparisonError(f"no empirical counterpart for {name!r}")
-        est, se = empirical.estimates[name]
-        reference = analytic.references.get(name, "")
-        if isinstance(value, str):
-            rows.append(ConformanceRow(name, reference, value, est, se, None,
-                                       "not-assertable"))
-            continue
-        rel = abs(est - value) / abs(value) if value != 0.0 else abs(est)
-        if not analytic.assertable.get(name, False):
-            verdict = "not-assertable"
-        elif abs(est - value) <= SE_MULTIPLE * se:
-            verdict = "match"
-        else:
-            verdict = "deviation"
-        rows.append(ConformanceRow(name, reference, value, est, se, rel, verdict))
-    return rows

@@ -62,14 +62,6 @@ class MarkDistribution:
             return float(self.value)
         return 1.0 / self.p
 
-    def second_moment(self) -> float:
-        if self.family == "unit":
-            return 1.0
-        if self.family == "fixed":
-            return float(self.value) ** 2
-        q = 1.0 - self.p
-        return (1.0 + q) / self.p**2
-
     def pgf(self, z: float) -> float:
         """E[z^mark] for scalar z in [0, 1]."""
         if self.family == "unit":

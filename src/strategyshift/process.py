@@ -62,9 +62,18 @@ def compound_increments(
     mark: MarkDistribution,
     interval_lengths: np.ndarray,
 ) -> np.ndarray:
-    """Compound-Poisson totals for a batch of interval lengths."""
-    counts = rng.poisson(intensity * interval_lengths)
-    return mark.sample_totals(rng, counts)
+    """Compound-Poisson totals for a batch of interval lengths.
+
+    Raises ParameterError when numpy refuses a draw: an expected arrival
+    count beyond the int64 range, or a geometric mark total too large.
+    """
+    try:
+        counts = rng.poisson(intensity * interval_lengths)
+        return mark.sample_totals(rng, counts)
+    except ValueError as exc:
+        raise ParameterError(
+            f"expected increment too large to simulate ({exc})"
+        ) from exc
 
 
 def sample_path(

@@ -1,7 +1,8 @@
-"""Builders for the standard conformance bundles and report serialization.
+"""The conformance table and report serialization.
 
-Quantity names are shared between the analytic and empirical builders so the
-two bundles zip into one table.  Assertability policy: only the exit-index
+``conformance_rows`` builds the whole table from one simulated sample,
+pairing each closed-form value with its Monte Carlo estimate.  Every row is
+judged by one rule (``judge``).  Assertability policy: only the exit-index
 means at unit thresholds with matching interval means, unit marks, and
 exponential observation are gated on; every other closed form is documented
 with its deviation.
@@ -12,27 +13,24 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Dict, List, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Tuple, Union
 
 from .analytics import (
-    LemmaConstants,
     expected_exit_index,
     expected_shift_time,
+    lemma_constants_or_note,
     lemma_pgf_a,
     marginal_pgf,
     phi_functional,
 )
-from .errors import DomainError, NoExitError, SingularConstantError
 from .oracle import (
-    AnalyticBundle,
-    ConformanceRow,
-    EmpiricalBundle,
     EmpiricalExitSummary,
     empirical_functional,
     empirical_pgf,
     sample_mean_se,
 )
-from .params import ModelParams, Thresholds
+from .params import ModelParams
 from .transforms import TransformContext
 
 DEFAULT_Z_GRID = (0.25, 0.5, 0.75)
@@ -40,15 +38,48 @@ DEFAULT_Z_GRID = (0.25, 0.5, 0.75)
 #: Axis-A levels of the threshold-dependence study.
 STUDY_LEVELS = (2, 3, 5)
 
-REFERENCES = {
-    "mean_exit_index_a": "closed-form exit-index mean, axis A",
-    "mean_exit_index_b": "closed-form exit-index mean, axis B",
-    "mean_shift_time_a": "closed-form shift-epoch mean, axis A",
-    "mean_shift_time_b": "closed-form shift-epoch mean, axis B",
-    "mean_prior_time_a": "shift-epoch mean minus one interval, axis A",
-    "mean_prior_time_b": "shift-epoch mean minus one interval, axis B",
-    "joint_functional": "operator-calculus joint functional at neutral arguments",
-}
+#: Match verdicts use the standard 3-standard-error gate.
+SE_MULTIPLE = 3.0
+
+
+@dataclass(frozen=True)
+class ConformanceRow:
+    """One analytic-vs-empirical comparison in the conformance table."""
+
+    quantity: str
+    reference: str
+    analytic: Union[float, str]
+    mc_estimate: float
+    se: float
+    rel_dev: Optional[float]
+    verdict: str
+
+
+def judge(
+    quantity: str,
+    reference: str,
+    analytic: Union[float, str],
+    estimate: Tuple[float, float],
+    assertable: bool = False,
+) -> ConformanceRow:
+    """One table row from a closed-form value and an (estimate, SE) pair.
+
+    A note in place of the value, or a value not trusted enough to gate on,
+    is "not-assertable"; an assertable value is a "match" when the estimate
+    lies within SE_MULTIPLE standard errors of it, else a "deviation".
+    """
+    est, se = estimate
+    if isinstance(analytic, str):
+        return ConformanceRow(quantity, reference, analytic, est, se, None,
+                              "not-assertable")
+    rel = abs(est - analytic) / abs(analytic) if analytic != 0.0 else abs(est)
+    if not assertable:
+        verdict = "not-assertable"
+    elif abs(est - analytic) <= SE_MULTIPLE * se:
+        verdict = "match"
+    else:
+        verdict = "deviation"
+    return ConformanceRow(quantity, reference, analytic, est, se, rel, verdict)
 
 
 def _exit_mean_assertable(params: ModelParams, level: float) -> bool:
@@ -64,109 +95,62 @@ def _exit_mean_assertable(params: ModelParams, level: float) -> bool:
     )
 
 
-def build_analytic_bundle(
-    params: ModelParams,
-    thresholds: Thresholds,
-    z_grid: Sequence[float] = DEFAULT_Z_GRID,
-) -> AnalyticBundle:
-    """Evaluate every tracked closed form for one parameter set."""
-    values: Dict[str, Union[float, str]] = {}
-    references = dict(REFERENCES)
-    assertable: Dict[str, bool] = {}
+def conformance_rows(summary: EmpiricalExitSummary) -> List[ConformanceRow]:
+    """The conformance table of one simulated sample, in its fixed row order.
 
-    e_mu, e_nu = expected_exit_index(params)
-    values["mean_exit_index_a"] = e_mu
-    values["mean_exit_index_b"] = e_nu
-    assertable["mean_exit_index_a"] = _exit_mean_assertable(params, thresholds.m)
-    assertable["mean_exit_index_b"] = _exit_mean_assertable(params, thresholds.n)
-
-    t_a, t_b, p_a, p_b = expected_shift_time(params)
-    values["mean_shift_time_a"] = t_a
-    values["mean_shift_time_b"] = t_b
-    values["mean_prior_time_a"] = p_a
-    values["mean_prior_time_b"] = p_b
-
-    m, n = int(thresholds.m), int(thresholds.n)
-    for z in z_grid:
-        name = f"index_pgf_operator_a[z={z:g}]"
-        values[name] = marginal_pgf("index_a", z, m, n, params)
-        references[name] = "exit-index PGF via the operator route, axis A"
-
-    note = None
-    try:
-        constants = LemmaConstants.from_params(params)
-    except DomainError:
-        note = "requires memoryless observation intervals"
-    except (SingularConstantError, NoExitError):
-        note = "singular"
-    for z in z_grid:
-        name = f"index_pgf_closed_a[z={z:g}]"
-        values[name] = note or lemma_pgf_a(z, m, constants)
-        references[name] = "exit-index PGF, memoryless closed form, axis A"
-
-    values["joint_functional"] = phi_functional(
-        m, n, TransformContext.neutral(), params
-    )
-    return AnalyticBundle(
-        params=params, thresholds=thresholds,
-        values=values, references=references, assertable=assertable,
-    )
-
-
-def build_empirical_bundle(
-    summary: EmpiricalExitSummary,
-    z_grid: Sequence[float] = DEFAULT_Z_GRID,
-) -> EmpiricalBundle:
-    """Monte Carlo counterparts of the analytic bundle, same quantity names,
-    all read from one simulated sample."""
-    estimates: Dict[str, Tuple[float, float]] = {
-        "mean_exit_index_a": summary.mean_se("mu"),
-        "mean_exit_index_b": summary.mean_se("nu"),
-        "mean_shift_time_a": summary.mean_se("tau_mu"),
-        "mean_shift_time_b": summary.mean_se("tau_nu"),
-        "mean_prior_time_a": summary.mean_se("tau_mu_prev"),
-        "mean_prior_time_b": summary.mean_se("tau_nu_prev"),
-    }
-    for z in z_grid:
-        pgf = empirical_pgf(summary, z, axis="a")
-        estimates[f"index_pgf_operator_a[z={z:g}]"] = pgf
-        estimates[f"index_pgf_closed_a[z={z:g}]"] = pgf
-    estimates["joint_functional"] = empirical_functional(
-        summary, TransformContext.neutral()
-    )
-    return EmpiricalBundle(
-        params=summary.params, thresholds=summary.thresholds, estimates=estimates
-    )
-
-
-def deviation_study(
-    summary: EmpiricalExitSummary,
-    levels: Sequence[int] = STUDY_LEVELS,
-) -> List[ConformanceRow]:
-    """Exit-index mean rows at higher thresholds, emitted without asserting.
-
-    Reads the axis-A exit index at each level from ``summary``, which must
-    have recorded them (``estimate_exits(..., levels=levels)``).  The
-    closed-form mean carries no threshold dependence, so these rows document
-    its growing deviation from simulation as the level rises.
+    ``summary`` must have recorded the axis-A exit index at STUDY_LEVELS
+    (``estimate_exits(..., levels=STUDY_LEVELS)``).  The closed-form
+    exit-index mean carries no threshold dependence, so the study rows at
+    those levels document its growing deviation from simulation.
     """
-    rows: List[ConformanceRow] = []
-    e_mu, _ = expected_exit_index(summary.params)
-    for m in levels:
-        idx = summary.exit_index_a(m)
-        est, se = sample_mean_se(idx[idx >= 0].astype(float), f"mu at level {m}")
-        rel = abs(est - e_mu) / abs(e_mu) if e_mu else abs(est)
-        rows.append(
-            ConformanceRow(
-                quantity=f"mean_exit_index_a[m={m}]",
-                reference="closed-form exit-index mean, threshold-dependence study",
-                analytic=e_mu,
-                mc_estimate=est,
-                se=se,
-                rel_dev=rel,
-                verdict="not-assertable",
-            )
+    params, thresholds = summary.params, summary.thresholds
+    m, n = int(thresholds.m), int(thresholds.n)
+    e_mu, e_nu = expected_exit_index(params)
+    t_a, t_b, p_a, p_b = expected_shift_time(params)
+    gate_a = _exit_mean_assertable(params, thresholds.m)
+    gate_b = _exit_mean_assertable(params, thresholds.n)
+    rows = [
+        judge(quantity, reference, value, summary.mean_se(sample), gate)
+        for quantity, reference, value, sample, gate in (
+            ("mean_exit_index_a", "closed-form exit-index mean, axis A",
+             e_mu, "mu", gate_a),
+            ("mean_exit_index_b", "closed-form exit-index mean, axis B",
+             e_nu, "nu", gate_b),
+            ("mean_shift_time_a", "closed-form shift-epoch mean, axis A",
+             t_a, "tau_mu", False),
+            ("mean_shift_time_b", "closed-form shift-epoch mean, axis B",
+             t_b, "tau_nu", False),
+            ("mean_prior_time_a", "shift-epoch mean minus one interval, axis A",
+             p_a, "tau_mu_prev", False),
+            ("mean_prior_time_b", "shift-epoch mean minus one interval, axis B",
+             p_b, "tau_nu_prev", False),
         )
+    ]
+
+    pgfs = {z: empirical_pgf(summary, z, axis="a") for z in DEFAULT_Z_GRID}
+    for z, pgf in pgfs.items():
+        rows.append(judge(f"index_pgf_operator_a[z={z:g}]",
+                          "exit-index PGF via the operator route, axis A",
+                          marginal_pgf("index_a", z, m, n, params), pgf))
+    constants = lemma_constants_or_note(params)
+    for z, pgf in pgfs.items():
+        closed = constants if isinstance(constants, str) else lemma_pgf_a(z, m, constants)
+        rows.append(judge(f"index_pgf_closed_a[z={z:g}]",
+                          "exit-index PGF, memoryless closed form, axis A",
+                          closed, pgf))
+
+    neutral = TransformContext.neutral()
+    rows.append(judge("joint_functional",
+                      "operator-calculus joint functional at neutral arguments",
+                      phi_functional(m, n, neutral, params),
+                      empirical_functional(summary, neutral)))
+
+    for level in STUDY_LEVELS:
+        idx = summary.exit_index_a(level)
+        rows.append(judge(f"mean_exit_index_a[m={level}]",
+                          "closed-form exit-index mean, threshold-dependence study",
+                          e_mu, sample_mean_se(idx[idx >= 0].astype(float),
+                                               f"mu at level {level}")))
     return rows
 
 

@@ -15,7 +15,7 @@ from strategyshift import (
     bcg_scale,
     classify,
     cli,
-    conformance,
+    conformance_rows,
     d_apply,
     d_apply_2d,
     d_extract,
@@ -29,7 +29,6 @@ from strategyshift import (
 from strategyshift.analytics import axis_factor, phi_series
 from strategyshift.matrix import StrategyMatrix
 from strategyshift.params import MarkDistribution
-from strategyshift.report import build_analytic_bundle, build_empirical_bundle, deviation_study
 
 EXP1 = IntervalDistribution.exponential(1.0)
 REFERENCE = ModelParams(1.0, 1.0, EXP1, EXP1)
@@ -99,10 +98,8 @@ def test_criterion_3_exit_distribution():
 
 
 def test_criterion_4_mean_shift_conformance():
-    analytic = build_analytic_bundle(REFERENCE, UNIT)
     summary = estimate_exits(REFERENCE, UNIT, 100_000, 7, levels=(2, 3, 5))
-    empirical = build_empirical_bundle(summary)
-    rows = {r.quantity: r for r in conformance(analytic, empirical)}
+    rows = {r.quantity: r for r in conformance_rows(summary)}
 
     mu_row = rows["mean_exit_index_a"]
     tau_row = rows["mean_shift_time_a"]
@@ -112,7 +109,7 @@ def test_criterion_4_mean_shift_conformance():
     )
     ok &= mu_row.verdict == "match"
 
-    study = deviation_study(summary, levels=(2, 3, 5))
+    study = [rows[f"mean_exit_index_a[m={m}]"] for m in (2, 3, 5)]
     ok &= len(study) == 3
     ok &= all(r.verdict == "not-assertable" for r in study)
     # the documented anomaly: the closed form is flat in the threshold while
@@ -212,17 +209,12 @@ def test_criterion_8_determinism_and_exit_codes(tmp_path, monkeypatch):
     ok &= cli.main(["classify", str(cfg), "--share", "-2", "--growth", "1"]) == 4
 
     import strategyshift.report as report
-    real = report.build_analytic_bundle
+    real = report.expected_exit_index
 
-    def wrong(params, thresholds, z_grid=report.DEFAULT_Z_GRID):
-        bundle = real(params, thresholds, z_grid)
-        return report.AnalyticBundle(
-            params=bundle.params, thresholds=bundle.thresholds,
-            values=dict(bundle.values, mean_exit_index_a=50.0),
-            references=bundle.references, assertable=bundle.assertable,
-        )
+    def wrong(params):
+        return 50.0, real(params)[1]
 
-    monkeypatch.setattr(cli, "build_analytic_bundle", wrong)
+    monkeypatch.setattr(report, "expected_exit_index", wrong)
     ok &= cli.main(["conformance", str(cfg)]) == 5
     _verdict("criterion 8: determinism, formats, exit-code contract", ok)
 

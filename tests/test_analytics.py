@@ -15,7 +15,12 @@ from strategyshift import (
     marginal_pgf,
     phi_functional,
 )
-from strategyshift.analytics import axis_factor, axis_means, phi_series
+from strategyshift.analytics import (
+    axis_factor,
+    axis_means,
+    lemma_constants_or_note,
+    phi_series,
+)
 from strategyshift.errors import DomainError, NoExitError, SingularConstantError
 from strategyshift.series import d_extract_2d
 from strategyshift.transforms import gamma_series
@@ -151,14 +156,6 @@ class TestMarginalPgf:
 
 
 class TestLemmaConstants:
-    def test_pairs_sum_to_one(self):
-        c = LemmaConstants.from_params(_exp_params(d0=2.0, d=1.0))
-        assert c.alpha_a + c.beta_a == pytest.approx(1.0, abs=1e-15)
-        assert c.alpha_a0 + c.beta_a0 == pytest.approx(1.0, abs=1e-15)
-        assert c.alpha_b + c.beta_b == pytest.approx(1.0, abs=1e-15)
-        assert c.alpha_b0 + c.beta_b0 == pytest.approx(1.0, abs=1e-15)
-        assert 0.0 < c.alpha_a < 1.0
-
     def test_kappa_values(self):
         c = LemmaConstants.from_params(_exp_params(lambda_a=2.0, d0=2.0, d=1.0))
         assert c.kappa == pytest.approx(0.5)
@@ -176,6 +173,20 @@ class TestLemmaConstants:
         )
         with pytest.raises(DomainError):
             LemmaConstants.from_params(params)
+
+    def test_note_labels(self):
+        deterministic = ModelParams(
+            1.0, 1.0,
+            IntervalDistribution.deterministic(2.0),
+            IntervalDistribution.deterministic(1.0),
+        )
+        assert lemma_constants_or_note(deterministic) == (
+            "requires memoryless observation intervals")
+        assert lemma_constants_or_note(_exp_params(d0=1.0, d=1.0)) == "singular"
+        assert lemma_constants_or_note(_exp_params(lambda_b=0.0, d0=2.0)) == (
+            "no shift predicted")
+        constants = lemma_constants_or_note(_exp_params(d0=2.0, d=1.0))
+        assert constants == LemmaConstants.from_params(_exp_params(d0=2.0, d=1.0))
 
 
 class TestLemmaPgf:

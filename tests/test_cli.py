@@ -112,6 +112,16 @@ class TestConfig:
             config_mod.from_dict(_doc_with(field, 1.5))
         assert excinfo.value.field == field
 
+    def test_negative_seed_rejected(self, tmp_path, monkeypatch):
+        with pytest.raises(ConfigError) as excinfo:
+            config_mod.from_dict(_doc_with("simulation.seed", -1))
+        assert excinfo.value.field == "simulation.seed"
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(_doc_with("simulation.seed", -1)))
+        for command in ("simulate", "conformance"):
+            assert cli.main([command, str(path)]) == 3
+
     def test_uniform_matrix_mode(self):
         doc = json.loads(json.dumps(REFERENCE_DOC))
         doc["matrix"] = {"mode": "uniform", "m": 2.0, "n": 3.0}
@@ -168,19 +178,33 @@ class TestExitCodes:
         # force an assertably wrong closed form to exercise exit code 5
         import strategyshift.report as report
 
-        real = report.build_analytic_bundle
+        real = report.expected_exit_index
 
-        def wrong(params, thresholds, z_grid=report.DEFAULT_Z_GRID):
-            bundle = real(params, thresholds, z_grid)
-            values = dict(bundle.values, mean_exit_index_a=50.0)
-            return report.AnalyticBundle(
-                params=bundle.params, thresholds=bundle.thresholds,
-                values=values, references=bundle.references,
-                assertable=bundle.assertable,
-            )
+        def wrong(params):
+            return 50.0, real(params)[1]
 
-        monkeypatch.setattr(cli, "build_analytic_bundle", wrong)
+        monkeypatch.setattr(report, "expected_exit_index", wrong)
         assert cli.main(["conformance", str(config_file)]) == 5
+
+    @pytest.mark.parametrize("field, value", [
+        ("observation.initial_mean", 1e300),
+        ("observation.interval_mean", 1e300),
+        ("process.lambda_a", 1e300),
+        ("process.mark_a", {"family": "geometric", "p": 1e-300}),
+    ])
+    def test_huge_expected_count_is_a_domain_error(self, tmp_path, monkeypatch,
+                                                   capsys, field, value):
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        doc = json.loads(json.dumps(REFERENCE_DOC))
+        block, key = field.split(".")
+        doc[block][key] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        for command in ("simulate", "conformance"):
+            capsys.readouterr()
+            assert cli.main([command, str(path)]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestArtifacts:
@@ -226,11 +250,14 @@ class TestArtifacts:
         # the study rows and the joint functional come from that one sample
         rows = {r["quantity"]: r for r in json.loads(
             (tmp_path / "out" / "conformance.json").read_text())}
-        expected = report.deviation_study(summaries[0])
-        assert len(expected) == len(report.STUDY_LEVELS)
-        for row in expected:
-            assert rows[row.quantity]["mc_estimate"] == report._round12(row.mc_estimate)
-            assert rows[row.quantity]["se"] == report._round12(row.se)
+        study = [r for r in rows if "[m=" in r]
+        assert len(study) == len(report.STUDY_LEVELS)
+        for level in report.STUDY_LEVELS:
+            idx = summaries[0].exit_index_a(level)
+            est, se = oracle.sample_mean_se(idx[idx >= 0].astype(float), "mu")
+            row = rows[f"mean_exit_index_a[m={level}]"]
+            assert row["mc_estimate"] == report._round12(est)
+            assert row["se"] == report._round12(se)
         est, se = oracle.empirical_functional(summaries[0], TransformContext.neutral())
         assert rows["joint_functional"]["mc_estimate"] == report._round12(est)
         assert rows["joint_functional"]["se"] == report._round12(se)
@@ -296,8 +323,7 @@ class TestArtifacts:
     def test_json_writers_refuse_nan(self, tmp_path):
         import dataclasses
 
-        from strategyshift.oracle import ConformanceRow
-        from strategyshift.report import rows_to_json
+        from strategyshift.report import ConformanceRow, rows_to_json
 
         nan = float("nan")
         target = tmp_path / "summary.json"
@@ -380,3 +406,26 @@ class TestArtifacts:
             b1 = (tmp_path / "run1" / name).read_bytes()
             b2 = (tmp_path / "run2" / name).read_bytes()
             assert b1 == b2, name
+
+
+def test_runtime_needs_numpy_only():
+    # A fresh interpreter importing the CLI may add numpy, the package itself
+    # and standard-library modules, nothing else.
+    import os
+    import subprocess
+    import sys
+
+    import strategyshift
+
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import strategyshift.cli\n"
+        "new = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(json.dumps(sorted(new - set(sys.stdlib_module_names))))\n"
+    )
+    src = str(Path(strategyshift.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+    assert set(json.loads(result.stdout)) <= {"numpy", "strategyshift"}

@@ -6,7 +6,7 @@ from strategyshift import (
     ModelParams,
     Thresholds,
     TransformContext,
-    conformance,
+    conformance_rows,
     empirical_functional,
     empirical_pgf,
     estimate_exits,
@@ -14,15 +14,13 @@ from strategyshift import (
     sample_path,
 )
 from strategyshift.errors import (
-    ComparisonError,
     HorizonError,
     NoDataError,
     NoExitError,
     ParameterError,
 )
-from strategyshift.oracle import AnalyticBundle, EmpiricalBundle
 from strategyshift.params import MarkDistribution
-from strategyshift.report import build_analytic_bundle, build_empirical_bundle
+from strategyshift.report import STUDY_LEVELS, judge
 
 
 def scan_exit_index(levels, threshold) -> int:
@@ -284,42 +282,20 @@ class TestEmpiricalFunctional:
 
 class TestConformance:
     def test_reference_bundle_matches(self, reference_params, unit_thresholds):
-        analytic = build_analytic_bundle(reference_params, unit_thresholds)
-        empirical = build_empirical_bundle(
-            estimate_exits(reference_params, unit_thresholds, 40_000, 7))
-        rows = {r.quantity: r for r in conformance(analytic, empirical)}
+        summary = estimate_exits(reference_params, unit_thresholds, 40_000, 7,
+                                 levels=STUDY_LEVELS)
+        rows = {r.quantity: r for r in conformance_rows(summary)}
         assert rows["mean_exit_index_a"].verdict == "match"
         assert rows["mean_exit_index_b"].verdict == "match"
 
     def test_singular_constants_not_assertable(self, reference_params, unit_thresholds):
-        analytic = build_analytic_bundle(reference_params, unit_thresholds)
-        empirical = build_empirical_bundle(
-            estimate_exits(reference_params, unit_thresholds, 10_000, 3))
-        rows = {r.quantity: r for r in conformance(analytic, empirical)}
+        summary = estimate_exits(reference_params, unit_thresholds, 10_000, 3,
+                                 levels=STUDY_LEVELS)
+        rows = {r.quantity: r for r in conformance_rows(summary)}
         row = rows["index_pgf_closed_a[z=0.5]"]
         assert row.analytic == "singular"
         assert row.verdict == "not-assertable"
 
-    def test_parameter_mismatch_rejected(self, reference_params, unit_thresholds):
-        other = ModelParams(
-            2.0, 1.0,
-            IntervalDistribution.exponential(1.0),
-            IntervalDistribution.exponential(1.0),
-        )
-        analytic = build_analytic_bundle(reference_params, unit_thresholds)
-        empirical = build_empirical_bundle(estimate_exits(other, unit_thresholds, 1000, 3))
-        with pytest.raises(ComparisonError):
-            conformance(analytic, empirical)
-
-    def test_deviation_verdict(self, reference_params, unit_thresholds):
-        analytic = AnalyticBundle(
-            params=reference_params, thresholds=unit_thresholds,
-            values={"q": 10.0}, references={"q": "made-up"},
-            assertable={"q": True},
-        )
-        empirical = EmpiricalBundle(
-            params=reference_params, thresholds=unit_thresholds,
-            estimates={"q": (1.0, 0.01)},
-        )
-        rows = conformance(analytic, empirical)
-        assert rows[0].verdict == "deviation"
+    def test_deviation_verdict(self):
+        row = judge("q", "made-up", 10.0, (1.0, 0.01), assertable=True)
+        assert row.verdict == "deviation"
