@@ -36,24 +36,14 @@ from .params import (
     ModelParams,
     Thresholds,
 )
-from .process import (
-    ExitRecord,
-    SamplePath,
-    exit_indices,
-    increment_moments,
-    sample_path,
-)
 from .report import ConformanceRow, conformance_rows
 from .series import (
     BivariateSeries,
     TruncatedSeries,
-    d_apply,
-    d_apply_2d,
     d_extract,
     d_extract_2d,
-    geometric_series,
 )
-from .transforms import TransformContext, gamma_marginal, gamma_series, lst
+from .transforms import TransformContext, gamma_series
 
 __version__ = "0.1.0"
 
@@ -61,12 +51,10 @@ __all__ = [
     "BivariateSeries",
     "ConformanceRow",
     "EmpiricalExitSummary",
-    "ExitRecord",
     "IntervalDistribution",
     "LemmaConstants",
     "MarkDistribution",
     "ModelParams",
-    "SamplePath",
     "ShiftAdvice",
     "StrategyMatrix",
     "Thresholds",
@@ -76,25 +64,17 @@ __all__ = [
     "bcg_scale",
     "classify",
     "conformance_rows",
-    "d_apply",
-    "d_apply_2d",
     "d_extract",
     "d_extract_2d",
     "empirical_functional",
     "empirical_pgf",
     "estimate_exits",
-    "exit_indices",
     "expected_exit_index",
     "expected_shift_time",
-    "gamma_marginal",
     "gamma_series",
-    "geometric_series",
-    "increment_moments",
     "lemma_pgf_a",
     "lemma_pgf_b",
-    "lst",
     "marginal_pgf",
     "phi_functional",
-    "sample_path",
     "shift_advisor",
 ]

@@ -38,6 +38,16 @@ _ALLOWED_KEYS = {
 
 _MARK_KEYS = {"family", "value", "p"}
 
+#: Upper bounds on the size fields.  A threshold sets the series order that
+#: ``analyze`` expands (O(order^2) work; m = n = 20,000 takes a few seconds)
+#: and the path count sets every simulated array (1,000,000 paths take a few
+#: hundred MB).  The horizon and a fixed mark value stay far enough below
+#: 2**63 that every index and level total the sampler forms fits in int64.
+MAX_THRESHOLD = 20_000
+MAX_PATHS = 1_000_000
+MAX_HORIZON = 10**9
+MAX_MARK_VALUE = 10**9
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -115,12 +125,12 @@ def _require(block: dict, key: str, block_name: str):
 
 
 def _number(block: dict, key: str, block_name: str, default=None,
-            integer: bool = False):
+            integer: bool = False, upper=None):
     """``block[key]`` as a finite float, or as an int when ``integer``.
 
     A missing key takes ``default``, or is an error when there is none.
-    Non-numbers, non-finite values and, with ``integer``, fractional values
-    are rejected with the entry's field name.
+    Non-numbers, non-finite values, values above ``upper`` and, with
+    ``integer``, fractional values are rejected with the entry's field name.
     """
     field = f"{block_name}.{key}"
     raw = _require(block, key, block_name) if default is None else block.get(key, default)
@@ -130,6 +140,8 @@ def _number(block: dict, key: str, block_name: str, default=None,
         raise ConfigError(f"{field} must be a number, got {raw!r}", field=field) from None
     if not math.isfinite(value):
         raise ConfigError(f"{field} must be finite, got {raw!r}", field=field)
+    if upper is not None and value > upper:
+        raise ConfigError(f"{field} must be <= {upper}, got {raw!r}", field=field)
     if not integer:
         return value
     if not value.is_integer():
@@ -155,7 +167,8 @@ def _parse_mark(raw, where: str) -> MarkDistribution:
     family = raw.get("family", "unit")
     try:
         if family == "fixed":
-            return MarkDistribution.fixed(_number(raw, "value", where, integer=True))
+            return MarkDistribution.fixed(
+                _number(raw, "value", where, integer=True, upper=MAX_MARK_VALUE))
         if family == "geometric":
             return MarkDistribution.geometric(_number(raw, "p", where))
         return MarkDistribution(family=family)
@@ -200,17 +213,18 @@ def from_dict(doc: dict) -> RunConfig:
         # Thresholds are counts of mark units: a fractional one would be
         # simulated as its ceiling but analysed as its floor.
         thresholds = Thresholds(
-            m=float(_number(thr, "m", "thresholds", integer=True)),
-            n=float(_number(thr, "n", "thresholds", integer=True)),
+            m=float(_number(thr, "m", "thresholds", integer=True, upper=MAX_THRESHOLD)),
+            n=float(_number(thr, "n", "thresholds", integer=True, upper=MAX_THRESHOLD)),
         )
     except (ParameterError, UnsupportedConfigurationError) as exc:
         raise ConfigError(str(exc)) from exc
 
     matrix, mode, scale = _parse_matrix(doc.get("matrix"))
 
-    n_paths = _number(sim, "paths", "simulation", integer=True)
+    n_paths = _number(sim, "paths", "simulation", integer=True, upper=MAX_PATHS)
     seed = _number(sim, "seed", "simulation", integer=True)
-    horizon = _number(sim, "horizon", "simulation", 10_000, integer=True)
+    horizon = _number(sim, "horizon", "simulation", 10_000, integer=True,
+                      upper=MAX_HORIZON)
     if n_paths < 1:
         raise ConfigError("simulation.paths must be >= 1", field="simulation.paths")
     if seed < 0:

@@ -13,10 +13,6 @@ class UnsupportedConfigurationError(StrategyShiftError):
     """A mark or interval family outside the supported set was requested."""
 
 
-class DivergenceError(StrategyShiftError):
-    """A geometric expansion was requested with ratio |alpha| >= 1."""
-
-
 class OrderError(StrategyShiftError):
     """A series coefficient beyond the retained truncation order was requested."""
 

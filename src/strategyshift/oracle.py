@@ -26,8 +26,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .errors import HorizonError, NoDataError, NoExitError, ParameterError
-from .params import ModelParams, Thresholds
-from .process import compound_increments
+from .params import MarkDistribution, ModelParams, Thresholds
 from .transforms import TransformContext
 
 #: Observation cap per path; paths that never exceed within the cap are
@@ -42,6 +41,26 @@ def sample_mean_se(samples: np.ndarray, what: str) -> Tuple[float, float]:
         raise NoDataError(f"all paths censored; no samples of {what}")
     se = samples.std(ddof=1) / np.sqrt(samples.size) if samples.size > 1 else 0.0
     return float(samples.mean()), float(se)
+
+
+def compound_increments(
+    rng: np.random.Generator,
+    intensity: float,
+    mark: MarkDistribution,
+    interval_lengths: np.ndarray,
+) -> np.ndarray:
+    """Compound-Poisson totals for a batch of interval lengths.
+
+    Raises ParameterError when numpy refuses a draw: an expected arrival
+    count beyond the int64 range, or a geometric mark total too large.
+    """
+    try:
+        counts = rng.poisson(intensity * interval_lengths)
+        return mark.sample_totals(rng, counts)
+    except ValueError as exc:
+        raise ParameterError(
+            f"expected increment too large to simulate ({exc})"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -429,16 +448,13 @@ def empirical_pgf(
 
 
 def empirical_functional(
-    summary: EmpiricalExitSummary,
-    ctx: TransformContext,
-    include_indicators: bool = True,
+    summary: EmpiricalExitSummary, ctx: TransformContext
 ) -> Tuple[float, float]:
     """Unbiased sample estimate of the joint first-exceedance functional.
 
     Averages z^mu g^nu exp(-theta0 tau_mu_prev - theta1 tau_mu - vartheta0
-    tau_nu_prev - vartheta1 tau_nu) over the summary's paths, with the
-    literal level indicators 1{level_at_mu <= m} 1{level_at_nu <= n} unless
-    ``include_indicators`` is disabled.
+    tau_nu_prev - vartheta1 tau_nu) over the summary's paths, times the
+    literal level indicators 1{level_at_mu <= m} 1{level_at_nu <= n}.
     """
     s = summary
     ok = ~(s.censored_a | s.censored_b)
@@ -451,10 +467,7 @@ def empirical_functional(
             - ctx.vartheta0 * s.tau_nu_prev[ok]
             - ctx.vartheta1 * s.tau_nu[ok]
         )
+        * ((s.level_at_mu[ok] <= s.thresholds.m)
+           & (s.level_at_nu[ok] <= s.thresholds.n))
     )
-    if include_indicators:
-        samples = samples * (
-            (s.level_at_mu[ok] <= s.thresholds.m)
-            & (s.level_at_nu[ok] <= s.thresholds.n)
-        )
     return sample_mean_se(samples, "the joint functional")

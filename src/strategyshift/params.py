@@ -62,14 +62,6 @@ class MarkDistribution:
             return float(self.value)
         return 1.0 / self.p
 
-    def pgf(self, z: float) -> float:
-        """E[z^mark] for scalar z in [0, 1]."""
-        if self.family == "unit":
-            return z
-        if self.family == "fixed":
-            return z**self.value
-        return self.p * z / (1.0 - (1.0 - self.p) * z)
-
     def pgf_coefficients(self, order: int) -> np.ndarray:
         """Power-series coefficients of the mark PGF up to ``order``."""
         c = np.zeros(order + 1)
@@ -123,9 +115,6 @@ class IntervalDistribution:
     @classmethod
     def deterministic(cls, mean: float) -> "IntervalDistribution":
         return cls("deterministic", mean)
-
-    def variance(self) -> float:
-        return self.mean**2 if self.family == "exponential" else 0.0
 
     def lst(self, theta: float) -> float:
         """Laplace-Stieltjes transform E[exp(-theta * Delta)] at theta >= 0."""

@@ -1,22 +1,22 @@
-"""Truncated power-series arithmetic and the discrete operator pair.
+"""Truncated power-series arithmetic and the discrete extraction operator.
 
-The forward operator maps a coefficient sequence g to (1 - x) * G(x); its
-inverse reads coefficient k of F(x) / (1 - x), i.e. the k-th partial sum of
-F's coefficients.  Division by (1 - x) is therefore implemented as cumulative
-sums, which is exact.
+The operator pair of the calculus is multiplication by (1 - x) and its
+inverse; the inverse reads coefficient k of F(x) / (1 - x), i.e. the k-th
+partial sum of F's coefficients.  Division by (1 - x) is therefore
+implemented as cumulative sums, which is exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, OrderError
+from .errors import DomainError, OrderError
 
 
 class TruncatedSeries:
     """Dense univariate power series truncated at a fixed order.
 
-    Binary operations truncate to the smaller operand order.
+    Binary operations keep the smaller operand order.
     """
 
     __slots__ = ("coeffs",)
@@ -30,13 +30,6 @@ class TruncatedSeries:
         c[0] = value
         return cls(c)
 
-    @classmethod
-    def identity(cls, order: int) -> "TruncatedSeries":
-        c = np.zeros(order + 1)
-        if order >= 1:
-            c[1] = 1.0
-        return cls(c)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -48,11 +41,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.coeffs.tolist()})"
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.coeffs[: order + 1])
 
     def _coerce(self, other) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
@@ -122,21 +110,6 @@ class BivariateSeries:
         return self.grid.shape[0] - 1, self.grid.shape[1] - 1
 
 
-def geometric_series(beta: float, alpha: float, order: int) -> TruncatedSeries:
-    """Coefficients beta * alpha**k of beta / (1 - alpha x), k <= order."""
-    if abs(alpha) >= 1.0:
-        raise DivergenceError(f"geometric ratio |alpha| = {abs(alpha)} >= 1")
-    return TruncatedSeries(beta * alpha ** np.arange(order + 1))
-
-
-def d_apply(g) -> TruncatedSeries:
-    """Forward operator: (1 - x) * sum_k g[k] x^k, retained through order len(g)."""
-    g = np.asarray(g, dtype=float)
-    if g.size == 0:
-        return TruncatedSeries([0.0])
-    return TruncatedSeries(np.convolve(g, [1.0, -1.0]))
-
-
 def d_extract(f: TruncatedSeries, k: int) -> float:
     """Coefficient k of F(x) / (1 - x): the k-th partial coefficient sum.
 
@@ -149,18 +122,6 @@ def d_extract(f: TruncatedSeries, k: int) -> float:
             f"coefficient {k} requested from a series of order {f.order}"
         )
     return float(np.sum(f.coeffs[: k + 1]))
-
-
-def d_apply_2d(g) -> BivariateSeries:
-    """Bivariate forward operator: (1 - x)(1 - y) * sum g[j, k] x^j y^k."""
-    g = np.atleast_2d(np.asarray(g, dtype=float))
-    rows, cols = g.shape
-    out = np.zeros((rows + 1, cols + 1))
-    out[:rows, :cols] += g
-    out[1:, :cols] -= g
-    out[:rows, 1:] -= g
-    out[1:, 1:] += g
-    return BivariateSeries(out)
 
 
 def d_extract_2d(f: BivariateSeries, mn) -> float:

@@ -1,4 +1,4 @@
-"""Interval transforms and marginal increment transforms.
+"""Marginal increment transforms as truncated power series.
 
 The marginal transform of one axis is E[z^a * exp(-theta * Delta)] where a is
 the compound increment accrued over one observation interval Delta.  By
@@ -44,24 +44,6 @@ class TransformContext:
         return cls()
 
 
-def lst(family: str, mean: float, theta: float) -> float:
-    """Interval LST E[exp(-theta * Delta)] for the named family."""
-    return IntervalDistribution(family, mean).lst(theta)
-
-
-def gamma_marginal(
-    z: float,
-    theta: float,
-    intensity: float,
-    mark: MarkDistribution,
-    interval: IntervalDistribution,
-) -> float:
-    """Marginal transform E[z^a * exp(-theta * Delta)] of one axis."""
-    if not 0.0 <= z <= 1.0:
-        raise DomainError("z must lie in [0, 1]")
-    return interval.lst(theta + intensity * (1.0 - mark.pgf(z)))
-
-
 def gamma_series(
     order: int,
     theta: float,
@@ -69,7 +51,8 @@ def gamma_series(
     mark: MarkDistribution,
     interval: IntervalDistribution,
 ) -> TruncatedSeries:
-    """gamma_marginal with a formal series variable in the z slot.
+    """The marginal transform of one axis with a formal series variable x
+    in the z slot.
 
     Expands the interval LST at theta + lambda * (1 - h(x)) as a truncated
     power series in x.  Each distinct series is built once per process; the

@@ -112,6 +112,19 @@ class TestConfig:
             config_mod.from_dict(_doc_with(field, 1.5))
         assert excinfo.value.field == field
 
+    @pytest.mark.parametrize("field, bound", [
+        ("thresholds.m", config_mod.MAX_THRESHOLD),
+        ("thresholds.n", config_mod.MAX_THRESHOLD),
+        ("simulation.paths", config_mod.MAX_PATHS),
+        ("simulation.horizon", config_mod.MAX_HORIZON),
+        ("process.mark_a.value", config_mod.MAX_MARK_VALUE),
+    ])
+    def test_size_field_bounded(self, field, bound):
+        config_mod.from_dict(_doc_with(field, bound))
+        with pytest.raises(ConfigError) as excinfo:
+            config_mod.from_dict(_doc_with(field, bound + 1))
+        assert excinfo.value.field == field
+
     def test_negative_seed_rejected(self, tmp_path, monkeypatch):
         with pytest.raises(ConfigError) as excinfo:
             config_mod.from_dict(_doc_with("simulation.seed", -1))
@@ -132,6 +145,22 @@ class TestConfig:
 class TestExitCodes:
     def test_simulate_ok(self, config_file):
         assert cli.main(["simulate", str(config_file)]) == 0
+
+    @pytest.mark.parametrize("field, value, commands", [
+        ("thresholds.m", 1e15, ("analyze",)),
+        ("simulation.paths", 1e300, ("simulate",)),
+        ("simulation.horizon", 1e19, ("simulate", "conformance")),
+        ("process.mark_a.value", 1e300, ("simulate", "conformance")),
+    ])
+    def test_oversized_field_exit_code(self, tmp_path, monkeypatch, capsys,
+                                       field, value, commands):
+        # Each of these once ran into an allocation or int64 overflow.
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        path = tmp_path / "oversized.json"
+        path.write_text(json.dumps(_doc_with(field, value)))
+        for command in commands:
+            assert cli.main([command, str(path)]) == 3
+            assert f"(field: {field})" in capsys.readouterr().err
 
     def test_non_finite_config_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))

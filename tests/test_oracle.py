@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from literal import exit_indices, sample_path
 from strategyshift import (
     IntervalDistribution,
     ModelParams,
@@ -10,8 +11,6 @@ from strategyshift import (
     empirical_functional,
     empirical_pgf,
     estimate_exits,
-    exit_indices,
-    sample_path,
 )
 from strategyshift.errors import (
     HorizonError,
@@ -214,14 +213,6 @@ class TestEmpiricalPgf:
 
 
 class TestEmpiricalFunctional:
-    def test_neutral_without_indicators_is_one(self, reference_params, unit_thresholds):
-        estimate, se = empirical_functional(
-            estimate_exits(reference_params, unit_thresholds, 5000, 31),
-            TransformContext.neutral(), include_indicators=False,
-        )
-        assert estimate == 1.0
-        assert se == 0.0
-
     def test_zero_intensity_horizon_error(self, unit_thresholds):
         params = ModelParams(
             0.0, 1.0,

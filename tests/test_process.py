@@ -1,37 +1,26 @@
+"""The literal per-path reference (``literal.py``) and the compound-Poisson
+increments the simulator draws (``oracle.compound_increments``)."""
+
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from literal import exit_indices, sample_path
 from strategyshift import (
     IntervalDistribution,
     MarkDistribution,
     ModelParams,
     Thresholds,
-    exit_indices,
-    increment_moments,
-    sample_path,
 )
 from strategyshift.errors import ParameterError
-from strategyshift.process import ExitRecord, SamplePath
-
-
-def _params(lambda_a=1.0, lambda_b=1.0, d0=1.0, d=1.0, family="exponential",
-            mark_a=None, mark_b=None):
-    kwargs = {}
-    if mark_a is not None:
-        kwargs["mark_a"] = mark_a
-    if mark_b is not None:
-        kwargs["mark_b"] = mark_b
-    return ModelParams(
-        lambda_a, lambda_b,
-        IntervalDistribution(family, d0),
-        IntervalDistribution(family, d),
-        **kwargs,
-    )
+from strategyshift.oracle import compound_increments
 
 
 class TestSamplePath:
     def test_zero_intensity_gives_all_zero_levels(self):
-        path = sample_path(_params(0.0, 0.0), seed=3, max_observations=50)
+        exp1 = IntervalDistribution.exponential(1.0)
+        path = sample_path(ModelParams(0.0, 0.0, exp1, exp1), seed=3, max_observations=50)
         assert np.all(path.increments_a == 0)
         assert np.all(path.cumulative_b == 0)
 
@@ -44,7 +33,7 @@ class TestSamplePath:
 
     def test_epoch_count(self, reference_params):
         path = sample_path(reference_params, seed=0, max_observations=7)
-        assert len(path) == 8
+        assert len(path.epochs) == 8
 
     def test_epochs_strictly_increasing_positive(self, reference_params):
         for seed in range(20):
@@ -64,17 +53,18 @@ class TestSamplePath:
             sample_path(reference_params, seed=1, max_observations=0)
 
     def test_mean_increment_matches_compound_poisson(self):
-        # lambda_a = 2, exponential interval mean 0.5: per-interval mean 1.0
-        params = _params(lambda_a=2.0, lambda_b=0.0, d0=0.5, d=0.5)
-        path = sample_path(params, seed=5, max_observations=100_000)
-        inc = path.increments_a[1:].astype(float)
+        # lambda = 2, exponential interval mean 0.5: per-interval mean 1.0
+        rng = np.random.default_rng(5)
+        lengths = rng.exponential(0.5, 100_000)
+        inc = compound_increments(rng, 2.0, MarkDistribution.unit(), lengths).astype(float)
         se = inc.std(ddof=1) / np.sqrt(inc.size)
         assert abs(inc.mean() - 1.0) <= 3 * se
 
     def test_geometric_marks_mean(self):
-        params = _params(mark_a=MarkDistribution.geometric(0.4))
-        path = sample_path(params, seed=9, max_observations=100_000)
-        inc = path.increments_a[1:].astype(float)
+        rng = np.random.default_rng(9)
+        lengths = rng.exponential(1.0, 100_000)
+        mark = MarkDistribution.geometric(0.4)
+        inc = compound_increments(rng, 1.0, mark, lengths).astype(float)
         se = inc.std(ddof=1) / np.sqrt(inc.size)
         assert abs(inc.mean() - 1.0 / 0.4) <= 3 * se
 
@@ -84,7 +74,8 @@ class TestExitIndices:
         cum = np.asarray(cumulative, dtype=float)
         inc = np.diff(cum, prepend=0.0)
         epochs = np.arange(1.0, len(cum) + 1.0)
-        return SamplePath(epochs, inc, inc, cum, cum)
+        return SimpleNamespace(epochs=epochs, increments_a=inc, increments_b=inc,
+                               cumulative_a=cum, cumulative_b=cum)
 
     def test_direct_exceedance(self):
         rec = exit_indices(self._path([0, 1, 3, 5]), Thresholds(m=4, n=4))
@@ -117,21 +108,8 @@ class TestExitIndices:
 
 
 class TestIncrementMoments:
-    def test_unit_marks_exponential(self):
-        mean_a, mean_b, cov = increment_moments(_params(1.0, 1.0))
-        assert mean_a == 1.0
-        assert cov == 1.0
-
-    def test_zero_intensity(self):
-        mean_a, _, cov = increment_moments(_params(0.0, 1.0))
-        assert mean_a == 0.0
-        assert cov == 0.0
-
-    def test_deterministic_intervals_uncorrelated(self):
-        _, _, cov = increment_moments(_params(2.0, 3.0, family="deterministic"))
-        assert cov == 0.0
-
     def test_covariance_matches_simulation(self, reference_params):
+        # Both axes' increments are drawn over one shared interval.
         path = sample_path(reference_params, seed=17, max_observations=100_000)
         a = path.increments_a[1:].astype(float)
         b = path.increments_b[1:].astype(float)
@@ -139,5 +117,9 @@ class TestIncrementMoments:
         # SE of the sample covariance, via the delta-method moment estimate
         prods = (a - a.mean()) * (b - b.mean())
         se = prods.std(ddof=1) / np.sqrt(a.size)
-        _, _, cov = increment_moments(reference_params)
+        # cov(a, b) = lambda_a E[mark_a] lambda_b E[mark_b] Var(Delta), and an
+        # exponential interval has Var(Delta) = mean^2.
+        p = reference_params
+        cov = (p.lambda_a * p.mark_a.mean() * p.lambda_b * p.mark_b.mean()
+               * p.delta_mean**2)
         assert abs(sample_cov - cov) <= 3 * se

@@ -11,13 +11,12 @@ from math import comb, exp, factorial
 import numpy as np
 import pytest
 
+from literal import exit_indices, sample_path
 from strategyshift import (
     IntervalDistribution,
     ModelParams,
     Thresholds,
     estimate_exits,
-    exit_indices,
-    sample_path,
 )
 from strategyshift.errors import HorizonError
 from strategyshift.params import MarkDistribution
@@ -218,7 +217,7 @@ def test_wald_identity(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_record_matches_literal_paths(case):
     # Every field of the exit record against the literal per-path definition
-    # (sample_path + exit_indices), mean by mean.
+    # (literal.sample_path + literal.exit_indices), mean by mean.
     params, m, n = CASES[case]
     thresholds = Thresholds(m=m, n=n)
     records = [exit_indices(sample_path(params, seed, 60), thresholds)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from literal import gamma_marginal
 from strategyshift import (
     IntervalDistribution,
     MarkDistribution,
     TransformContext,
-    gamma_marginal,
     gamma_series,
-    lst,
 )
 from strategyshift.errors import DomainError, UnsupportedConfigurationError
 
@@ -17,11 +16,11 @@ UNIT = MarkDistribution.unit()
 
 class TestLst:
     def test_value_at_zero(self):
-        assert lst("exponential", 1.0, 0.0) == 1.0
-        assert lst("deterministic", 2.0, 0.0) == 1.0
+        assert IntervalDistribution.exponential(1.0).lst(0.0) == 1.0
+        assert IntervalDistribution.deterministic(2.0).lst(0.0) == 1.0
 
     def test_exponential_closed_form(self):
-        assert lst("exponential", 1.0, 1.0) == 0.5
+        assert IntervalDistribution.exponential(1.0).lst(1.0) == 0.5
 
     def test_exponential_matches_quadrature(self):
         # independent check: integrate exp(-t/mean)/mean * exp(-theta t)
@@ -29,22 +28,26 @@ class TestLst:
         mean, theta = 0.7, 1.3
         numeric, _ = quad(lambda t: np.exp(-t / mean) / mean * np.exp(-theta * t),
                           0, np.inf)
-        assert lst("exponential", mean, theta) == pytest.approx(numeric, abs=1e-10)
+        assert IntervalDistribution.exponential(mean).lst(theta) == pytest.approx(
+            numeric, abs=1e-10)
 
     def test_unknown_family(self):
         with pytest.raises(UnsupportedConfigurationError):
-            lst("gamma", 1.0, 0.5)
+            IntervalDistribution("gamma", 1.0)
 
     def test_monotone_decreasing_and_bounded(self):
         thetas = np.linspace(0.0, 5.0, 21)
         for family, mean in (("exponential", 0.5), ("deterministic", 2.0)):
-            values = [lst(family, mean, t) for t in thetas]
+            interval = IntervalDistribution(family, mean)
+            values = [interval.lst(t) for t in thetas]
             assert values[0] == 1.0
             assert all(0.0 < v <= 1.0 for v in values)
             assert all(a > b for a, b in zip(values, values[1:]))
 
 
 class TestGammaMarginal:
+    # The scalar reference that TestGammaSeries reads the series against.
+
     def test_total_mass(self):
         assert gamma_marginal(1.0, 0.0, 1.0, UNIT, EXP1) == 1.0
 
