@@ -12,7 +12,8 @@ harness can confront each one:
     in the source formulas.
   * ``axis_means`` — the closed-form means of one axis's exit index, shift
     epoch and prior epoch; ``expected_exit_index`` / ``expected_shift_time``
-    collect them for both axes.
+    collect them for both axes; ``shift_advisor`` reports them as shift
+    advice from a position in a strategy matrix.
 
 The printed closed forms are known to be suspect in places (duplicated
 bracket sums, threshold-independent means); they are evaluated faithfully
@@ -23,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .errors import DomainError, NoExitError, SingularConstantError
+from .matrix import StrategyMatrix, classify
 from .params import ModelParams
 from .series import BivariateSeries, TruncatedSeries, d_extract
 from .transforms import TransformContext, gamma_series
@@ -250,3 +252,57 @@ def expected_shift_time(params: ModelParams):
     _, ta, prior_a = axis_means(params, params.lambda_a)
     _, tb, prior_b = axis_means(params, params.lambda_b)
     return ta, tb, prior_a, prior_b
+
+
+@dataclass(frozen=True)
+class AxisAdvice:
+    """Shift prediction for one axis of the matrix."""
+
+    shift_predicted: bool
+    expected_shift_time: Optional[float]
+    expected_prior_time: Optional[float]
+    region_after: str
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class ShiftAdvice:
+    """Current region plus per-axis shift timing and destination regions."""
+
+    current_region: str
+    axis_a: AxisAdvice
+    axis_b: AxisAdvice
+
+
+def shift_advisor(
+    level_a: float,
+    level_b: float,
+    params: ModelParams,
+    matrix: StrategyMatrix,
+) -> ShiftAdvice:
+    """Predicted shift epochs and destination regions from the current position.
+
+    Each axis reports the mean shift epoch, the one-interval-earlier warning
+    epoch, and the region reached when that axis alone crosses its threshold.
+    A zero-intensity axis is static: no shift is predicted for it.
+    """
+    current = classify(level_a, level_b, matrix)
+    b_high = level_b > matrix.b_threshold
+
+    # Destination when A alone exceeds its row threshold, and when B alone
+    # exceeds (which switches the applicable A-threshold to the high row).
+    after_a = matrix.label_for(True, b_high)
+    after_b = matrix.label_for(level_a > matrix.a_threshold_high, True)
+
+    def axis(intensity: float, region_after: str) -> AxisAdvice:
+        try:
+            _, shift, prior = axis_means(params, intensity)
+        except NoExitError:
+            # Static axis: a no-exit condition is advice, not an error.
+            return AxisAdvice(False, None, None, region_after,
+                              note="no shift predicted")
+        return AxisAdvice(True, shift, prior, region_after)
+
+    advice_a = axis(params.lambda_a, after_a)
+    advice_b = axis(params.lambda_b, after_b)
+    return ShiftAdvice(current_region=current, axis_a=advice_a, axis_b=advice_b)

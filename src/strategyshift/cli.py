@@ -14,14 +14,6 @@ import sys
 from pathlib import Path
 
 from . import config as config_mod
-from .analytics import (
-    axis_means,
-    lemma_constants_or_note,
-    lemma_pgf_a,
-    lemma_pgf_b,
-    marginal_pgf,
-    phi_functional,
-)
 from .errors import (
     ConfigError,
     DomainError,
@@ -31,17 +23,6 @@ from .errors import (
     StrategyShiftError,
 )
 from .matrix import bcg_scale, classify
-from .oracle import estimate_exits
-from .report import (
-    DEFAULT_Z_GRID,
-    STUDY_LEVELS,
-    _round12,
-    conformance_rows,
-    histogram_csv,
-    rows_to_csv,
-    rows_to_json,
-)
-from .transforms import TransformContext
 
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 2
@@ -78,6 +59,8 @@ def _write_json(path: Path, payload) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
+    from .oracle import estimate_exits
+    from .report import _round12, histogram_csv
     out = _output_dir(cfg)
     summary = estimate_exits(
         cfg.params, cfg.thresholds, cfg.n_paths, cfg.seed, cfg.horizon
@@ -101,6 +84,8 @@ def cmd_simulate(args) -> int:
 
 
 def _axis_means(cfg, axis: str):
+    from .analytics import axis_means
+    from .report import _round12
     lam = cfg.params.lambda_a if axis == "a" else cfg.params.lambda_b
     try:
         index, shift, prior = axis_means(cfg.params, lam)
@@ -115,6 +100,15 @@ def _axis_means(cfg, axis: str):
 
 def cmd_analyze(args) -> int:
     cfg = _load_config(args.config)
+    from .analytics import (
+        lemma_constants_or_note,
+        lemma_pgf_a,
+        lemma_pgf_b,
+        marginal_pgf,
+        phi_functional,
+    )
+    from .report import DEFAULT_Z_GRID, _round12
+    from .transforms import TransformContext
     out = _output_dir(cfg)
     m, n = int(cfg.thresholds.m), int(cfg.thresholds.n)
     report = {"means": {"a": _axis_means(cfg, "a"), "b": _axis_means(cfg, "b")}}
@@ -148,16 +142,15 @@ def cmd_analyze(args) -> int:
 
 def cmd_classify(args) -> int:
     cfg = _load_config(args.config)
+    share_form = args.share is not None or args.growth is not None
+    if share_form and (args.a is not None or args.b is not None):
+        print("error: give --share/--growth or --a/--b, not both", file=sys.stderr)
+        return EXIT_DOMAIN_ERROR
     if args.share is not None:
         if args.growth is None:
             print("error: --share requires --growth", file=sys.stderr)
             return EXIT_DOMAIN_ERROR
-        try:
-            level_a = bcg_scale(args.share, cfg.scale_factor)
-        except DomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN_ERROR
-        level_b = args.growth
+        level_a, level_b = bcg_scale(args.share, cfg.scale_factor), args.growth
     elif args.a is not None and args.b is not None:
         level_a, level_b = args.a, args.b
     else:
@@ -169,6 +162,8 @@ def cmd_classify(args) -> int:
 
 def cmd_conformance(args) -> int:
     cfg = _load_config(args.config)
+    from .oracle import estimate_exits
+    from .report import STUDY_LEVELS, conformance_rows, rows_to_csv, rows_to_json
     out = _output_dir(cfg)
     # One sample serves the table, the joint functional and the study.
     summary = estimate_exits(

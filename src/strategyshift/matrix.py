@@ -1,19 +1,18 @@
-"""Threshold strategy matrices and the shift advisor.
+"""Threshold strategy matrices: pure geometry, no model and no numpy.
 
 A 2x2 matrix assigns one of four labels from two threshold comparisons, with
 ties going to the low side.  The growth-share variant uses a different
 A-threshold in the high-growth row, so the B comparison is evaluated first.
+A point with a NaN or infinite coordinate lies in no region.  Shift
+prediction from a position is ``analytics.shift_advisor``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
-from .analytics import axis_means
-from .errors import DomainError, NoExitError
-from .params import ModelParams
+from .errors import DomainError
 
 GENERIC_LABELS = ("I", "II", "III", "IV")
 BCG_LABELS = ("Dogs", "Cows", "Stars", "Question Marks")
@@ -65,6 +64,8 @@ class StrategyMatrix:
 
 def classify(level_a: float, level_b: float, matrix: StrategyMatrix) -> str:
     """Region label of a point; boundary points go to the low side."""
+    if not (math.isfinite(level_a) and math.isfinite(level_b)):
+        raise DomainError("matrix coordinates must be finite")
     b_high = level_b > matrix.b_threshold
     a_high = level_a > matrix.a_threshold(b_high)
     return matrix.label_for(a_high, b_high)
@@ -84,57 +85,3 @@ def bcg_classify(
 ) -> str:
     """Growth-share quadrant of a (relative share, growth %) position."""
     return classify(bcg_scale(relative_share, factor), growth_pct, StrategyMatrix.bcg())
-
-
-@dataclass(frozen=True)
-class AxisAdvice:
-    """Shift prediction for one axis of the matrix."""
-
-    shift_predicted: bool
-    expected_shift_time: Optional[float]
-    expected_prior_time: Optional[float]
-    region_after: str
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class ShiftAdvice:
-    """Current region plus per-axis shift timing and destination regions."""
-
-    current_region: str
-    axis_a: AxisAdvice
-    axis_b: AxisAdvice
-
-
-def shift_advisor(
-    level_a: float,
-    level_b: float,
-    params: ModelParams,
-    matrix: StrategyMatrix,
-) -> ShiftAdvice:
-    """Predicted shift epochs and destination regions from the current position.
-
-    Each axis reports the mean shift epoch, the one-interval-earlier warning
-    epoch, and the region reached when that axis alone crosses its threshold.
-    A zero-intensity axis is static: no shift is predicted for it.
-    """
-    current = classify(level_a, level_b, matrix)
-    b_high = level_b > matrix.b_threshold
-
-    # Destination when A alone exceeds its row threshold, and when B alone
-    # exceeds (which switches the applicable A-threshold to the high row).
-    after_a = matrix.label_for(True, b_high)
-    after_b = matrix.label_for(level_a > matrix.a_threshold_high, True)
-
-    def axis(intensity: float, region_after: str) -> AxisAdvice:
-        try:
-            _, shift, prior = axis_means(params, intensity)
-        except NoExitError:
-            # Static axis: a no-exit condition is advice, not an error.
-            return AxisAdvice(False, None, None, region_after,
-                              note="no shift predicted")
-        return AxisAdvice(True, shift, prior, region_after)
-
-    advice_a = axis(params.lambda_a, after_a)
-    advice_b = axis(params.lambda_b, after_b)
-    return ShiftAdvice(current_region=current, axis_a=advice_a, axis_b=advice_b)

@@ -56,7 +56,16 @@ def compound_increments(
     """
     try:
         counts = rng.poisson(intensity * interval_lengths)
-        return mark.sample_totals(rng, counts)
+        if mark.family == "unit":
+            return counts.astype(np.int64)
+        if mark.family == "fixed":
+            return mark.value * counts.astype(np.int64)
+        totals = np.zeros(counts.shape, dtype=np.int64)
+        nz = counts > 0
+        if np.any(nz):
+            # sum of c iid Geometric(p) on {1,2,...} = c + NegBinomial(c, p)
+            totals[nz] = counts[nz] + rng.negative_binomial(counts[nz], mark.p)
+        return totals
     except ValueError as exc:
         raise ParameterError(
             f"expected increment too large to simulate ({exc})"
@@ -298,7 +307,10 @@ def _simulate(
     rng = np.random.default_rng(seed)
     cap = horizon + 1  # an index above the horizon is censored
     rows = np.arange(n_paths)
-    t0 = params.obs_initial.sample(rng, n_paths)
+    if params.obs_initial.family == "exponential":
+        t0 = rng.exponential(params.obs_initial.mean, n_paths)
+    else:
+        t0 = np.full(n_paths, params.obs_initial.mean)
     d = params.obs_interval.mean
     if params.obs_interval.family == "exponential":
         epochs = _PoissonEpochs(rng, t0, d, cap)

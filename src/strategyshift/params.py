@@ -4,13 +4,16 @@ The model is a pair of compound marked Poisson streams (intensities
 ``lambda_a``, ``lambda_b``) whose cumulative levels are read off at the epochs
 of a delayed renewal observation process.  The first observation interval may
 follow a different distribution (and mean) than the subsequent ones.
+
+These types only validate and describe; they need no numpy, so config
+loading stays numpy-free.  Drawing from them lives in ``oracle`` and their
+series expansions in ``transforms``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import DomainError, ParameterError, UnsupportedConfigurationError
 
@@ -62,35 +65,6 @@ class MarkDistribution:
             return float(self.value)
         return 1.0 / self.p
 
-    def pgf_coefficients(self, order: int) -> np.ndarray:
-        """Power-series coefficients of the mark PGF up to ``order``."""
-        c = np.zeros(order + 1)
-        if self.family == "unit":
-            if order >= 1:
-                c[1] = 1.0
-        elif self.family == "fixed":
-            if self.value <= order:
-                c[self.value] = 1.0
-        else:
-            q = 1.0 - self.p
-            k = np.arange(1, order + 1)
-            c[1:] = self.p * q ** (k - 1)
-        return c
-
-    def sample_totals(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
-        """Sum of ``counts[i]`` independent marks, for each entry of ``counts``."""
-        counts = np.asarray(counts)
-        if self.family == "unit":
-            return counts.astype(np.int64)
-        if self.family == "fixed":
-            return self.value * counts.astype(np.int64)
-        out = np.zeros(counts.shape, dtype=np.int64)
-        nz = counts > 0
-        if np.any(nz):
-            # sum of c iid Geometric(p) on {1,2,...} = c + NegBinomial(c, p)
-            out[nz] = counts[nz] + rng.negative_binomial(counts[nz], self.p)
-        return out
-
 
 @dataclass(frozen=True)
 class IntervalDistribution:
@@ -122,12 +96,7 @@ class IntervalDistribution:
             raise DomainError("LST argument theta must be nonnegative")
         if self.family == "exponential":
             return 1.0 / (1.0 + self.mean * theta)
-        return float(np.exp(-theta * self.mean))
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.family == "exponential":
-            return rng.exponential(self.mean, size)
-        return np.full(size, self.mean)
+        return math.exp(-theta * self.mean)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DomainError
 from .params import IntervalDistribution, MarkDistribution
 from .series import TruncatedSeries
@@ -67,7 +69,7 @@ def gamma_series(
 
 @lru_cache(maxsize=256)
 def _gamma_series(order, theta, intensity, mark, interval) -> TruncatedSeries:
-    h = TruncatedSeries(mark.pgf_coefficients(order))
+    h = TruncatedSeries(_pgf_coefficients(mark, order))
     inner = theta + intensity * (1.0 - h)
     if interval.family == "exponential":
         series = (1.0 + interval.mean * inner).reciprocal()
@@ -75,3 +77,19 @@ def _gamma_series(order, theta, intensity, mark, interval) -> TruncatedSeries:
         series = (-interval.mean * inner).exp()
     series.coeffs.setflags(write=False)
     return series
+
+
+def _pgf_coefficients(mark: MarkDistribution, order: int) -> np.ndarray:
+    """Power-series coefficients of the mark PGF up to ``order``."""
+    c = np.zeros(order + 1)
+    if mark.family == "unit":
+        if order >= 1:
+            c[1] = 1.0
+    elif mark.family == "fixed":
+        if mark.value <= order:
+            c[mark.value] = 1.0
+    else:
+        q = 1.0 - mark.p
+        k = np.arange(1, order + 1)
+        c[1:] = mark.p * q ** (k - 1)
+    return c

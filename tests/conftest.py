@@ -5,7 +5,7 @@ import pytest
 
 SESSION_START = time.perf_counter()
 
-from strategyshift import IntervalDistribution, ModelParams, Thresholds
+from strategyshift.params import IntervalDistribution, ModelParams, Thresholds
 
 
 @pytest.fixture

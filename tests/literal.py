@@ -31,8 +31,12 @@ def sample_path(params, seed, max_observations):
         raise ParameterError("max_observations must be >= 1")
     rng = np.random.default_rng(seed)
     intervals = np.empty(max_observations + 1)
-    intervals[0] = params.obs_initial.sample(rng, 1)[0]
-    intervals[1:] = params.obs_interval.sample(rng, max_observations)
+    for part, dist in ((intervals[:1], params.obs_initial),
+                       (intervals[1:], params.obs_interval)):
+        if dist.family == "exponential":
+            part[:] = rng.exponential(dist.mean, part.size)
+        else:
+            part[:] = dist.mean
     inc_a = compound_increments(rng, params.lambda_a, params.mark_a, intervals)
     inc_b = compound_increments(rng, params.lambda_b, params.mark_b, intervals)
     return SimpleNamespace(

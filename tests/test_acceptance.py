@@ -8,26 +8,24 @@ import pytest
 
 import conftest
 from literal import d_apply, d_apply_2d
-from strategyshift import (
-    IntervalDistribution,
-    ModelParams,
-    Thresholds,
-    TransformContext,
-    bcg_scale,
-    classify,
-    cli,
-    conformance_rows,
-    d_extract,
-    d_extract_2d,
-    empirical_pgf,
-    estimate_exits,
-    gamma_series,
+from strategyshift import cli
+from strategyshift.analytics import (
+    axis_factor,
     marginal_pgf,
     phi_functional,
+    phi_series,
 )
-from strategyshift.analytics import axis_factor, phi_series
-from strategyshift.matrix import StrategyMatrix
-from strategyshift.params import MarkDistribution
+from strategyshift.matrix import StrategyMatrix, bcg_scale, classify
+from strategyshift.oracle import empirical_pgf, estimate_exits
+from strategyshift.params import (
+    IntervalDistribution,
+    MarkDistribution,
+    ModelParams,
+    Thresholds,
+)
+from strategyshift.report import conformance_rows
+from strategyshift.series import d_extract, d_extract_2d
+from strategyshift.transforms import TransformContext, gamma_series
 
 EXP1 = IntervalDistribution.exponential(1.0)
 REFERENCE = ModelParams(1.0, 1.0, EXP1, EXP1)

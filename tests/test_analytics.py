@@ -1,29 +1,23 @@
 import numpy as np
 import pytest
 
-from strategyshift import (
-    IntervalDistribution,
+from strategyshift.analytics import (
     LemmaConstants,
-    MarkDistribution,
-    ModelParams,
-    TransformContext,
-    d_extract,
+    axis_factor,
+    axis_means,
     expected_exit_index,
     expected_shift_time,
+    lemma_constants_or_note,
     lemma_pgf_a,
     lemma_pgf_b,
     marginal_pgf,
     phi_functional,
-)
-from strategyshift.analytics import (
-    axis_factor,
-    axis_means,
-    lemma_constants_or_note,
     phi_series,
 )
 from strategyshift.errors import DomainError, NoExitError, SingularConstantError
-from strategyshift.series import d_extract_2d
-from strategyshift.transforms import gamma_series
+from strategyshift.params import IntervalDistribution, MarkDistribution, ModelParams
+from strategyshift.series import d_extract, d_extract_2d
+from strategyshift.transforms import TransformContext, gamma_series
 
 
 def _exp_params(lambda_a=1.0, lambda_b=1.0, d0=1.0, d=1.0):

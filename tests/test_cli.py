@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 from pathlib import Path
@@ -199,6 +200,20 @@ class TestExitCodes:
     def test_domain_error(self, config_file):
         assert cli.main(["classify", str(config_file), "--share", "-1",
                          "--growth", "5"]) == 4
+
+    @pytest.mark.parametrize("flags", [
+        ["--a", "nan", "--b", "nan"],
+        ["--share", "nan", "--growth", "12"],
+        ["--share", "inf", "--growth", "5"],
+        ["--share", "1.5", "--growth=-inf"],
+        ["--share", "1.5", "--growth", "12", "--a", "-100", "--b", "-100"],
+        ["--growth", "12", "--a", "1", "--b", "1"],
+    ])
+    def test_classify_rejects_non_finite_and_mixed(self, config_file, capsys, flags):
+        assert cli.main(["classify", str(config_file), *flags]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_conformance_ok(self, config_file):
         assert cli.main(["conformance", str(config_file)]) == 0
@@ -458,3 +473,67 @@ def test_runtime_needs_numpy_only():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
     assert set(json.loads(result.stdout)) <= {"numpy", "strategyshift"}
+
+
+#: Runs CLI invocations (a JSON list of argv lists) in a fresh interpreter
+#: where ``import numpy`` fails, after the set-up probe's imports and load.
+NUMPY_BLOCKED = """
+import contextlib, io, json, runpy, sys
+sys.modules["numpy"] = None
+cases, probe_config = json.loads(sys.argv[1]), sys.argv[2]
+import strategyshift, strategyshift.config
+strategyshift.config.load(probe_config)
+results = []
+for argv in cases:
+    sys.argv = ["strategyshift", *argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            runpy.run_module("strategyshift.cli", run_name="__main__")
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _perfbench_classify_points():
+    """``CLASSIFY_POINTS`` of perfbench/run.py, read without importing it."""
+    run_py = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    for node in ast.parse(run_py.read_text()).body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "CLASSIFY_POINTS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no CLASSIFY_POINTS")
+
+
+def test_classify_and_config_errors_need_no_numpy(tmp_path, capsys):
+    import os
+    import subprocess
+    import sys
+
+    import strategyshift
+
+    reference = tmp_path / "reference.json"
+    reference.write_text(json.dumps(REFERENCE_DOC))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_doc_with("thresholds.m", 1.5)))
+    points = _perfbench_classify_points()
+    assert len(points) == 5
+    cases = [["classify", str(reference), "--share", str(share),
+              "--growth", str(growth)] for share, growth in points]
+    for command in ("simulate", "analyze", "classify", "conformance"):
+        cases += [[command, str(tmp_path / "missing.json")], [command, str(bad)]]
+
+    src = str(Path(strategyshift.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_BLOCKED, json.dumps(cases), str(reference)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert result.returncode == 0, result.stderr
+    blocked = json.loads(result.stdout)
+
+    for argv, (code, out, err) in zip(cases, blocked):
+        capsys.readouterr()
+        assert code == cli.main(argv), argv
+        assert [out, err] == list(capsys.readouterr()), argv
+    assert [code for code, _, _ in blocked] == [0] * 5 + [2, 3] * 4

@@ -1,16 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from strategyshift import (
-    IntervalDistribution,
-    ModelParams,
-    StrategyMatrix,
-    bcg_classify,
-    bcg_scale,
-    classify,
-    shift_advisor,
-)
+from strategyshift.analytics import shift_advisor
 from strategyshift.errors import DomainError
+from strategyshift.matrix import StrategyMatrix, bcg_classify, bcg_scale, classify
+from strategyshift.params import IntervalDistribution, ModelParams
 
 BCG = StrategyMatrix.bcg()
 
@@ -31,6 +27,20 @@ class TestClassify:
         assert classify(2.0, 3.0, m) == "I"
         assert classify(2.0, 9.0, m) == "IV"
         assert classify(9.0, 3.0, m) == "II"
+
+    @pytest.mark.parametrize("a, b", [
+        (math.nan, 0.0), (0.0, math.nan), (math.inf, 5.0), (5.0, -math.inf),
+    ])
+    def test_non_finite_point_rejected(self, a, b):
+        with pytest.raises(DomainError):
+            classify(a, b, BCG)
+
+    @pytest.mark.parametrize("share, growth", [
+        (math.nan, 5.0), (math.inf, 5.0), (2.0, math.nan), (2.0, math.inf),
+    ])
+    def test_non_finite_position_rejected(self, share, growth):
+        with pytest.raises(DomainError):
+            bcg_classify(share, growth)
 
     def test_bcg_row_dependent(self):
         assert classify(5.0, 8.0, BCG) == "Cows"

@@ -2,24 +2,16 @@ import numpy as np
 import pytest
 
 from literal import exit_indices, sample_path
-from strategyshift import (
+from strategyshift.errors import HorizonError, NoDataError, NoExitError, ParameterError
+from strategyshift.oracle import empirical_functional, empirical_pgf, estimate_exits
+from strategyshift.params import (
     IntervalDistribution,
+    MarkDistribution,
     ModelParams,
     Thresholds,
-    TransformContext,
-    conformance_rows,
-    empirical_functional,
-    empirical_pgf,
-    estimate_exits,
 )
-from strategyshift.errors import (
-    HorizonError,
-    NoDataError,
-    NoExitError,
-    ParameterError,
-)
-from strategyshift.params import MarkDistribution
-from strategyshift.report import STUDY_LEVELS, judge
+from strategyshift.report import STUDY_LEVELS, conformance_rows, judge
+from strategyshift.transforms import TransformContext
 
 
 def scan_exit_index(levels, threshold) -> int:

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from literal import exit_indices, sample_path
-from strategyshift import (
+from strategyshift.errors import ParameterError
+from strategyshift.oracle import compound_increments
+from strategyshift.params import (
     IntervalDistribution,
     MarkDistribution,
     ModelParams,
     Thresholds,
 )
-from strategyshift.errors import ParameterError
-from strategyshift.oracle import compound_increments
 
 
 class TestSamplePath:

@@ -6,17 +6,26 @@ exception, and every JSON artifact must be strict JSON (no NaN/Infinity).
 Valid draws stay cheap: thresholds <= 50, paths <= 500, horizon <= 1000.
 Wild values reach every field, the size fields included: a size above its
 config bound (1e15, 1e300) exits 3 before any work is done.
+
+``classify`` arguments, in any combination of flags and values (NaN, +-inf,
+0, negatives, a missing partner, both forms at once), end in one of the
+config's matrix labels with exit 0 or in one ``error:`` line with exit 4.
 """
 
+import io
 import json
+import math
 import os
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from strategyshift import cli
+from strategyshift import config as config_mod
 
 #: Values that are out of range, fractional, of the wrong type or extreme.
 WILD = st.sampled_from([0, -1, -0.5, 1.5, 1e-300, 1e15, 1e300, "x", None])
@@ -85,3 +94,67 @@ def test_every_document_ends_in_a_documented_exit_code(doc):
                 assert cli.main([command, str(config)]) in {0, 2, 3, 4, 5}
         for artifact in out.glob("*.json"):
             json.loads(artifact.read_text(), parse_constant=_strict)
+
+
+#: Values a user can type for a classify coordinate, non-finite ones included.
+COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf]),
+    st.floats(-1e3, 1e3),
+    st.floats(),
+)
+
+CLASSIFY_MATRICES = {
+    "bcg": {"mode": "row-dependent"},
+    "uniform": {"mode": "uniform", "m": 2.0, "n": -3.0, "labels": ["w", "x", "y", "z"]},
+}
+
+
+@pytest.fixture(scope="module")
+def classify_configs(tmp_path_factory):
+    """(path, matrix labels) per matrix geometry, over one reference process."""
+    directory = tmp_path_factory.mktemp("classify")
+    configs = {}
+    for name, matrix in CLASSIFY_MATRICES.items():
+        doc = {
+            "process": {"lambda_a": 1.0, "lambda_b": 1.0},
+            "observation": {"family": "exponential", "initial_mean": 1.0,
+                            "interval_mean": 1.0},
+            "thresholds": {"m": 1, "n": 1},
+            "matrix": matrix,
+            "simulation": {"paths": 100, "seed": 7},
+        }
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        configs[name] = (str(path), config_mod.load(str(path)).matrix.labels)
+    return configs
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix=st.sampled_from(sorted(CLASSIFY_MATRICES)),
+       share=st.none() | COORDINATES, growth=st.none() | COORDINATES,
+       a=st.none() | COORDINATES, b=st.none() | COORDINATES)
+def test_classify_arguments_end_in_a_label_or_exit_4(classify_configs, matrix,
+                                                     share, growth, a, b):
+    path, labels = classify_configs[matrix]
+    given_flags = {"share": share, "growth": growth, "a": a, "b": b}
+    flags = [f"--{name}={value!r}" for name, value in given_flags.items()
+             if value is not None]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["classify", path, *flags])
+
+    share_form = share is not None or growth is not None
+    if share_form and (a is not None or b is not None):
+        valid = False
+    elif share_form:
+        valid = (share is not None and growth is not None
+                 and 0.0 < share < math.inf and math.isfinite(growth))
+    else:
+        valid = (a is not None and b is not None
+                 and math.isfinite(a) and math.isfinite(b))
+    assert code == (0 if valid else 4)
+    if code == 0:
+        assert out.getvalue().strip() in labels and err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from literal import exit_indices, sample_path
-from strategyshift import (
+from strategyshift.errors import HorizonError
+from strategyshift.oracle import estimate_exits
+from strategyshift.params import (
     IntervalDistribution,
+    MarkDistribution,
     ModelParams,
     Thresholds,
-    estimate_exits,
 )
-from strategyshift.errors import HorizonError
-from strategyshift.params import MarkDistribution
 
 N_PATHS = 200_000
 SE_MULTIPLE = 4.0

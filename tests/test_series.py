@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from literal import d_apply, d_apply_2d
-from strategyshift import BivariateSeries, TruncatedSeries, d_extract, d_extract_2d
 from strategyshift.errors import DomainError, OrderError
+from strategyshift.series import (
+    BivariateSeries,
+    TruncatedSeries,
+    d_extract,
+    d_extract_2d,
+)
 
 
 def geometric_series(beta, alpha, order):

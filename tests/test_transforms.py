@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from literal import gamma_marginal
-from strategyshift import (
-    IntervalDistribution,
-    MarkDistribution,
-    TransformContext,
-    gamma_series,
-)
 from strategyshift.errors import DomainError, UnsupportedConfigurationError
+from strategyshift.params import IntervalDistribution, MarkDistribution
+from strategyshift.transforms import TransformContext, gamma_series
 
 EXP1 = IntervalDistribution.exponential(1.0)
 UNIT = MarkDistribution.unit()
