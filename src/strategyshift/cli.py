@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -202,6 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--growth", type=float, help="market growth rate in percent")
     p.add_argument("--a", type=float, help="raw A-axis level")
     p.add_argument("--b", type=float, help="raw B-axis level")
+    # argparse's own pattern misses -1e3 and -inf and reads them as flags;
+    # these options take numbers, so any negative float literal is a value.
+    p._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("conformance", help="run the analytic-vs-MC conformance table")

@@ -8,6 +8,8 @@
   expands as a power series.
 - ``d_apply`` and ``d_apply_2d`` are the forward operators that
   ``d_extract`` and ``d_extract_2d`` invert.
+- ``series_exp`` is the coefficient-by-coefficient recurrence that
+  ``TruncatedSeries.exp`` replaces with Newton iteration.
 """
 
 from types import SimpleNamespace
@@ -108,3 +110,15 @@ def d_apply_2d(g):
     out[:rows, 1:] -= g
     out[1:, 1:] += g
     return BivariateSeries(out)
+
+
+def series_exp(a):
+    """exp of the series with coefficients ``a``, one coefficient at a time:
+    k e_k = sum_{j=1..k} j a_j e_{k-j}, e_0 = exp(a_0)."""
+    a = np.asarray(a, dtype=float)
+    ja = a * np.arange(len(a))
+    e = np.zeros_like(a)
+    e[0] = np.exp(a[0])
+    for k in range(1, len(a)):
+        e[k] = np.dot(ja[1 : k + 1], e[k - 1 :: -1]) / k
+    return e

@@ -215,6 +215,21 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags, rc, out", [
+        (["--share", "1.5", "--growth", "-1e3"], 0, "Cows\n"),
+        (["--a", "-inf", "--b", "0"], 4, ""),
+    ])
+    def test_classify_negative_value_after_space(self, config_file, capsys,
+                                                 flags, rc, out):
+        # "-1e3" and "-inf" are values, exactly as in the "--flag=value" form.
+        joined = [flags[0] + "=" + flags[1], *flags[2:]]
+        results = []
+        for argv in (flags, joined):
+            results.append((cli.main(["classify", str(config_file), *argv]),
+                            *capsys.readouterr()))
+        assert results[0] == results[1]
+        assert results[0][:2] == (rc, out)
+
     def test_conformance_ok(self, config_file):
         assert cli.main(["conformance", str(config_file)]) == 0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from literal import d_apply, d_apply_2d
+from literal import d_apply, d_apply_2d, series_exp
 from strategyshift.errors import DomainError, OrderError
 from strategyshift.series import (
     BivariateSeries,
@@ -12,6 +12,28 @@ from strategyshift.series import (
     d_extract,
     d_extract_2d,
 )
+
+
+EPS = np.finfo(float).eps
+
+
+def poisson_pmf(c, order):
+    """Poisson(c) probabilities of 0..order, through lgamma."""
+    return np.array([math.exp(k * math.log(c) - c - math.lgamma(k + 1))
+                     for k in range(order + 1)])
+
+
+def compound_exponent(c, mark, order):
+    """-c (1 - h(x)) for the PGF h of unit, fixed-2 or geometric(0.5) marks."""
+    a = np.zeros(order + 1)
+    if mark == "unit":
+        a[1] = c
+    elif mark == "fixed2":
+        a[2] = c
+    else:
+        a[1:] = c * 0.5 ** np.arange(1, order + 1)
+    a[0] = -c
+    return a
 
 
 def geometric_series(beta, alpha, order):
@@ -45,8 +67,9 @@ class TestTruncatedSeries:
         assert np.allclose(prod.coeffs, expect, atol=1e-12)
 
     def test_reciprocal_needs_nonzero_constant(self):
-        with pytest.raises(DomainError):
-            TruncatedSeries([0.0, 1.0]).reciprocal()
+        for coeffs in ([0.0], [0.0, 1.0]):
+            with pytest.raises(DomainError):
+                TruncatedSeries(coeffs).reciprocal()
 
     def test_exp_matches_exponential_expansion(self):
         # exp(x) coefficients 1/k!
@@ -58,6 +81,77 @@ class TestTruncatedSeries:
         a = TruncatedSeries([1.0, 2.0])
         assert np.array_equal((1.0 - a).coeffs, [0.0, -2.0])
         assert np.array_equal((2.0 * a).coeffs, [2.0, 4.0])
+
+
+class TestNewtonKernels:
+    # Accuracy of reciprocal and exp against closed forms and the
+    # coefficient-by-coefficient recurrence, at the orders the config allows.
+
+    @pytest.mark.parametrize("order", [2000, 20000])
+    @pytest.mark.parametrize("c", [1.0, 1000.0])
+    def test_reciprocal_geometric_closed_form(self, c, order):
+        coeffs = np.zeros(order + 1)
+        coeffs[:2] = 1.0 + c, -c
+        got = TruncatedSeries(coeffs).reciprocal().coeffs
+        expect = (c / (1.0 + c)) ** np.arange(order + 1) / (1.0 + c)
+        # term k of a geometric sequence carries O(k) ulps of rounding
+        np.testing.assert_allclose(got, expect, rtol=4 * order * EPS, atol=0.0)
+
+    @pytest.mark.parametrize("c", [0.5, 3.0, 30.0])
+    @pytest.mark.parametrize("mark", ["unit", "fixed2", "geometric"])
+    def test_exp_matches_recurrence(self, mark, c):
+        a = compound_exponent(c, mark, 2000)
+        got = TruncatedSeries(a).exp().coeffs
+        np.testing.assert_allclose(got, series_exp(a), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("c", [0.5, 3.0, 30.0])
+    @pytest.mark.parametrize("mark", ["unit", "fixed2"])
+    def test_exp_matches_poisson(self, mark, c):
+        order = 2000
+        got = TruncatedSeries(compound_exponent(c, mark, order)).exp().coeffs
+        expect = np.zeros(order + 1)
+        step = 1 if mark == "unit" else 2
+        expect[::step] = poisson_pmf(c, order // step)
+        np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("c", [300.0, 900.0])
+    def test_exp_of_large_mean_does_not_underflow(self, c):
+        # exp(-c) underflows at c > 745; the series must not be zeroed by it.
+        got = TruncatedSeries(compound_exponent(c, "unit", 1500)).exp().coeffs
+        np.testing.assert_allclose(got, poisson_pmf(c, 1500), rtol=0.0, atol=1e-13)
+        assert got.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("a0", [0.0, 2.5, -3.0, -700.0])
+    def test_short_series(self, a0):
+        e = math.exp(a0)
+        np.testing.assert_allclose(TruncatedSeries([a0]).exp().coeffs, [e], rtol=1e-12)
+        np.testing.assert_allclose(
+            TruncatedSeries([a0, 1.5]).exp().coeffs, [e, 1.5 * e], rtol=1e-12)
+        b0 = a0 + 0.5
+        assert TruncatedSeries([b0]).reciprocal().coeffs.tolist() == [1.0 / b0]
+        np.testing.assert_allclose(
+            TruncatedSeries([b0, 1.5]).reciprocal().coeffs,
+            [1.0 / b0, -1.5 / b0**2], rtol=4 * EPS)
+
+    def test_kernels_make_logarithmically_many_products(self, monkeypatch):
+        # A coefficient-by-coefficient loop makes ~20,000 numpy calls here,
+        # or none through np.convolve; either fails.
+        calls = []
+        convolve = np.convolve
+
+        def counting(*args):
+            calls.append(1)
+            return convolve(*args)
+
+        monkeypatch.setattr(np, "convolve", counting)
+        order = 20000
+        coeffs = np.zeros(order + 1)
+        coeffs[:2] = 4.0, -3.0
+        TruncatedSeries(coeffs).reciprocal()
+        assert 0 < len(calls) <= 100
+        calls.clear()
+        TruncatedSeries(compound_exponent(3.0, "unit", order)).exp()
+        assert 0 < len(calls) <= 100
 
 
 class TestGeometricSeries:

@@ -94,6 +94,13 @@ class TestGammaSeries:
         approx = np.polynomial.polynomial.polyval(z, s.coeffs)
         assert approx == pytest.approx(gamma_marginal(z, 0.0, 1.0, mark, EXP1), abs=1e-10)
 
+    def test_deterministic_law_with_underflowing_mass_at_zero(self):
+        # Poisson(900) counts: P(0) = exp(-900) underflows, the law does not.
+        det = IntervalDistribution.deterministic(3.0)
+        s = gamma_series(1500, 0.0, 300.0, UNIT, det)
+        assert s.coeffs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert s.coeffs.argmax() in (899, 900)
+
 
 class TestTransformContext:
     def test_neutral(self):
