@@ -84,54 +84,39 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _axis_means(cfg, axis: str):
-    from .analytics import axis_means
-    from .report import _round12
-    lam = cfg.params.lambda_a if axis == "a" else cfg.params.lambda_b
-    try:
-        index, shift, prior = axis_means(cfg.params, lam)
-    except NoExitError:
-        return {"exit_index_mean": "no shift predicted",
-                "shift_time_mean": "no shift predicted",
-                "prior_time_mean": "no shift predicted"}
-    return {"exit_index_mean": _round12(index),
-            "shift_time_mean": _round12(shift),
-            "prior_time_mean": _round12(prior)}
-
-
 def cmd_analyze(args) -> int:
     cfg = _load_config(args.config)
-    from .analytics import (
-        lemma_constants_or_note,
-        lemma_pgf_a,
-        lemma_pgf_b,
-        marginal_pgf,
-        phi_functional,
-    )
+    from .analytics import axis_means, lemma_note, lemma_pgf, phi_functional
     from .report import DEFAULT_Z_GRID, _round12
     from .transforms import TransformContext
     out = _output_dir(cfg)
+    params = cfg.params
     m, n = int(cfg.thresholds.m), int(cfg.thresholds.n)
-    report = {"means": {"a": _axis_means(cfg, "a"), "b": _axis_means(cfg, "b")}}
+    axes = (("a", m, params.lambda_a), ("b", n, params.lambda_b))
+    report: dict = {"means": {}}
+    for axis, _, lam in axes:
+        try:
+            values = [_round12(v) for v in axis_means(params, lam)]
+        except NoExitError:
+            values = ["no shift predicted"] * 3
+        report["means"][axis] = dict(zip(
+            ("exit_index_mean", "shift_time_mean", "prior_time_mean"), values))
 
     z_grid = list(DEFAULT_Z_GRID)
-    constants = lemma_constants_or_note(cfg.params)
-    if isinstance(constants, str):
-        closed = {"note": constants}
-    else:
-        closed = {"a": {f"{z:g}": _round12(lemma_pgf_a(z, m, constants)) for z in z_grid},
-                  "b": {f"{z:g}": _round12(lemma_pgf_b(z, n, constants)) for z in z_grid}}
-    report["index_pgf_closed"] = closed
-
-    operator: dict = {"a": {}, "b": {}}
-    for z in z_grid:
-        operator["a"][f"{z:g}"] = _round12(marginal_pgf("index_a", z, m, n, cfg.params))
-        operator["b"][f"{z:g}"] = _round12(marginal_pgf("index_b", z, m, n, cfg.params))
-    report["index_pgf_operator"] = operator
-
+    note = lemma_note(params)
+    report["index_pgf_closed"] = {"note": note} if note else {
+        axis: {f"{z:g}": _round12(lemma_pgf(z, level, params, lam)) for z in z_grid}
+        for axis, level, lam in axes
+    }
+    report["index_pgf_operator"] = {
+        "a": {f"{z:g}": _round12(phi_functional(m, n, TransformContext(z=z), params))
+              for z in z_grid},
+        "b": {f"{z:g}": _round12(phi_functional(m, n, TransformContext(g=z), params))
+              for z in z_grid},
+    }
     report["joint_functional"] = {
         f"{mm},{nn}": _round12(
-            phi_functional(mm, nn, TransformContext.neutral(), cfg.params)
+            phi_functional(mm, nn, TransformContext.neutral(), params)
         )
         for mm in (1, 2, 3)
         for nn in (1, 2, 3)

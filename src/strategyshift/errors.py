@@ -17,10 +17,6 @@ class OrderError(StrategyShiftError):
     """A series coefficient beyond the retained truncation order was requested."""
 
 
-class SingularConstantError(StrategyShiftError):
-    """Closed-form constants are undefined for the given parameters."""
-
-
 class DomainError(StrategyShiftError):
     """An argument lies outside the mathematical domain of the operation."""
 

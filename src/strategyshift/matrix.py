@@ -3,8 +3,7 @@
 A 2x2 matrix assigns one of four labels from two threshold comparisons, with
 ties going to the low side.  The growth-share variant uses a different
 A-threshold in the high-growth row, so the B comparison is evaluated first.
-A point with a NaN or infinite coordinate lies in no region.  Shift
-prediction from a position is ``analytics.shift_advisor``.
+A point with a NaN or infinite coordinate lies in no region.
 """
 
 from __future__ import annotations

@@ -16,14 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
-from .analytics import (
-    expected_exit_index,
-    expected_shift_time,
-    lemma_constants_or_note,
-    lemma_pgf_a,
-    marginal_pgf,
-    phi_functional,
-)
+from .analytics import axis_means, lemma_note, lemma_pgf, phi_functional
 from .oracle import (
     EmpiricalExitSummary,
     empirical_functional,
@@ -105,8 +98,8 @@ def conformance_rows(summary: EmpiricalExitSummary) -> List[ConformanceRow]:
     """
     params, thresholds = summary.params, summary.thresholds
     m, n = int(thresholds.m), int(thresholds.n)
-    e_mu, e_nu = expected_exit_index(params)
-    t_a, t_b, p_a, p_b = expected_shift_time(params)
+    e_mu, t_a, p_a = axis_means(params, params.lambda_a)
+    e_nu, t_b, p_b = axis_means(params, params.lambda_b)
     gate_a = _exit_mean_assertable(params, thresholds.m)
     gate_b = _exit_mean_assertable(params, thresholds.n)
     rows = [
@@ -131,13 +124,12 @@ def conformance_rows(summary: EmpiricalExitSummary) -> List[ConformanceRow]:
     for z, pgf in pgfs.items():
         rows.append(judge(f"index_pgf_operator_a[z={z:g}]",
                           "exit-index PGF via the operator route, axis A",
-                          marginal_pgf("index_a", z, m, n, params), pgf))
-    constants = lemma_constants_or_note(params)
+                          phi_functional(m, n, TransformContext(z=z), params), pgf))
+    note = lemma_note(params)
     for z, pgf in pgfs.items():
-        closed = constants if isinstance(constants, str) else lemma_pgf_a(z, m, constants)
         rows.append(judge(f"index_pgf_closed_a[z={z:g}]",
                           "exit-index PGF, memoryless closed form, axis A",
-                          closed, pgf))
+                          note or lemma_pgf(z, m, params, params.lambda_a), pgf))
 
     neutral = TransformContext.neutral()
     rows.append(judge("joint_functional",

@@ -107,10 +107,15 @@ class TruncatedSeries:
         alternating coefficients near e^c in size, and the error grows with
         them; squaring a series with non-negative coefficients cancels
         nothing.  exp(a0) is never formed unscaled, so its underflow below
-        1e-308 does not zero the whole series.
+        1e-308 does not zero the whole series.  An argument whose absolute
+        coefficient sum overflows cannot be scaled and is refused.
         """
         a = self.coeffs
-        s = max(0, math.frexp(float(np.abs(a).sum()))[1])
+        with np.errstate(over="ignore"):
+            norm = float(np.abs(a).sum())
+        if not math.isfinite(norm):
+            raise DomainError("series exponential argument is too large")
+        s = max(0, math.frexp(norm)[1])
         f = _newton_exp(np.ldexp(a, -s))
         for _ in range(s):
             if not f.any():

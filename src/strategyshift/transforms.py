@@ -57,8 +57,10 @@ def gamma_series(
     in the z slot.
 
     Expands the interval LST at theta + lambda * (1 - h(x)) as a truncated
-    power series in x.  Each distinct series is built once per process; the
-    returned coefficients are shared and read-only.
+    power series in x.  An interval mean times intensity that overflows
+    leaves a non-finite series argument, which is refused.  Each distinct
+    series is built once per process; the returned coefficients are shared
+    and read-only.
     """
     if order < 0:
         raise DomainError("series order must be nonnegative")
@@ -70,11 +72,14 @@ def gamma_series(
 @lru_cache(maxsize=256)
 def _gamma_series(order, theta, intensity, mark, interval) -> TruncatedSeries:
     h = TruncatedSeries(_pgf_coefficients(mark, order))
-    inner = theta + intensity * (1.0 - h)
+    with np.errstate(over="ignore"):
+        arg = interval.mean * (theta + intensity * (1.0 - h))
+    if not np.isfinite(arg.coeffs).all():
+        raise DomainError("interval mean times intensity overflows the series argument")
     if interval.family == "exponential":
-        series = (1.0 + interval.mean * inner).reciprocal()
+        series = (1.0 + arg).reciprocal()
     else:
-        series = (-interval.mean * inner).exp()
+        series = (-arg).exp()
     series.coeffs.setflags(write=False)
     return series
 

@@ -9,12 +9,7 @@ import pytest
 import conftest
 from literal import d_apply, d_apply_2d
 from strategyshift import cli
-from strategyshift.analytics import (
-    axis_factor,
-    marginal_pgf,
-    phi_functional,
-    phi_series,
-)
+from strategyshift.analytics import axis_factor, phi_functional, phi_series
 from strategyshift.matrix import StrategyMatrix, bcg_scale, classify
 from strategyshift.oracle import empirical_pgf, estimate_exits
 from strategyshift.params import (
@@ -142,7 +137,7 @@ def test_criterion_5_functional_pipeline():
     # emit the operator-route vs empirical exit-index PGF comparison
     summary = estimate_exits(REFERENCE, UNIT, 50_000, 23)
     for z in (0.25, 0.5, 0.75):
-        analytic = marginal_pgf("index_a", z, 1, 1, REFERENCE)
+        analytic = phi_functional(1, 1, TransformContext(z=z), REFERENCE)
         estimate, se = empirical_pgf(summary, z)
         rel = abs(estimate - analytic) / analytic
         verdict = "match" if abs(estimate - analytic) <= 3 * se else "deviation"
@@ -210,12 +205,12 @@ def test_criterion_8_determinism_and_exit_codes(tmp_path, monkeypatch):
     ok &= cli.main(["classify", str(cfg), "--share", "-2", "--growth", "1"]) == 4
 
     import strategyshift.report as report
-    real = report.expected_exit_index
+    real = report.axis_means
 
-    def wrong(params):
-        return 50.0, real(params)[1]
+    def wrong(params, intensity):
+        return (50.0, *real(params, intensity)[1:])
 
-    monkeypatch.setattr(report, "expected_exit_index", wrong)
+    monkeypatch.setattr(report, "axis_means", wrong)
     ok &= cli.main(["conformance", str(cfg)]) == 5
     _verdict("criterion 8: determinism, formats, exit-code contract", ok)
 

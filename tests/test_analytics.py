@@ -2,19 +2,14 @@ import numpy as np
 import pytest
 
 from strategyshift.analytics import (
-    LemmaConstants,
     axis_factor,
     axis_means,
-    expected_exit_index,
-    expected_shift_time,
-    lemma_constants_or_note,
-    lemma_pgf_a,
-    lemma_pgf_b,
-    marginal_pgf,
+    lemma_note,
+    lemma_pgf,
     phi_functional,
     phi_series,
 )
-from strategyshift.errors import DomainError, NoExitError, SingularConstantError
+from strategyshift.errors import DomainError, NoExitError
 from strategyshift.params import IntervalDistribution, MarkDistribution, ModelParams
 from strategyshift.series import d_extract, d_extract_2d
 from strategyshift.transforms import TransformContext, gamma_series
@@ -131,33 +126,49 @@ class TestPhiFunctional:
 
 
 class TestMarginalPgf:
+    # The operator route's single-argument PGF/LST is phi_functional at a
+    # context with one non-neutral slot.
     def test_neutral_specialization(self, reference_params):
         neutral = phi_functional(1, 1, TransformContext.neutral(), reference_params)
-        assert marginal_pgf("index_a", 1.0, 1, 1, reference_params) == pytest.approx(
-            neutral, abs=1e-12
-        )
-        assert marginal_pgf("shift_a", 0.0, 1, 1, reference_params) == pytest.approx(
-            neutral, abs=1e-12
-        )
-
-    def test_unknown_marginal(self, reference_params):
-        with pytest.raises(DomainError):
-            marginal_pgf("bogus", 0.5, 1, 1, reference_params)
+        assert phi_functional(1, 1, TransformContext(z=1.0), reference_params) == (
+            pytest.approx(neutral, abs=1e-12))
+        assert phi_functional(1, 1, TransformContext(theta1=0.0), reference_params) == (
+            pytest.approx(neutral, abs=1e-12))
 
     def test_pgf_argument_validated(self, reference_params):
         with pytest.raises(DomainError):
-            marginal_pgf("index_a", 1.5, 1, 1, reference_params)
+            phi_functional(1, 1, TransformContext(z=1.5), reference_params)
+
+
+def _lemma_literal(z, level, d0, lam, kappa):
+    # the printed formula with kappa given explicitly
+    base = 1.0 + d0 * lam
+    bracket = sum((d0 * lam / base) ** j for j in range(level + 1))
+    tail = sum((d0 * lam / (base - z)) ** k for k in range(level + 1))
+    return (z + ((1.0 - kappa) / base) * bracket + (kappa / base) * bracket
+            - ((1.0 - z) * z / (base - z)) * tail)
 
 
 class TestLemmaConstants:
     def test_kappa_values(self):
-        c = LemmaConstants.from_params(_exp_params(lambda_a=2.0, d0=2.0, d=1.0))
-        assert c.kappa == pytest.approx(0.5)
-        assert c.kappa1 == pytest.approx(1.0)
+        # kappa = 1 / (lambda (d0 - d)): 0.5 on axis A (lambda 2), 1.0 on B
+        params = _exp_params(lambda_a=2.0, d0=2.0, d=1.0)
+        for z in (0.0, 0.3, 0.8):
+            assert lemma_pgf(z, 2, params, 2.0) == _lemma_literal(z, 2, 2.0, 2.0, 0.5)
+            assert lemma_pgf(z, 2, params, 1.0) == _lemma_literal(z, 2, 2.0, 1.0, 1.0)
+        # the two kappa brackets cancel up to rounding, which a huge kappa
+        # (d0 - d = 2**-30) makes visible: 2**29 on A, 2**30 on B
+        near = _exp_params(lambda_a=2.0, d0=2.0, d=2.0 - 2.0**-30)
+        for z in (0.3, 0.8):
+            for lam, kappa in ((2.0, 2.0**29), (1.0, 2.0**30)):
+                value = lemma_pgf(z, 2, near, lam)
+                assert value == _lemma_literal(z, 2, 2.0, lam, kappa)
+                assert value != _lemma_literal(z, 2, 2.0, lam, 3.0 * kappa)
 
     def test_equal_means_singular(self):
-        with pytest.raises(SingularConstantError):
-            LemmaConstants.from_params(_exp_params(d0=1.0, d=1.0))
+        assert lemma_note(_exp_params(d0=1.0, d=1.0)) == "singular"
+        with pytest.raises(DomainError):
+            lemma_pgf(0.5, 1, _exp_params(d0=1.0, d=1.0), 1.0)
 
     def test_requires_memoryless(self):
         params = ModelParams(
@@ -166,7 +177,7 @@ class TestLemmaConstants:
             IntervalDistribution.deterministic(1.0),
         )
         with pytest.raises(DomainError):
-            LemmaConstants.from_params(params)
+            lemma_pgf(0.5, 1, params, 1.0)
 
     def test_note_labels(self):
         deterministic = ModelParams(
@@ -174,63 +185,77 @@ class TestLemmaConstants:
             IntervalDistribution.deterministic(2.0),
             IntervalDistribution.deterministic(1.0),
         )
-        assert lemma_constants_or_note(deterministic) == (
+        assert lemma_note(deterministic) == (
             "requires memoryless observation intervals")
-        assert lemma_constants_or_note(_exp_params(d0=1.0, d=1.0)) == "singular"
-        assert lemma_constants_or_note(_exp_params(lambda_b=0.0, d0=2.0)) == (
+        assert lemma_note(_exp_params(d0=1.0, d=1.0)) == "singular"
+        assert lemma_note(_exp_params(lambda_b=0.0, d0=2.0)) == (
             "no shift predicted")
-        constants = lemma_constants_or_note(_exp_params(d0=2.0, d=1.0))
-        assert constants == LemmaConstants.from_params(_exp_params(d0=2.0, d=1.0))
+        assert lemma_note(_exp_params(d0=2.0, d=1.0)) is None
+        # checked in order: memoryless, then d0 = d, then zero intensity
+        singular_static = ModelParams(
+            0.0, 0.0,
+            IntervalDistribution.deterministic(1.0),
+            IntervalDistribution.deterministic(1.0),
+        )
+        assert lemma_note(singular_static) == (
+            "requires memoryless observation intervals")
+        assert lemma_note(_exp_params(lambda_a=0.0)) == "singular"
 
 
 class TestLemmaPgf:
     @pytest.fixture
-    def constants(self):
-        return LemmaConstants.from_params(_exp_params(d0=2.0, d=1.0))
+    def params(self):
+        return _exp_params(d0=2.0, d=1.0)
 
-    def test_endpoints_kill_third_term(self, constants):
+    def test_endpoints_kill_third_term(self, params):
         # at z in {0, 1} the (1 - z) z tail vanishes, leaving the bracket part
-        base = 1.0 + constants.delta0_mean * constants.lambda_a
-        ratio = constants.delta0_mean * constants.lambda_a / base
+        base = 1.0 + params.delta0_mean * params.lambda_a
+        ratio = params.delta0_mean * params.lambda_a / base
         bracket = sum(ratio**j for j in range(2))
-        assert lemma_pgf_a(0.0, 1, constants) == pytest.approx(bracket / base)
-        assert lemma_pgf_a(1.0, 1, constants) == pytest.approx(1.0 + bracket / base)
+        assert lemma_pgf(0.0, 1, params, params.lambda_a) == pytest.approx(
+            bracket / base)
+        assert lemma_pgf(1.0, 1, params, params.lambda_a) == pytest.approx(
+            1.0 + bracket / base)
 
-    def test_value_logged_case(self, constants):
+    def test_value_logged_case(self, params):
         # frozen value of the literal formula at z = 0.5, m = 1
-        assert lemma_pgf_a(0.5, 1, constants) == pytest.approx(0.87555555555555, abs=1e-10)
+        assert lemma_pgf(0.5, 1, params, params.lambda_a) == pytest.approx(
+            0.87555555555555, abs=1e-10)
 
-    def test_b_side_mirrors_a_side(self):
-        sym = LemmaConstants.from_params(_exp_params(d0=2.0, d=1.0))
-        assert lemma_pgf_b(0.3, 2, sym) == pytest.approx(lemma_pgf_a(0.3, 2, sym))
+    def test_b_side_mirrors_a_side(self, params):
+        assert lemma_pgf(0.3, 2, params, params.lambda_b) == pytest.approx(
+            lemma_pgf(0.3, 2, params, params.lambda_a))
 
-    def test_argument_domain(self, constants):
+    def test_argument_domain(self, params):
         with pytest.raises(DomainError):
-            lemma_pgf_a(-0.1, 1, constants)
+            lemma_pgf(-0.1, 1, params, params.lambda_a)
+
+
+def _index_mean(params, axis="a"):
+    return axis_means(params, params.lambda_a if axis == "a" else params.lambda_b)[0]
 
 
 class TestClosedFormMeans:
     def test_exit_index_values(self):
-        assert expected_exit_index(_exp_params())[0] == 1.0
-        assert expected_exit_index(_exp_params(lambda_a=0.5, d=2.0))[0] == 1.0
+        assert _index_mean(_exp_params()) == 1.0
+        assert _index_mean(_exp_params(lambda_a=0.5, d=2.0)) == 1.0
 
     def test_shift_time_values(self):
-        ta, _, prior_a, _ = expected_shift_time(_exp_params(lambda_a=0.5))
+        _, ta, prior_a = axis_means(_exp_params(lambda_a=0.5), 0.5)
         assert ta == 2.0
         assert prior_a == 1.0
 
     def test_zero_intensity_rejected(self):
         with pytest.raises(NoExitError):
-            expected_exit_index(_exp_params(lambda_a=0.0))
+            _index_mean(_exp_params(lambda_a=0.0))
         with pytest.raises(NoExitError):
-            expected_shift_time(_exp_params(lambda_b=0.0))
+            _index_mean(_exp_params(lambda_b=0.0), axis="b")
 
     def test_axis_means_feed_both_axes(self):
         params = _exp_params(lambda_a=0.5, lambda_b=2.0, d0=1.7, d=0.8)
         a, b = axis_means(params, 0.5), axis_means(params, 2.0)
-        assert expected_exit_index(params) == (a[0], b[0])
-        assert expected_shift_time(params) == (a[1], b[1], a[2], b[2])
         assert a == (1.0 / (0.8 * 0.5), 1.7 + 2.0 - 0.8, 1.7 + 2.0 - 0.8 - 0.8)
+        assert b == (1.0 / (0.8 * 2.0), 1.7 + 0.5 - 0.8, 1.7 + 0.5 - 0.8 - 0.8)
         with pytest.raises(NoExitError):
             axis_means(params, 0.0)
 
@@ -239,16 +264,15 @@ class TestClosedFormMeans:
         for la in (0.25, 0.5, 1.0, 2.0):
             for d in (0.5, 1.0, 3.0):
                 params = _exp_params(lambda_a=la, lambda_b=la, d0=1.7, d=d)
-                e_mu, _ = expected_exit_index(params)
-                t_a, _, _, _ = expected_shift_time(params)
+                e_mu, t_a, _ = axis_means(params, la)
                 assert abs((t_a - params.delta0_mean) - d * (e_mu - 1.0)) <= 1e-12
 
     def test_monotone_in_intensity_and_interval(self):
         las = [0.25, 0.5, 1.0, 2.0, 4.0]
-        means = [expected_exit_index(_exp_params(lambda_a=la))[0] for la in las]
+        means = [_index_mean(_exp_params(lambda_a=la)) for la in las]
         assert all(a > b for a, b in zip(means, means[1:]))
         ds = [0.5, 1.0, 2.0, 4.0]
-        means = [expected_exit_index(_exp_params(d=d))[0] for d in ds]
+        means = [_index_mean(_exp_params(d=d)) for d in ds]
         assert all(a > b for a, b in zip(means, means[1:]))
 
     def test_geometric_oracle_at_unit_threshold(self, reference_params):
@@ -256,4 +280,4 @@ class TestClosedFormMeans:
         # so the exit index is 'number of failures' with mean exactly 1
         p_exceed = 0.5
         e_mu = sum(j * (1 - p_exceed) ** j * p_exceed for j in range(200))
-        assert expected_exit_index(reference_params)[0] == pytest.approx(e_mu, abs=1e-9)
+        assert _index_mean(reference_params) == pytest.approx(e_mu, abs=1e-9)

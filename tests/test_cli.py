@@ -237,12 +237,12 @@ class TestExitCodes:
         # force an assertably wrong closed form to exercise exit code 5
         import strategyshift.report as report
 
-        real = report.expected_exit_index
+        real = report.axis_means
 
-        def wrong(params):
-            return 50.0, real(params)[1]
+        def wrong(params, intensity):
+            return (50.0, *real(params, intensity)[1:])
 
-        monkeypatch.setattr(report, "expected_exit_index", wrong)
+        monkeypatch.setattr(report, "axis_means", wrong)
         assert cli.main(["conformance", str(config_file)]) == 5
 
     @pytest.mark.parametrize("field, value", [
@@ -264,6 +264,97 @@ class TestExitCodes:
             assert cli.main([command, str(path)]) == 4
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    @pytest.mark.parametrize("family, fields", [
+        ("exponential", {"interval_mean": 1e300, "lambda_a": 1e300}),
+        ("deterministic", {"interval_mean": 1e300, "lambda_a": 1e300}),
+        ("deterministic", {"initial_mean": 1e154, "interval_mean": 1e154,
+                           "lambda_a": 1e154, "lambda_b": 1e154}),
+    ])
+    def test_overflowing_series_argument_is_a_domain_error(
+            self, tmp_path, monkeypatch, capsys, family, fields):
+        # interval mean times intensity overflows the series argument (1e300)
+        # or its absolute coefficient sum (1e154)
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        doc = json.loads(json.dumps(REFERENCE_DOC))
+        doc["observation"]["family"] = family
+        for key, value in fields.items():
+            doc["process" if key.startswith("lambda") else "observation"][key] = value
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        for command in ("analyze", "conformance"):
+            capsys.readouterr()
+            assert cli.main([command, str(path)]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "analysis.json").exists()
+
+    def test_zero_intensity_b_at_zero_threshold(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        doc = json.loads(json.dumps(REFERENCE_DOC))
+        doc["process"]["lambda_b"] = 0.0
+        doc["thresholds"]["n"] = 0
+        path = tmp_path / "static_b.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["analyze", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "analysis.json").read_text())
+        assert report["means"]["b"] == dict.fromkeys(
+            ("exit_index_mean", "shift_time_mean", "prior_time_mean"),
+            "no shift predicted")
+        assert report["means"]["a"]["exit_index_mean"] == 1.0
+        capsys.readouterr()
+        assert cli.main(["conformance", str(path)]) == 4
+        assert capsys.readouterr().err == (
+            "error: closed-form means need a positive intensity\n")
+        assert not (tmp_path / "out" / "conformance.json").exists()
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+#: Configs on which analyze and conformance must report the same closed forms.
+AGREEMENT_DOCS = {
+    "reference": json.loads((REPO / "configs" / "reference.json").read_text()),
+    "deterministic": dict(
+        REFERENCE_DOC,
+        process={"lambda_a": 1.0, "lambda_b": 1.0,
+                 "mark_a": {"family": "geometric", "p": 0.4}},
+        observation={"family": "deterministic", "initial_mean": 2.0,
+                     "interval_mean": 1.0},
+        thresholds={"m": 5, "n": 3}),
+    "exponential_d0_ne_d": dict(
+        REFERENCE_DOC,
+        process={"lambda_a": 1.0, "lambda_b": 1.0,
+                 "mark_a": {"family": "geometric", "p": 0.4}},
+        observation={"family": "exponential", "initial_mean": 2.0,
+                     "interval_mean": 1.0},
+        thresholds={"m": 4, "n": 3}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_DOCS))
+def test_analyze_and_conformance_report_the_same_closed_forms(
+        tmp_path, monkeypatch, name):
+    # The analytic column does not depend on the sample, so a small one does.
+    doc = dict(AGREEMENT_DOCS[name], simulation={"paths": 2000, "seed": 7})
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["analyze", str(path)]) == 0
+    assert cli.main(["conformance", str(path)]) == 0
+    analysis = json.loads((tmp_path / "analysis.json").read_text())
+    rows = {r["quantity"]: r["analytic"]
+            for r in json.loads((tmp_path / "conformance.json").read_text())}
+
+    means = analysis["means"]["a"]
+    assert rows["mean_exit_index_a"] == means["exit_index_mean"]
+    assert rows["mean_shift_time_a"] == means["shift_time_mean"]
+    assert rows["mean_prior_time_a"] == means["prior_time_mean"]
+    closed = analysis["index_pgf_closed"]
+    for z, value in analysis["index_pgf_operator"]["a"].items():
+        assert rows[f"index_pgf_operator_a[z={z}]"] == value
+        assert rows[f"index_pgf_closed_a[z={z}]"] == (
+            closed["note"] if "note" in closed else closed["a"][z])
 
 
 class TestArtifacts:

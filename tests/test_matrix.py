@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from strategyshift.analytics import shift_advisor
 from strategyshift.errors import DomainError
 from strategyshift.matrix import StrategyMatrix, bcg_classify, bcg_scale, classify
-from strategyshift.params import IntervalDistribution, ModelParams
 
 BCG = StrategyMatrix.bcg()
 
@@ -93,35 +91,3 @@ class TestBcgClassify:
 
     def test_boundary_share_one_is_dogs(self):
         assert bcg_classify(1.0, 10.0) == "Dogs"
-
-
-class TestShiftAdvisor:
-    def _params(self, lambda_a=0.5, lambda_b=0.5):
-        return ModelParams(
-            lambda_a, lambda_b,
-            IntervalDistribution.exponential(1.0),
-            IntervalDistribution.exponential(1.0),
-        )
-
-    def test_cow_predicts_stars_after_growth_exceedance(self):
-        # share 2.0 -> A ~ 30.1: Cows now, Stars once B crosses 10
-        advice = shift_advisor(bcg_scale(2.0), 5.0, self._params(), BCG)
-        assert advice.current_region == "Cows"
-        assert advice.axis_b.region_after == "Stars"
-
-    def test_reported_means(self):
-        advice = shift_advisor(0.0, 0.0, self._params(lambda_a=0.5), BCG)
-        assert advice.axis_a.expected_shift_time == pytest.approx(2.0)
-        assert advice.axis_a.expected_prior_time == pytest.approx(1.0)
-
-    def test_static_axes(self):
-        advice = shift_advisor(0.0, 0.0, self._params(0.0, 0.0), BCG)
-        assert not advice.axis_a.shift_predicted
-        assert not advice.axis_b.shift_predicted
-        assert advice.axis_a.note == "no shift predicted"
-        assert advice.axis_b.note == "no shift predicted"
-
-    def test_question_mark_predicts_stars_after_share_exceedance(self):
-        advice = shift_advisor(10.0, 12.0, self._params(), BCG)
-        assert advice.current_region == "Question Marks"
-        assert advice.axis_a.region_after == "Stars"

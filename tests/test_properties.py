@@ -22,7 +22,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from strategyshift import cli
 from strategyshift import config as config_mod
@@ -77,6 +77,19 @@ def documents(draw):
     return doc
 
 
+def _overflowing(family, **fields):
+    """A valid document whose interval mean times intensity overflows."""
+    doc = {
+        "process": {"lambda_a": 1.0, "lambda_b": 1.0},
+        "observation": {"family": family, "initial_mean": 1.0, "interval_mean": 1.0},
+        "thresholds": {"m": 1, "n": 1},
+        "simulation": {"paths": 100, "seed": 7},
+    }
+    for key, value in fields.items():
+        doc["process" if key.startswith("lambda") else "observation"][key] = value
+    return doc
+
+
 def _strict(token):
     raise ValueError(f"non-finite JSON number {token}")
 
@@ -84,6 +97,10 @@ def _strict(token):
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(documents())
+@example(_overflowing("exponential", interval_mean=1e300, lambda_a=1e300))
+@example(_overflowing("deterministic", interval_mean=1e300, lambda_a=1e300))
+@example(_overflowing("deterministic", initial_mean=1e154, interval_mean=1e154,
+                      lambda_a=1e154, lambda_b=1e154))
 def test_every_document_ends_in_a_documented_exit_code(doc):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
