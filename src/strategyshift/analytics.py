@@ -21,6 +21,7 @@ and judged by the conformance harness, not patched here.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Optional, Tuple
 
@@ -154,10 +155,18 @@ def axis_means(params: ModelParams, intensity: float) -> Tuple[float, float, flo
     Returns (E[exit index], E[shift epoch], E[prior epoch]) with
     E[exit index] = 1 / (delta_mean * lambda), E[shift epoch] =
     delta0_mean + 1/lambda - delta_mean and prior = E[shift epoch] -
-    delta_mean.  A zero-intensity axis never exits.
+    delta_mean.  A zero-intensity axis never exits; a product
+    delta_mean * lambda that underflows to 0, or a mean that overflows, is a
+    DomainError.
     """
     if intensity <= 0.0:
         raise NoExitError("closed-form means need a positive intensity")
     d0, d = params.delta0_mean, params.delta_mean
+    rate = d * intensity
+    if rate == 0.0:
+        raise DomainError("interval mean times intensity underflows to 0")
     shift = d0 + 1.0 / intensity - d
-    return 1.0 / (d * intensity), shift, shift - d
+    means = (1.0 / rate, shift, shift - d)
+    if not all(math.isfinite(mean) for mean in means):
+        raise DomainError("closed-form means overflow")
+    return means

@@ -149,6 +149,19 @@ def _number(block: dict, key: str, block_name: str, default=None,
     return int(raw) if isinstance(raw, int) else int(value)
 
 
+def _strings(block: dict, key: str, block_name: str, default) -> tuple:
+    """``block[key]`` as a tuple of strings; a missing key takes ``default``.
+
+    Anything but a list of strings is rejected with the entry's field name.
+    """
+    field = f"{block_name}.{key}"
+    raw = block.get(key, default)
+    if not isinstance(raw, list) or not all(isinstance(item, str) for item in raw):
+        raise ConfigError(f"{field} must be a list of strings, got {raw!r}",
+                          field=field)
+    return tuple(raw)
+
+
 def _check_keys(block: dict, block_name: str, allowed):
     unknown = set(block) - allowed
     if unknown:
@@ -236,7 +249,7 @@ def from_dict(doc: dict) -> RunConfig:
     if not isinstance(out, dict):
         raise ConfigError("block 'output' must be an object", field="output")
     _check_keys(out, "output", _ALLOWED_KEYS["output"])
-    formats = tuple(out.get("formats", ["csv", "json"]))
+    formats = _strings(out, "formats", "output", ["csv", "json"])
     bad = set(formats) - {"csv", "json"}
     if bad:
         raise ConfigError(f"unknown output format(s) {sorted(bad)}", field="output.formats")
@@ -262,10 +275,10 @@ def _parse_matrix(raw):
         raise ConfigError("block 'matrix' must be an object", field="matrix")
     _check_keys(raw, "matrix", _ALLOWED_KEYS["matrix"])
     mode = raw.get("mode", "row-dependent")
-    labels = raw.get("labels")
+    labels = _strings(raw, "labels", "matrix", [])
     scale = _number(raw, "scale_factor", "matrix", DEFAULT_SCALE_FACTOR)
     if mode == "uniform":
-        labels = tuple(labels) if labels else ("I", "II", "III", "IV")
+        labels = labels or ("I", "II", "III", "IV")
         if len(labels) != 4:
             raise ConfigError("matrix.labels must list four region names",
                               field="matrix.labels")
@@ -278,7 +291,7 @@ def _parse_matrix(raw):
         )
     if mode == "row-dependent":
         default = StrategyMatrix.bcg()
-        labels = tuple(labels) if labels else default.labels
+        labels = labels or default.labels
         if len(labels) != 4:
             raise ConfigError("matrix.labels must list four region names",
                               field="matrix.labels")

@@ -14,13 +14,16 @@ or after T and the prior epoch is the one before it: plain arithmetic for
 deterministic intervals, a few memoryless draws around T for exponential ones
 (``_PoissonEpochs``).  The level at exit adds the increments over (T, epoch].
 A path thus costs a fixed number of draws per recorded level, whatever its
-exit index.
+exit index.  Each extra axis-A level of the threshold-dependence study is a
+fresh draw of the same kind on the same paths' first epochs, so its exit index
+has its exact law but is not coupled to the other levels of its path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -54,8 +57,10 @@ def compound_increments(
     Raises ParameterError when numpy refuses a draw: an expected arrival
     count beyond the int64 range, or a geometric mark total too large.
     """
+    with np.errstate(over="ignore"):  # numpy refuses an infinite mean below
+        means = intensity * interval_lengths
     try:
-        counts = rng.poisson(intensity * interval_lengths)
+        counts = rng.poisson(means)
         if mark.family == "unit":
             return counts.astype(np.int64)
         if mark.family == "fixed":
@@ -78,7 +83,8 @@ class EmpiricalExitSummary:
 
     Arrays are aligned by path; censored axes hold index -1 and NaN epochs.
     ``study_mu`` maps each extra axis-A level to its exit-index array (-1
-    where censored).
+    where censored).  Each such array has its level's exact law, but is drawn
+    on its own: it is not coupled to ``mu`` or to the other levels.
     """
 
     n_paths: int
@@ -144,10 +150,13 @@ class EmpiricalExitSummary:
 _MAX_GAP_EPOCHS = 1e18
 
 
-def _crossing(rng, intensity, mark, need):
-    """(arrivals, total, elapsed time) at the arrival that first brings a
-    fresh compound Poisson stream to ``need`` or above (an int64 array,
-    entries >= 1)."""
+def _crossing(rng, intensity, mark, level, size):
+    """(total, elapsed time) on ``size`` paths at the arrival that first
+    brings a fresh compound Poisson stream to ``level`` or above; a level
+    <= 0 is there at time 0 with total 0."""
+    if level <= 0:
+        return np.zeros(size, dtype=np.int64), np.zeros(size)
+    need = np.full(size, level, dtype=np.int64)
     if mark.family == "unit":
         arrivals, total = need, need
     elif mark.family == "fixed":
@@ -156,34 +165,11 @@ def _crossing(rng, intensity, mark, need):
     else:
         # The totals a sum of geometric(p) marks visits are the successes of
         # Bernoulli(p) trials over the levels 1, 2, ...: it visits
-        # Binomial(need - 1, p) levels below ``need``, and its first total at
-        # or above ``need`` is need - 1 + Geometric(p) by memorylessness.
+        # Binomial(level - 1, p) levels below ``level``, and its first total
+        # at or above ``level`` is level - 1 + Geometric(p) by memorylessness.
         arrivals = 1 + rng.binomial(need - 1, mark.p)
-        total = need - 1 + rng.geometric(mark.p, need.size)
-    return arrivals, total, rng.gamma(arrivals, 1.0 / intensity)
-
-
-def _bridged_crossing(rng, mark, level, top, top_arrivals, top_times):
-    """(arrivals, time) at the first crossing of ``level`` <= ``top`` by a
-    stream that first reached ``top`` at arrival ``top_arrivals``, time
-    ``top_times``."""
-    shape = top_arrivals.shape
-    if level <= 0:
-        return np.zeros(shape, dtype=np.int64), np.zeros(shape)
-    if mark.family == "unit":
-        arrivals = np.full(shape, level, dtype=np.int64)
-    elif mark.family == "fixed":
-        arrivals = np.full(shape, -(-level // mark.value), dtype=np.int64)
-    else:
-        # Given their number, the levels visited below ``top`` are a uniform
-        # subset of 1 .. top - 1.
-        arrivals = 1 + rng.hypergeometric(level - 1, top - level, top_arrivals - 1)
-    # The arrivals before a given one of a Poisson stream are uniform order
-    # statistics on (0, its time).
-    times = top_times.copy()
-    inner = arrivals < top_arrivals
-    times[inner] *= rng.beta(arrivals[inner], top_arrivals[inner] - arrivals[inner])
-    return arrivals, times
+        total = need - 1 + rng.geometric(mark.p, size)
+    return total, rng.gamma(arrivals, 1.0 / intensity)
 
 
 class _ArithmeticEpochs:
@@ -193,107 +179,54 @@ class _ArithmeticEpochs:
     def __init__(self, t0, d, cap):
         self.t0, self.d, self.cap = t0, d, cap
 
-    def first_at_or_after(self, times, rows):
+    def first_at_or_after(self, times):
         """Index (at most ``cap``), previous epoch (0 before index 0) and
-        epoch of the first observation at or after ``times`` on ``rows``."""
-        t0 = self.t0[rows]
-        index = np.clip(np.ceil((times - t0) / self.d), 0, self.cap)
-        epoch = t0 + index * self.d
+        epoch of the first observation at or after ``times``, per path."""
+        with np.errstate(over="ignore"):  # an overflowing index is capped
+            index = np.clip(np.ceil((times - self.t0) / self.d), 0, self.cap)
+        epoch = self.t0 + index * self.d
         return index.astype(np.int64), np.where(index > 0, epoch - self.d, 0.0), epoch
-
-
-def _scatter(size, rows, values):
-    out = np.full(size, np.nan if values.dtype.kind == "f" else 0, dtype=values.dtype)
-    out[rows] = values
-    return out
 
 
 class _PoissonEpochs:
     """Observation epochs of exponential later intervals, sampled only around
-    the times asked about.
+    the times asked about, which must not decrease on a path.
 
     After the first epoch t0 the epochs form a Poisson process of rate 1/d.
-    A time q past a path's last sampled epoch F samples one segment: looking
+    A time q past a path's last sampled epoch x samples one segment: looking
     back from q, the last epoch before q lies Exp(d) earlier, at p, unless
-    that reaches back past F (then p = F and no epoch lies in (F, q)); the
-    epochs strictly between F and p number Poisson((p - F) / d) and are
-    uniform there; the first epoch at or after q is x = q + Exp(d).  A time
-    at or before F falls in a sampled segment.  In (p, x] its epoch is x.  In
-    (F, p) only its index is drawn: the binomial share of the segment's
-    uniform epochs before it.  Such times must come in increasing order per
-    path, so that each share is drawn given the ones before it.
+    that reaches back past x (then p = x and no epoch lies in (x, q)); the
+    epochs strictly between x and p number Poisson((p - x) / d); the first
+    epoch at or after q is the new x = q + Exp(d).  A later time at or before
+    x lies in (p, x], so its epoch is x too.
     """
 
     def __init__(self, rng, t0, d, cap):
-        n = t0.size
-        self.rng, self.t0, self.d, self.cap = rng, t0, d, cap
-        self.last = t0.copy()
-        self.last_index = np.zeros(n, dtype=np.int64)
-        # One (F, index of F, p, epochs in (F, q), x) per extending call,
-        # NaN/0 on the paths that call did not extend.
-        self.segments = []
-        # Per path: the segment of the last time looked up inside (F, p), that
-        # time, and how many of the segment's uniform epochs lie before it.
-        self.cursor = np.full(n, -1)
-        self.cursor_time = np.zeros(n)
-        self.cursor_below = np.zeros(n, dtype=np.int64)
+        self.rng, self.d, self.cap = rng, d, cap
+        # Per path: the index of x, the epoch before it (0 before index 0), x.
+        self.index = np.zeros(t0.size, dtype=np.int64)
+        self.prev = np.zeros(t0.size)
+        self.epoch = t0.copy()
 
-    def first_at_or_after(self, times, rows):
-        """As ``_ArithmeticEpochs.first_at_or_after``; the previous epoch and
-        the epoch are NaN where only the index is drawn."""
-        index = np.zeros(rows.size, dtype=np.int64)
-        prev = np.zeros(rows.size)
-        epoch = self.t0[rows]
-        ahead = times > self.last[rows]
+    def first_at_or_after(self, times):
+        """As ``_ArithmeticEpochs.first_at_or_after``."""
+        ahead = times > self.epoch
         if ahead.any():
-            index[ahead], prev[ahead], epoch[ahead] = self._extend(times[ahead],
-                                                                   rows[ahead])
-        inside = ~ahead & (times > self.t0[rows])
-        if inside.any():
-            index[inside], prev[inside], epoch[inside] = self._look_up(
-                times[inside], rows[inside])
-        return index, prev, epoch
+            self._extend(times[ahead], np.flatnonzero(ahead))
+        return self.index.copy(), self.prev.copy(), self.epoch.copy()
 
     def _extend(self, times, rows):
         rng, d = self.rng, self.d
-        last, last_index = self.last[rows], self.last_index[rows]
+        last = self.epoch[rows]
         back = rng.exponential(d, rows.size)
         empty = back >= times - last
-        mean = np.where(empty, 0.0,
-                        np.minimum((times - back - last) / d, _MAX_GAP_EPOCHS))
+        with np.errstate(over="ignore"):  # an overflowing mean is capped
+            mean = np.where(empty, 0.0,
+                            np.minimum((times - back - last) / d, _MAX_GAP_EPOCHS))
         count = np.where(empty, 0, 1 + rng.poisson(mean))
-        prev = np.where(empty, last, times - back)
-        epoch = times + rng.exponential(d, rows.size)
-        index = np.minimum(last_index + count + 1, self.cap)
-        self.segments.append(tuple(_scatter(self.t0.size, rows, v)
-                                   for v in (last, last_index, prev, count, epoch)))
-        self.last[rows], self.last_index[rows] = epoch, index
-        return index, prev, epoch
-
-    def _look_up(self, times, rows):
-        index = np.empty(rows.size, dtype=np.int64)
-        prev = np.full(rows.size, np.nan)
-        epoch = np.full(rows.size, np.nan)
-        for number, (start, start_index, p, count, x) in enumerate(self.segments):
-            hit = (start[rows] < times) & (times <= x[rows])
-            late = hit & (times >= p[rows])
-            r = rows[late]
-            index[late] = np.minimum(start_index[r] + count[r] + 1, self.cap)
-            prev[late], epoch[late] = p[r], x[r]
-            early = hit & ~late
-            if not early.any():
-                continue
-            r, t = rows[early], times[early]
-            fresh = r[self.cursor[r] != number]
-            self.cursor[fresh] = number
-            self.cursor_time[fresh] = start[fresh]
-            self.cursor_below[fresh] = 0
-            since, below = self.cursor_time[r], self.cursor_below[r]
-            below = below + self.rng.binomial(count[r] - 1 - below,
-                                              (t - since) / (p[r] - since))
-            self.cursor_time[r], self.cursor_below[r] = t, below
-            index[early] = np.minimum(start_index[r] + 1 + below, self.cap)
-        return index, prev, epoch
+        self.prev[rows] = np.where(empty, last, times - back)
+        self.epoch[rows] = times + rng.exponential(d, rows.size)
+        self.index[rows] = np.minimum(self.index[rows] + count + 1, self.cap)
 
 
 def _simulate(
@@ -306,35 +239,29 @@ def _simulate(
 ) -> EmpiricalExitSummary:
     rng = np.random.default_rng(seed)
     cap = horizon + 1  # an index above the horizon is censored
-    rows = np.arange(n_paths)
     if params.obs_initial.family == "exponential":
         t0 = rng.exponential(params.obs_initial.mean, n_paths)
     else:
         t0 = np.full(n_paths, params.obs_initial.mean)
     d = params.obs_interval.mean
     if params.obs_interval.family == "exponential":
-        epochs = _PoissonEpochs(rng, t0, d, cap)
+        new_epochs = partial(_PoissonEpochs, rng, t0, d, cap)
     else:
-        epochs = _ArithmeticEpochs(t0, d, cap)
+        new_epochs = partial(_ArithmeticEpochs, t0, d, cap)
 
-    crossings = []
-    for intensity, mark, threshold in ((params.lambda_a, params.mark_a, thresholds.m),
-                                       (params.lambda_b, params.mark_b, thresholds.n)):
-        level = math.ceil(threshold)
-        if level > 0:
-            need = np.full(n_paths, level, dtype=np.int64)
-            crossings.append(_crossing(rng, intensity, mark, need))
-        else:
-            zeros = np.zeros(n_paths, dtype=np.int64)
-            crossings.append((zeros, zeros, np.zeros(n_paths)))
+    crossings = [_crossing(rng, intensity, mark, math.ceil(threshold), n_paths)
+                 for intensity, mark, threshold in (
+                     (params.lambda_a, params.mark_a, thresholds.m),
+                     (params.lambda_b, params.mark_b, thresholds.n))]
 
     # Both axes read the same epochs: place the earlier crossing first.
-    (_, _, time_a), (_, _, time_b) = crossings
+    epochs = new_epochs()
+    (_, time_a), (_, time_b) = crossings
     a_first = time_a <= time_b
-    first = epochs.first_at_or_after(np.minimum(time_a, time_b), rows)
-    second = epochs.first_at_or_after(np.maximum(time_a, time_b), rows)
+    first = epochs.first_at_or_after(np.minimum(time_a, time_b))
+    second = epochs.first_at_or_after(np.maximum(time_a, time_b))
     exits = []
-    for in_first, (_, total, crossed), intensity, mark in (
+    for in_first, (total, crossed), intensity, mark in (
         (a_first, crossings[0], params.lambda_a, params.mark_a),
         (~a_first, crossings[1], params.lambda_b, params.mark_b),
     ):
@@ -345,14 +272,20 @@ def _simulate(
                                                     epoch[ok] - crossed[ok])
         exits.append((index, prev, epoch, level))
 
-    study = _study_indices(rng, epochs, params, thresholds, levels, crossings[0],
-                           exits[0], cap)
+    # Each study level is drawn on its own after the (m, n) record, from a
+    # fresh crossing and fresh later epochs after the path's t0: its law is
+    # exact, and the record is the same with or without it.
+    study = {}
+    for level in sorted(set(levels) - {thresholds.m}):
+        _, crossed = _crossing(rng, params.lambda_a, params.mark_a, level, n_paths)
+        index = new_epochs().first_at_or_after(crossed)[0]
+        index[index >= cap] = -1
+        study[level] = index
+
     for index, prev, epoch, level in exits:
         censored = index >= cap
         index[censored] = -1
         prev[censored] = epoch[censored] = np.nan
-    for index in study.values():
-        index[index >= cap] = -1
 
     (mu, tau_mu_prev, tau_mu, lev_mu), (nu, tau_nu_prev, tau_nu, lev_nu) = exits
     return EmpiricalExitSummary(
@@ -366,39 +299,6 @@ def _simulate(
     )
 
 
-def _study_indices(rng, epochs, params, thresholds, levels, crossing, exit_a, cap):
-    """Axis-A exit indices (at most ``cap``) at the study levels, drawn after
-    the (m, n) record so that they leave it unchanged.
-
-    A level at or below m is crossed on the way to m: its crossing is bridged
-    back from the crossing of m.  A level above m continues the stream from
-    the axis-A exit (epoch and level at exit), then from each crossing above.
-    """
-    top = math.ceil(thresholds.m)
-    rows = np.arange(exit_a[0].size)
-    levels = sorted(set(levels) - {thresholds.m})
-    study = {}
-    arrivals, _, times = crossing
-    bridged, above = {}, top
-    for level in reversed([level for level in levels if level <= top]):
-        arrivals, times = _bridged_crossing(rng, params.mark_a, level, above,
-                                            arrivals, times)
-        bridged[level], above = times, level
-    for level in sorted(bridged):
-        study[level] = epochs.first_at_or_after(bridged[level], rows)[0]
-
-    index, _, time, total = (values.copy() for values in exit_a)
-    for level in (level for level in levels if level > top):
-        go = np.flatnonzero((index < cap) & (total < level))
-        _, reached, elapsed = _crossing(rng, params.lambda_a, params.mark_a,
-                                        (level - total[go]).astype(np.int64))
-        time[go] += elapsed
-        total[go] += reached
-        index[go] = epochs.first_at_or_after(time[go], go)[0]
-        study[level] = index.copy()
-    return study
-
-
 def estimate_exits(
     params: ModelParams,
     thresholds: Thresholds,
@@ -410,9 +310,9 @@ def estimate_exits(
     """Simulate ``n_paths`` trajectories and collect their exit records.
 
     Besides first passage at (m, n), records the axis-A exit index at every
-    level in ``levels`` from the same paths (see
-    ``EmpiricalExitSummary.exit_index_a``).  Those are drawn after the
-    (m, n) record, which is therefore the same with or without levels.
+    level in ``levels`` (see ``EmpiricalExitSummary.exit_index_a``).  Each
+    is drawn on its own, from the same generator after the (m, n) record,
+    which is therefore the same with or without levels.
     An index above ``horizon`` counts as censored.
 
     Deterministic for fixed (params, thresholds, n_paths, seed, levels).

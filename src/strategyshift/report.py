@@ -89,12 +89,14 @@ def _exit_mean_assertable(params: ModelParams, level: float) -> bool:
 
 
 def conformance_rows(summary: EmpiricalExitSummary) -> List[ConformanceRow]:
-    """The conformance table of one simulated sample, in its fixed row order.
+    """The conformance table of one ``estimate_exits`` call, in its fixed
+    row order.
 
     ``summary`` must have recorded the axis-A exit index at STUDY_LEVELS
-    (``estimate_exits(..., levels=STUDY_LEVELS)``).  The closed-form
-    exit-index mean carries no threshold dependence, so the study rows at
-    those levels document its growing deviation from simulation.
+    (``estimate_exits(..., levels=STUDY_LEVELS)``).  Each study row reads
+    one level's own draw.  The closed-form exit-index mean carries no
+    threshold dependence, so those rows document its growing deviation from
+    simulation.
     """
     params, thresholds = summary.params, summary.thresholds
     m, n = int(thresholds.m), int(thresholds.n)

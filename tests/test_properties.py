@@ -36,6 +36,7 @@ FIELDS = sorted({
     "process.lambda_a", "process.lambda_b", "process.mark_a.p",
     "process.mark_b.p", "process.mark_a.family", "observation.family",
     "observation.initial_mean", "observation.interval_mean", "simulation.seed",
+    "matrix.labels", "output.formats",
 })
 
 positive = st.floats(0.05, 4.0)
@@ -77,14 +78,21 @@ def documents(draw):
     return doc
 
 
-def _overflowing(family, **fields):
-    """A valid document whose interval mean times intensity overflows."""
-    doc = {
+def _reference(family="exponential", **blocks):
+    """A valid document with unit rates and means, plus ``blocks``."""
+    return {
         "process": {"lambda_a": 1.0, "lambda_b": 1.0},
         "observation": {"family": family, "initial_mean": 1.0, "interval_mean": 1.0},
         "thresholds": {"m": 1, "n": 1},
         "simulation": {"paths": 100, "seed": 7},
+        **blocks,
     }
+
+
+def _overflowing(family, **fields):
+    """A valid document whose interval mean times intensity over- or
+    underflows."""
+    doc = _reference(family)
     for key, value in fields.items():
         doc["process" if key.startswith("lambda") else "observation"][key] = value
     return doc
@@ -101,6 +109,9 @@ def _strict(token):
 @example(_overflowing("deterministic", interval_mean=1e300, lambda_a=1e300))
 @example(_overflowing("deterministic", initial_mean=1e154, interval_mean=1e154,
                       lambda_a=1e154, lambda_b=1e154))
+@example(_overflowing("exponential", interval_mean=1e-300, lambda_a=1e-300))
+@example(_reference(matrix={"labels": 5}))
+@example(_reference(output={"formats": 5}))
 def test_every_document_ends_in_a_documented_exit_code(doc):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
