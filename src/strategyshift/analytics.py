@@ -27,7 +27,7 @@ from typing import Optional, Tuple
 
 from .errors import DomainError, NoExitError
 from .params import ModelParams
-from .series import BivariateSeries, TruncatedSeries, d_extract
+from .series import TruncatedSeries, d_extract
 from .transforms import TransformContext, gamma_series
 
 
@@ -75,27 +75,6 @@ def _axis_factor(
     return factor
 
 
-def _axis_factors(m: int, n: int, ctx: TransformContext, params: ModelParams):
-    # Truncated products, reciprocals and exponentials are exact on every
-    # retained coefficient, so extraction at (m, n) needs orders m and n only.
-    fx = axis_factor(
-        m, ctx.z, ctx.theta0, ctx.theta1,
-        params.lambda_a, params.mark_a, params.obs_initial, params.obs_interval,
-    )
-    fy = axis_factor(
-        n, ctx.g, ctx.vartheta0, ctx.vartheta1,
-        params.lambda_b, params.mark_b, params.obs_initial, params.obs_interval,
-    )
-    return fx, fy
-
-
-def phi_series(
-    m: int, n: int, ctx: TransformContext, params: ModelParams
-) -> BivariateSeries:
-    """Bivariate series kernel of the joint functional, ready for extraction."""
-    return BivariateSeries.separable(*_axis_factors(m, n, ctx, params))
-
-
 def phi_functional(
     m: int, n: int, ctx: TransformContext, params: ModelParams
 ) -> float:
@@ -106,7 +85,16 @@ def phi_functional(
     """
     if m < 0 or n < 0:
         raise DomainError("thresholds m, n must be nonnegative integers")
-    fx, fy = _axis_factors(m, n, ctx, params)
+    # Truncated products, reciprocals and exponentials are exact on every
+    # retained coefficient, so extraction at (m, n) needs orders m and n only.
+    fx = axis_factor(
+        m, ctx.z, ctx.theta0, ctx.theta1,
+        params.lambda_a, params.mark_a, params.obs_initial, params.obs_interval,
+    )
+    fy = axis_factor(
+        n, ctx.g, ctx.vartheta0, ctx.vartheta1,
+        params.lambda_b, params.mark_b, params.obs_initial, params.obs_interval,
+    )
     return d_extract(fx, m) * d_extract(fy, n)
 
 

@@ -1,42 +1,31 @@
-"""Run configuration: a single JSON document with five blocks.
+"""Run configuration: a single JSON document with six blocks.
 
 Blocks: process (intensities and marks), observation (interval family and
 means), thresholds, matrix (labels and threshold geometry), simulation
-(path count, seed, horizon), output (directory and formats).  Unknown keys
-are rejected so a config cannot silently misspell an option.
+(path count, seed, horizon), output (directory and formats).
+
+``SCHEMA`` declares every field once: its kind, its default and its bounds.
+One walker reads a document against it.  Unknown keys are rejected, so a
+config cannot silently misspell an option, and every present value is
+checked by its entry, including keys the chosen mark family or matrix mode
+does not read.  Every rejection inside the document names its field or its
+block.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, ParameterError, UnsupportedConfigurationError
-from .matrix import DEFAULT_SCALE_FACTOR, StrategyMatrix
-from .params import (
-    IntervalDistribution,
-    MarkDistribution,
-    ModelParams,
-    Thresholds,
-)
-
-_BLOCKS = ("process", "observation", "thresholds", "matrix", "simulation", "output")
-
-_ALLOWED_KEYS = {
-    "process": {"lambda_a", "lambda_b", "mark_a", "mark_b"},
-    "observation": {"family", "initial_mean", "interval_mean"},
-    "thresholds": {"m", "n"},
-    "matrix": {
-        "mode", "labels", "m", "n",
-        "b_threshold", "a_threshold_low", "a_threshold_high", "scale_factor",
-    },
-    "simulation": {"paths", "seed", "horizon"},
-    "output": {"directory", "formats"},
-}
-
-_MARK_KEYS = {"family", "value", "p"}
+from .errors import ConfigError
+from .matrix import (BCG_A_HIGH, BCG_A_LOW, BCG_B, BCG_LABELS, DEFAULT_SCALE_FACTOR,
+                     GENERIC_LABELS, StrategyMatrix)
+from .params import (INTERVAL_FAMILIES, MARK_FAMILIES, IntervalDistribution,
+                     MarkDistribution, ModelParams, Thresholds)
 
 #: Upper bounds on the size fields.  A threshold sets the series order that
 #: ``analyze`` expands (O(order^2) work; m = n = 20,000 takes a few seconds)
@@ -48,266 +37,212 @@ MAX_PATHS = 1_000_000
 MAX_HORIZON = 10**9
 MAX_MARK_VALUE = 10**9
 
+#: Default of an entry that must be given.
+REQUIRED = object()
+
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Validated, normalized run configuration."""
+class Entry:
+    """One config field.
 
-    params: ModelParams
-    thresholds: Thresholds
-    matrix: StrategyMatrix
-    matrix_mode: str
-    scale_factor: float
-    n_paths: int
-    seed: int
-    horizon: int
-    output_dir: str
-    formats: tuple
-
-    def to_dict(self) -> dict:
-        """Normalized five-block document; round-trips through from_dict."""
-        p = self.params
-        return {
-            "process": {
-                "lambda_a": p.lambda_a,
-                "lambda_b": p.lambda_b,
-                "mark_a": _mark_dict(p.mark_a),
-                "mark_b": _mark_dict(p.mark_b),
-            },
-            "observation": {
-                "family": p.obs_interval.family,
-                "initial_mean": p.obs_initial.mean,
-                "interval_mean": p.obs_interval.mean,
-            },
-            "thresholds": {"m": self.thresholds.m, "n": self.thresholds.n},
-            "matrix": _matrix_dict(self.matrix, self.matrix_mode, self.scale_factor),
-            "simulation": {
-                "paths": self.n_paths,
-                "seed": self.seed,
-                "horizon": self.horizon,
-            },
-            "output": {
-                "directory": self.output_dir,
-                "formats": list(self.formats),
-            },
-        }
-
-
-def _mark_dict(mark: MarkDistribution) -> dict:
-    out = {"family": mark.family}
-    if mark.family == "fixed":
-        out["value"] = mark.value
-    elif mark.family == "geometric":
-        out["p"] = mark.p
-    return out
-
-
-def _matrix_dict(matrix: StrategyMatrix, mode: str, scale_factor: float) -> dict:
-    out = {"mode": mode, "labels": list(matrix.labels)}
-    if mode == "uniform":
-        out["m"] = matrix.a_threshold_low
-        out["n"] = matrix.b_threshold
-    else:
-        out["a_threshold_low"] = matrix.a_threshold_low
-        out["a_threshold_high"] = matrix.a_threshold_high
-        out["b_threshold"] = matrix.b_threshold
-        out["scale_factor"] = scale_factor
-    return out
-
-
-def _require(block: dict, key: str, block_name: str):
-    if key not in block:
-        raise ConfigError(
-            f"missing required key {key!r} in block {block_name!r}",
-            field=f"{block_name}.{key}",
-        )
-    return block[key]
-
-
-def _number(block: dict, key: str, block_name: str, default=None,
-            integer: bool = False, upper=None):
-    """``block[key]`` as a finite float, or as an int when ``integer``.
-
-    A missing key takes ``default``, or is an error when there is none.
-    Non-numbers, non-finite values, values above ``upper`` and, with
-    ``integer``, fractional values are rejected with the entry's field name.
+    ``kind`` is "number" (a finite float), "integer", "string" or "strings"
+    (a list of strings); ``choices``, when given, lists the names a string
+    may take.  ``default`` is filled in when the key is absent: REQUIRED
+    makes the key mandatory, and None leaves it absent.  ``ge``, ``gt`` and
+    ``le`` bound a number.
     """
-    field = f"{block_name}.{key}"
-    raw = _require(block, key, block_name) if default is None else block.get(key, default)
+
+    kind: str
+    default: object = REQUIRED
+    ge: float | None = None
+    gt: float | None = None
+    le: float | None = None
+    choices: tuple = ()
+
+
+#: Region names of each matrix mode, used when ``matrix.labels`` is empty.
+DEFAULT_LABELS = {"row-dependent": BCG_LABELS, "uniform": GENERIC_LABELS}
+
+_MARK = {
+    "family": Entry("string", "unit", choices=MARK_FAMILIES),
+    "value": Entry("integer", None, ge=0, le=MAX_MARK_VALUE),
+    "p": Entry("number", None, gt=0, le=1),
+}
+
+#: The config table.  A block is required when it holds a required entry.
+SCHEMA = {
+    "process": {
+        "lambda_a": Entry("number", ge=0),
+        "lambda_b": Entry("number", ge=0),
+        "mark_a": _MARK,
+        "mark_b": _MARK,
+    },
+    "observation": {
+        "family": Entry("string", choices=INTERVAL_FAMILIES),
+        "initial_mean": Entry("number", gt=0),
+        "interval_mean": Entry("number", gt=0),
+    },
+    # Thresholds are counts of mark units: a fractional one would be
+    # simulated as its ceiling but analysed as its floor.
+    "thresholds": {
+        "m": Entry("integer", ge=0, le=MAX_THRESHOLD),
+        "n": Entry("integer", ge=0, le=MAX_THRESHOLD),
+    },
+    # Cut points are any finite numbers: the A axis is a log share, so a
+    # negative or inverted cut is still plain geometry.
+    "matrix": {
+        "mode": Entry("string", "row-dependent", choices=tuple(DEFAULT_LABELS)),
+        "labels": Entry("strings", []),
+        "m": Entry("number", None),
+        "n": Entry("number", None),
+        "a_threshold_low": Entry("number", BCG_A_LOW),
+        "a_threshold_high": Entry("number", BCG_A_HIGH),
+        "b_threshold": Entry("number", BCG_B),
+        "scale_factor": Entry("number", DEFAULT_SCALE_FACTOR, gt=0),
+    },
+    "simulation": {
+        "paths": Entry("integer", ge=1, le=MAX_PATHS),
+        "seed": Entry("integer", ge=0),
+        "horizon": Entry("integer", 10_000, ge=1, le=MAX_HORIZON),
+    },
+    "output": {
+        "directory": Entry("string", "out"),
+        "formats": Entry("strings", ["csv", "json"], choices=("csv", "json")),
+    },
+}
+
+#: The keys one mark family or one matrix mode reads, and so requires.
+NEEDS = {"fixed": ("value",), "geometric": ("p",), "uniform": ("m", "n")}
+
+_BOUNDS = (("ge", ">=", operator.ge), ("gt", ">", operator.gt), ("le", "<=", operator.le))
+
+
+def _missing(block: str, key: str) -> ConfigError:
+    return ConfigError(f"missing required key {key!r} in block {block!r}",
+                       field=f"{block}.{key}")
+
+
+def _required(schema: dict) -> bool:
+    return any(_required(e) if isinstance(e, dict) else e.default is REQUIRED
+               for e in schema.values())
+
+
+def _read(raw, schema: dict, path: str) -> dict:
+    """``raw`` read against ``schema``: checked, normalized, defaults filled."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"block {path!r} must be an object" if path
+                          else "config root must be a JSON object", field=path or None)
+    unknown = sorted(set(raw) - set(schema))
+    if unknown:
+        where = f"key(s) {unknown} in block {path!r}" if path else f"top-level block(s) {unknown}"
+        raise ConfigError(f"unknown {where}", field=path or unknown[0])
+    out = {}
+    for key, entry in schema.items():
+        field = f"{path}.{key}" if path else key
+        if isinstance(entry, dict):
+            if key not in raw and _required(entry):
+                raise ConfigError(f"missing required block {key!r}", field=field)
+            out[key] = _read(raw.get(key, {}), entry, field)
+        elif key in raw:
+            out[key] = _value(raw[key], entry, field)
+        elif entry.default is REQUIRED:
+            raise _missing(path, key)
+        elif entry.default is not None:
+            out[key] = _value(entry.default, entry, field)
+    return out
+
+
+def _value(raw, entry: Entry, field: str):
+    """``raw`` checked against ``entry``: a float, an int, a string or a list."""
+    if entry.kind in ("string", "strings"):
+        def name(item):
+            return isinstance(item, str) and (not entry.choices or item in entry.choices)
+
+        if entry.kind == "string" and name(raw):
+            return raw
+        if entry.kind == "strings" and isinstance(raw, list) and all(map(name, raw)):
+            return list(raw)
+        wanted = "a string" if entry.kind == "string" else "a list of strings"
+        wanted += f" in {entry.choices}" if entry.choices else ""
+        raise ConfigError(f"{field} must be {wanted}, got {raw!r}", field=field)
     try:
         value = float(raw)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{field} must be a number, got {raw!r}", field=field) from None
     if not math.isfinite(value):
         raise ConfigError(f"{field} must be finite, got {raw!r}", field=field)
-    if upper is not None and value > upper:
-        raise ConfigError(f"{field} must be <= {upper}, got {raw!r}", field=field)
-    if not integer:
+    for attr, sign, holds in _BOUNDS:
+        bound = getattr(entry, attr)
+        if bound is not None and not holds(value, bound):
+            raise ConfigError(f"{field} must be {sign} {bound}, got {raw!r}", field=field)
+    if entry.kind == "number":
         return value
     if not value.is_integer():
         raise ConfigError(f"{field} must be an integer, got {raw!r}", field=field)
     return int(raw) if isinstance(raw, int) else int(value)
 
 
-def _strings(block: dict, key: str, block_name: str, default) -> tuple:
-    """``block[key]`` as a tuple of strings; a missing key takes ``default``.
+@dataclass(frozen=True)
+class RunConfig:
+    """Validated run configuration and the normalized document it came from."""
 
-    Anything but a list of strings is rejected with the entry's field name.
-    """
-    field = f"{block_name}.{key}"
-    raw = block.get(key, default)
-    if not isinstance(raw, list) or not all(isinstance(item, str) for item in raw):
-        raise ConfigError(f"{field} must be a list of strings, got {raw!r}",
-                          field=field)
-    return tuple(raw)
+    params: ModelParams
+    thresholds: Thresholds
+    matrix: StrategyMatrix
+    scale_factor: float
+    n_paths: int
+    seed: int
+    horizon: int
+    output_dir: str
+    formats: tuple
+    doc: dict
 
-
-def _check_keys(block: dict, block_name: str, allowed):
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) {sorted(unknown)} in block {block_name!r}",
-            field=block_name,
-        )
+    def to_dict(self) -> dict:
+        """Normalized six-block document; round-trips through from_dict."""
+        return copy.deepcopy(self.doc)
 
 
-def _parse_mark(raw, where: str) -> MarkDistribution:
-    if raw is None:
-        return MarkDistribution.unit()
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be an object", field=where)
-    _check_keys(raw, where, _MARK_KEYS)
-    family = raw.get("family", "unit")
-    try:
-        if family == "fixed":
-            return MarkDistribution.fixed(
-                _number(raw, "value", where, integer=True, upper=MAX_MARK_VALUE))
-        if family == "geometric":
-            return MarkDistribution.geometric(_number(raw, "p", where))
-        return MarkDistribution(family=family)
-    except (ParameterError, UnsupportedConfigurationError) as exc:
-        raise ConfigError(str(exc), field=where) from exc
+def _mark(mark: dict) -> MarkDistribution:
+    family = mark["family"]
+    return MarkDistribution(family, **{key: mark[key] for key in NEEDS.get(family, ())})
 
 
-def from_dict(doc: dict) -> RunConfig:
+def from_dict(doc) -> RunConfig:
     """Validate a config document and build the runtime objects."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(doc) - set(_BLOCKS)
-    if unknown:
-        raise ConfigError(f"unknown top-level block(s) {sorted(unknown)}")
-    for name in ("process", "observation", "thresholds", "simulation"):
-        if name not in doc:
-            raise ConfigError(f"missing required block {name!r}", field=name)
-        if not isinstance(doc[name], dict):
-            raise ConfigError(f"block {name!r} must be an object", field=name)
-        _check_keys(doc[name], name, _ALLOWED_KEYS[name])
-
-    proc = doc["process"]
-    obs = doc["observation"]
-    thr = doc["thresholds"]
-    sim = doc["simulation"]
-
-    try:
-        params = ModelParams(
-            lambda_a=_number(proc, "lambda_a", "process"),
-            lambda_b=_number(proc, "lambda_b", "process"),
-            obs_initial=IntervalDistribution(
-                str(_require(obs, "family", "observation")),
-                _number(obs, "initial_mean", "observation"),
-            ),
-            obs_interval=IntervalDistribution(
-                str(obs["family"]),
-                _number(obs, "interval_mean", "observation"),
-            ),
-            mark_a=_parse_mark(proc.get("mark_a"), "process.mark_a"),
-            mark_b=_parse_mark(proc.get("mark_b"), "process.mark_b"),
-        )
-        # Thresholds are counts of mark units: a fractional one would be
-        # simulated as its ceiling but analysed as its floor.
-        thresholds = Thresholds(
-            m=float(_number(thr, "m", "thresholds", integer=True, upper=MAX_THRESHOLD)),
-            n=float(_number(thr, "n", "thresholds", integer=True, upper=MAX_THRESHOLD)),
-        )
-    except (ParameterError, UnsupportedConfigurationError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-    matrix, mode, scale = _parse_matrix(doc.get("matrix"))
-
-    n_paths = _number(sim, "paths", "simulation", integer=True, upper=MAX_PATHS)
-    seed = _number(sim, "seed", "simulation", integer=True)
-    horizon = _number(sim, "horizon", "simulation", 10_000, integer=True,
-                      upper=MAX_HORIZON)
-    if n_paths < 1:
-        raise ConfigError("simulation.paths must be >= 1", field="simulation.paths")
-    if seed < 0:
-        raise ConfigError("simulation.seed must be >= 0", field="simulation.seed")
-    if horizon < 1:
-        raise ConfigError("simulation.horizon must be >= 1", field="simulation.horizon")
-
-    out = doc.get("output", {})
-    if not isinstance(out, dict):
-        raise ConfigError("block 'output' must be an object", field="output")
-    _check_keys(out, "output", _ALLOWED_KEYS["output"])
-    formats = _strings(out, "formats", "output", ["csv", "json"])
-    bad = set(formats) - {"csv", "json"}
-    if bad:
-        raise ConfigError(f"unknown output format(s) {sorted(bad)}", field="output.formats")
-
+    doc = _read(doc, SCHEMA, "")
+    proc, obs, mat = doc["process"], doc["observation"], doc["matrix"]
+    for path, block, selector in (("process.mark_a", proc["mark_a"], "family"),
+                                  ("process.mark_b", proc["mark_b"], "family"),
+                                  ("matrix", mat, "mode")):
+        for key in NEEDS.get(block[selector], ()):
+            if key not in block:
+                raise _missing(path, key)
+    labels = mat["labels"] = mat["labels"] or list(DEFAULT_LABELS[mat["mode"]])
+    if len(labels) != 4:
+        raise ConfigError("matrix.labels must list four region names", field="matrix.labels")
+    cuts = ((mat["m"], mat["m"], mat["n"]) if mat["mode"] == "uniform" else
+            (mat["a_threshold_low"], mat["a_threshold_high"], mat["b_threshold"]))
+    sim, out = doc["simulation"], doc["output"]
     return RunConfig(
-        params=params,
-        thresholds=thresholds,
-        matrix=matrix,
-        matrix_mode=mode,
-        scale_factor=scale,
-        n_paths=n_paths,
-        seed=seed,
-        horizon=horizon,
-        output_dir=str(out.get("directory", "out")),
-        formats=formats,
+        params=ModelParams(
+            lambda_a=proc["lambda_a"],
+            lambda_b=proc["lambda_b"],
+            obs_initial=IntervalDistribution(obs["family"], obs["initial_mean"]),
+            obs_interval=IntervalDistribution(obs["family"], obs["interval_mean"]),
+            mark_a=_mark(proc["mark_a"]),
+            mark_b=_mark(proc["mark_b"]),
+        ),
+        thresholds=Thresholds(m=float(doc["thresholds"]["m"]),
+                              n=float(doc["thresholds"]["n"])),
+        matrix=StrategyMatrix(tuple(labels), *cuts),
+        scale_factor=mat["scale_factor"],
+        n_paths=sim["paths"],
+        seed=sim["seed"],
+        horizon=sim["horizon"],
+        output_dir=out["directory"],
+        formats=tuple(out["formats"]),
+        doc=doc,
     )
-
-
-def _parse_matrix(raw):
-    if raw is None:
-        return StrategyMatrix.bcg(), "row-dependent", DEFAULT_SCALE_FACTOR
-    if not isinstance(raw, dict):
-        raise ConfigError("block 'matrix' must be an object", field="matrix")
-    _check_keys(raw, "matrix", _ALLOWED_KEYS["matrix"])
-    mode = raw.get("mode", "row-dependent")
-    labels = _strings(raw, "labels", "matrix", [])
-    scale = _number(raw, "scale_factor", "matrix", DEFAULT_SCALE_FACTOR)
-    if mode == "uniform":
-        labels = labels or ("I", "II", "III", "IV")
-        if len(labels) != 4:
-            raise ConfigError("matrix.labels must list four region names",
-                              field="matrix.labels")
-        return (
-            StrategyMatrix.uniform(
-                _number(raw, "m", "matrix"), _number(raw, "n", "matrix"), labels
-            ),
-            mode,
-            scale,
-        )
-    if mode == "row-dependent":
-        default = StrategyMatrix.bcg()
-        labels = labels or default.labels
-        if len(labels) != 4:
-            raise ConfigError("matrix.labels must list four region names",
-                              field="matrix.labels")
-        return (
-            StrategyMatrix(
-                labels=labels,
-                a_threshold_low=_number(raw, "a_threshold_low", "matrix",
-                                        default.a_threshold_low),
-                a_threshold_high=_number(raw, "a_threshold_high", "matrix",
-                                         default.a_threshold_high),
-                b_threshold=_number(raw, "b_threshold", "matrix", default.b_threshold),
-            ),
-            mode,
-            scale,
-        )
-    raise ConfigError(f"unknown matrix mode {mode!r}", field="matrix.mode")
 
 
 def load(path) -> RunConfig:

@@ -75,12 +75,3 @@ def bcg_scale(relative_share: float, factor: float = DEFAULT_SCALE_FACTOR) -> fl
     if relative_share <= 0.0:
         raise DomainError("relative market share must be positive")
     return factor * math.log10(relative_share)
-
-
-def bcg_classify(
-    relative_share: float,
-    growth_pct: float,
-    factor: float = DEFAULT_SCALE_FACTOR,
-) -> str:
-    """Growth-share quadrant of a (relative share, growth %) position."""
-    return classify(bcg_scale(relative_share, factor), growth_pct, StrategyMatrix.bcg())

@@ -175,23 +175,6 @@ def _square(f: np.ndarray) -> np.ndarray:
     return out
 
 
-class BivariateSeries:
-    """Dense bivariate truncated series on a coefficient grid c[j, k]."""
-
-    __slots__ = ("grid",)
-
-    def __init__(self, grid):
-        self.grid = np.atleast_2d(np.asarray(grid, dtype=float))
-
-    @classmethod
-    def separable(cls, fx: TruncatedSeries, fy: TruncatedSeries) -> "BivariateSeries":
-        return cls(np.outer(fx.coeffs, fy.coeffs))
-
-    @property
-    def orders(self):
-        return self.grid.shape[0] - 1, self.grid.shape[1] - 1
-
-
 def d_extract(f: TruncatedSeries, k: int) -> float:
     """Coefficient k of F(x) / (1 - x): the k-th partial coefficient sum.
 
@@ -204,16 +187,3 @@ def d_extract(f: TruncatedSeries, k: int) -> float:
             f"coefficient {k} requested from a series of order {f.order}"
         )
     return float(np.sum(f.coeffs[: k + 1]))
-
-
-def d_extract_2d(f: BivariateSeries, mn) -> float:
-    """Coefficient (m, n) of F(x, y) / ((1 - x)(1 - y))."""
-    m, n = mn
-    if m < 0 or n < 0:
-        return 0.0
-    jmax, kmax = f.orders
-    if m > jmax or n > kmax:
-        raise OrderError(
-            f"coefficient {(m, n)} requested from a grid of orders {(jmax, kmax)}"
-        )
-    return float(np.sum(f.grid[: m + 1, : n + 1]))

@@ -10,15 +10,25 @@
   ``d_extract`` and ``d_extract_2d`` invert.
 - ``series_exp`` is the coefficient-by-coefficient recurrence that
   ``TruncatedSeries.exp`` replaces with Newton iteration.
+- ``phi_series`` is the joint functional's bivariate series kernel, and
+  ``d_extract_2d`` its two-dimensional extraction: the grid route that
+  ``phi_functional``'s product of two univariate extractions replaces.
+- ``bcg_classify`` is the growth-share quadrant of a (relative share,
+  growth %) position, the composition ``classify --share`` performs.
+- ``config_leaves`` flattens the config table, so the config tests reach
+  every field it declares.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from strategyshift.errors import DomainError, ParameterError
+from strategyshift import config
+from strategyshift.analytics import axis_factor
+from strategyshift.errors import DomainError, OrderError, ParameterError
+from strategyshift.matrix import DEFAULT_SCALE_FACTOR, StrategyMatrix, bcg_scale, classify
 from strategyshift.oracle import compound_increments
-from strategyshift.series import BivariateSeries, TruncatedSeries
+from strategyshift.series import TruncatedSeries
 
 
 def sample_path(params, seed, max_observations):
@@ -112,6 +122,54 @@ def d_apply_2d(g):
     return BivariateSeries(out)
 
 
+class BivariateSeries:
+    """Dense bivariate truncated series on a coefficient grid c[j, k]."""
+
+    __slots__ = ("grid",)
+
+    def __init__(self, grid):
+        self.grid = np.atleast_2d(np.asarray(grid, dtype=float))
+
+    @classmethod
+    def separable(cls, fx: TruncatedSeries, fy: TruncatedSeries) -> "BivariateSeries":
+        return cls(np.outer(fx.coeffs, fy.coeffs))
+
+    @property
+    def orders(self):
+        return self.grid.shape[0] - 1, self.grid.shape[1] - 1
+
+
+def d_extract_2d(f: BivariateSeries, mn) -> float:
+    """Coefficient (m, n) of F(x, y) / ((1 - x)(1 - y))."""
+    m, n = mn
+    if m < 0 or n < 0:
+        return 0.0
+    jmax, kmax = f.orders
+    if m > jmax or n > kmax:
+        raise OrderError(
+            f"coefficient {(m, n)} requested from a grid of orders {(jmax, kmax)}"
+        )
+    return float(np.sum(f.grid[: m + 1, : n + 1]))
+
+
+def phi_series(m, n, ctx, params) -> BivariateSeries:
+    """Bivariate series kernel of the joint functional, ready for extraction."""
+    fx = axis_factor(
+        m, ctx.z, ctx.theta0, ctx.theta1,
+        params.lambda_a, params.mark_a, params.obs_initial, params.obs_interval,
+    )
+    fy = axis_factor(
+        n, ctx.g, ctx.vartheta0, ctx.vartheta1,
+        params.lambda_b, params.mark_b, params.obs_initial, params.obs_interval,
+    )
+    return BivariateSeries.separable(fx, fy)
+
+
+def bcg_classify(relative_share, growth_pct, factor=DEFAULT_SCALE_FACTOR) -> str:
+    """Growth-share quadrant of a (relative share, growth %) position."""
+    return classify(bcg_scale(relative_share, factor), growth_pct, StrategyMatrix.bcg())
+
+
 def series_exp(a):
     """exp of the series with coefficients ``a``, one coefficient at a time:
     k e_k = sum_{j=1..k} j a_j e_{k-j}, e_0 = exp(a_0)."""
@@ -122,3 +180,13 @@ def series_exp(a):
     for k in range(1, len(a)):
         e[k] = np.dot(ja[1 : k + 1], e[k - 1 :: -1]) / k
     return e
+
+
+def config_leaves(schema=config.SCHEMA, path=""):
+    """(field, entry) of every leaf of the config table, in table order."""
+    for key, entry in schema.items():
+        field = f"{path}.{key}" if path else key
+        if isinstance(entry, dict):
+            yield from config_leaves(entry, field)
+        else:
+            yield field, entry

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import conftest
-from literal import d_apply, d_apply_2d
+from literal import d_apply, d_apply_2d, d_extract_2d, phi_series
 from strategyshift import cli
-from strategyshift.analytics import axis_factor, phi_functional, phi_series
+from strategyshift.analytics import axis_factor, phi_functional
 from strategyshift.matrix import StrategyMatrix, bcg_scale, classify
 from strategyshift.oracle import empirical_pgf, estimate_exits
 from strategyshift.params import (
@@ -19,7 +19,7 @@ from strategyshift.params import (
     Thresholds,
 )
 from strategyshift.report import conformance_rows
-from strategyshift.series import d_extract, d_extract_2d
+from strategyshift.series import d_extract
 from strategyshift.transforms import TransformContext, gamma_series
 
 EXP1 = IntervalDistribution.exponential(1.0)

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
+from literal import d_extract_2d, phi_series
 from strategyshift.analytics import (
     axis_factor,
     axis_means,
     lemma_note,
     lemma_pgf,
     phi_functional,
-    phi_series,
 )
 from strategyshift.errors import DomainError, NoExitError
 from strategyshift.params import IntervalDistribution, MarkDistribution, ModelParams
-from strategyshift.series import d_extract, d_extract_2d
+from strategyshift.series import d_extract
 from strategyshift.transforms import TransformContext, gamma_series
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from literal import config_leaves
 from strategyshift import cli
 from strategyshift import config as config_mod
 from strategyshift.errors import ConfigError
@@ -19,40 +20,43 @@ REFERENCE_DOC = {
 }
 
 
-#: Every numeric entry set, so each can be corrupted in turn.
+#: Every entry of the config table set, so each can be corrupted in turn.
+#: Written out by hand: a field dropped from or renamed in the table fails
+#: ``test_full_doc_sets_every_table_entry``.
 FULL_DOC = {
     "process": {"lambda_a": 1.0, "lambda_b": 1.0,
-                "mark_a": {"family": "fixed", "value": 2},
-                "mark_b": {"family": "geometric", "p": 0.5}},
+                "mark_a": {"family": "fixed", "value": 2, "p": 0.5},
+                "mark_b": {"family": "geometric", "value": 1, "p": 0.5}},
     "observation": {"family": "exponential", "initial_mean": 2.0, "interval_mean": 1.0},
     "thresholds": {"m": 2, "n": 3},
-    "matrix": {"mode": "row-dependent", "a_threshold_low": 0.0,
+    "matrix": {"mode": "row-dependent", "labels": ["Dogs", "Cows", "Stars", "Question Marks"],
+               "m": 1.0, "n": 1.0, "a_threshold_low": 0.0,
                "a_threshold_high": 17.6, "b_threshold": 10.0, "scale_factor": 100.0},
     "simulation": {"paths": 1000, "seed": 5, "horizon": 500},
-    "output": {"directory": "out"},
+    "output": {"directory": "out", "formats": ["csv", "json"]},
 }
 
-NUMERIC_FIELDS = [
-    "process.lambda_a", "process.lambda_b", "process.mark_a.value",
-    "process.mark_b.p", "observation.initial_mean", "observation.interval_mean",
-    "thresholds.m", "thresholds.n", "matrix.a_threshold_low",
-    "matrix.a_threshold_high", "matrix.b_threshold", "matrix.scale_factor",
-    "matrix.m", "matrix.n", "simulation.paths", "simulation.seed",
-    "simulation.horizon",
-]
+LEAVES = dict(config_leaves())
 
-INTEGER_FIELDS = ["process.mark_a.value", "thresholds.m", "thresholds.n",
-                  "simulation.paths", "simulation.seed", "simulation.horizon"]
+NUMERIC_FIELDS = [f for f, e in LEAVES.items() if e.kind in ("number", "integer")]
+
+INTEGER_FIELDS = [f for f, e in LEAVES.items() if e.kind == "integer"]
+
+#: (field, upper bound) of every entry the table bounds from above.
+BOUNDED_FIELDS = [(f, e.le) for f, e in LEAVES.items() if e.le is not None]
+
+
+def _block_of(doc, field):
+    """(the dict holding ``field`` in ``doc``, the field's own key)."""
+    *path, key = field.split(".")
+    for name in path:
+        doc = doc[name]
+    return doc, key
 
 
 def _doc_with(field, value):
     doc = json.loads(json.dumps(FULL_DOC))
-    if field in ("matrix.m", "matrix.n"):
-        doc["matrix"] = {"mode": "uniform", "m": 1.0, "n": 1.0}
-    *path, key = field.split(".")
-    block = doc
-    for name in path:
-        block = block[name]
+    block, key = _block_of(doc, field)
     block[key] = value
     return doc
 
@@ -95,6 +99,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_mod.from_dict(doc)
 
+    def test_full_doc_sets_every_table_entry(self):
+        def leaves(doc, path=""):
+            for key, value in doc.items():
+                field = f"{path}.{key}" if path else key
+                yield from leaves(value, field) if isinstance(value, dict) else [field]
+
+        assert sorted(leaves(FULL_DOC)) == sorted(LEAVES)
+
     def test_full_doc_accepted(self):
         config_mod.from_dict(FULL_DOC)
         config_mod.from_dict(_doc_with("matrix.m", 2.5))
@@ -113,13 +125,7 @@ class TestConfig:
             config_mod.from_dict(_doc_with(field, 1.5))
         assert excinfo.value.field == field
 
-    @pytest.mark.parametrize("field, bound", [
-        ("thresholds.m", config_mod.MAX_THRESHOLD),
-        ("thresholds.n", config_mod.MAX_THRESHOLD),
-        ("simulation.paths", config_mod.MAX_PATHS),
-        ("simulation.horizon", config_mod.MAX_HORIZON),
-        ("process.mark_a.value", config_mod.MAX_MARK_VALUE),
-    ])
+    @pytest.mark.parametrize("field, bound", BOUNDED_FIELDS)
     def test_size_field_bounded(self, field, bound):
         config_mod.from_dict(_doc_with(field, bound))
         with pytest.raises(ConfigError) as excinfo:
@@ -157,6 +163,89 @@ class TestConfig:
         doc["matrix"] = {"mode": "uniform", "m": 2.0, "n": 3.0}
         cfg = config_mod.from_dict(doc)
         assert cfg.matrix.a_threshold_low == cfg.matrix.a_threshold_high == 2.0
+
+    @pytest.mark.parametrize("field", sorted(LEAVES))
+    def test_every_entry_names_its_field(self, field):
+        # An object is no valid value of any kind of entry.
+        with pytest.raises(ConfigError) as excinfo:
+            config_mod.from_dict(_doc_with(field, {}))
+        assert excinfo.value.field == field
+
+    @pytest.mark.parametrize("field, selector", [
+        *[(f, None) for f, e in LEAVES.items() if e.default is config_mod.REQUIRED],
+        ("process.mark_a.value", None), ("process.mark_b.p", None),
+        ("matrix.m", ("matrix.mode", "uniform")), ("matrix.n", ("matrix.mode", "uniform")),
+    ])
+    def test_missing_entry_names_its_field(self, field, selector):
+        # value and p are required by the fixed and geometric marks of
+        # FULL_DOC, m and n by a uniform matrix.
+        doc = _doc_with(*selector) if selector else json.loads(json.dumps(FULL_DOC))
+        block, key = _block_of(doc, field)
+        del block[key]
+        with pytest.raises(ConfigError) as excinfo:
+            config_mod.from_dict(doc)
+        assert excinfo.value.field == field
+
+    @pytest.mark.parametrize("block", [*sorted(config_mod.SCHEMA),
+                                       "process.mark_a", "process.mark_b"])
+    @pytest.mark.parametrize("value", [5, None, []])
+    def test_block_that_is_no_object_names_its_block(self, block, value):
+        with pytest.raises(ConfigError) as excinfo:
+            config_mod.from_dict(_doc_with(block, value))
+        assert excinfo.value.field == block
+
+    @pytest.mark.parametrize("field, value", [
+        ("process.lambda_a", -1), ("process.lambda_b", -1e-300),
+        ("observation.initial_mean", 0), ("observation.interval_mean", -1.0),
+        ("observation.family", "expo"), ("thresholds.m", -1), ("thresholds.n", -1),
+        ("process.mark_a.family", "poisson"), ("process.mark_a.value", -1),
+        ("process.mark_b.p", 2), ("process.mark_b.p", 0), ("matrix.mode", "diagonal"),
+        ("matrix.scale_factor", 0), ("matrix.scale_factor", -1.0),
+    ])
+    def test_model_range_rejection_names_its_field(self, field, value):
+        # These were once refused by the model constructors, with no field
+        # or only the mark's.
+        with pytest.raises(ConfigError) as excinfo:
+            config_mod.from_dict(_doc_with(field, value))
+        assert excinfo.value.field == field
+
+    @pytest.mark.parametrize("path, value, field", [
+        ("process.mark_a", {"family": "unit", "value": "x", "p": "y"},
+         "process.mark_a.value"),
+        ("matrix", {"mode": "uniform", "m": 1, "n": 1, "a_threshold_low": "zz"},
+         "matrix.a_threshold_low"),
+        ("matrix", {"m": "zz"}, "matrix.m"),
+        ("output.directory", 5, "output.directory"),
+        ("output.directory", None, "output.directory"),
+        ("observation.family", ["exponential"], "observation.family"),
+        ("process.mark_a", None, "process.mark_a"),
+        ("matrix", None, "matrix"),
+    ])
+    def test_unread_value_is_still_checked(self, tmp_path, monkeypatch, capsys,
+                                           path, value, field):
+        # A value the chosen mark family or matrix mode does not read, or a
+        # non-string directory, was once accepted and silently ignored.
+        doc = _doc_with(path, value)
+        with pytest.raises(ConfigError) as excinfo:
+            config_mod.from_dict(doc)
+        assert excinfo.value.field == field
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        config = tmp_path / "unread.json"
+        config.write_text(json.dumps(doc))
+        assert cli.main(["simulate", str(config)]) == 3
+        assert f"(field: {field})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("matrix, level_a, level_b, label", [
+        ({"a_threshold_low": 5.0, "a_threshold_high": 1.0}, 3.0, 11.0, "Stars"),
+        ({"a_threshold_low": 5.0, "a_threshold_high": 1.0}, 3.0, 5.0, "Dogs"),
+        ({"a_threshold_high": -50.0, "b_threshold": -1e308}, -49.0, -1e307, "Stars"),
+        ({"mode": "uniform", "m": -5, "n": 1e308}, -4.0, 1e300, "II"),
+    ])
+    def test_cut_points_are_any_finite_number(self, matrix, level_a, level_b, label):
+        # classify is pure geometry on a log-share axis: inverted, negative
+        # and extreme cut points are all meaningful.
+        doc = dict(REFERENCE_DOC, matrix=matrix)
+        assert cli.classify(level_a, level_b, config_mod.from_dict(doc).matrix) == label
 
 
 class TestExitCodes:
@@ -389,6 +478,17 @@ class TestArtifacts:
                          "--growth", "15"]) == 0
         assert capsys.readouterr().out.strip() == "Stars"
 
+    @pytest.mark.parametrize("scale_factor", [0, -100.0])
+    def test_classify_refuses_a_non_positive_scale_factor(self, tmp_path, capsys,
+                                                          scale_factor):
+        # At 0 every share scaled to 0, so 1.5 read as a Question Mark instead
+        # of a Star; a negative factor reversed the share axis.
+        path = tmp_path / "scale.json"
+        path.write_text(json.dumps(dict(REFERENCE_DOC, matrix={"scale_factor": scale_factor})))
+        assert cli.main(["classify", str(path), "--share", "1.5", "--growth", "12"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "(field: matrix.scale_factor)" in err
+
     def test_classify_raw_levels_uniform(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
         doc = json.loads(json.dumps(REFERENCE_DOC))
@@ -510,8 +610,10 @@ class TestArtifacts:
         with pytest.raises(ValueError):
             rows_to_json([row])
         cfg = config_mod.from_dict(REFERENCE_DOC)
+        doc = cfg.to_dict()
+        doc["matrix"]["scale_factor"] = nan
         with pytest.raises(ValueError):
-            config_mod.dumps(dataclasses.replace(cfg, scale_factor=nan))
+            config_mod.dumps(dataclasses.replace(cfg, doc=doc))
 
     @staticmethod
     def _clear_series_caches():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from literal import bcg_classify
 from strategyshift.errors import DomainError
-from strategyshift.matrix import StrategyMatrix, bcg_classify, bcg_scale, classify
+from strategyshift.matrix import StrategyMatrix, bcg_scale, classify
 
 BCG = StrategyMatrix.bcg()
 

@@ -4,8 +4,9 @@ Every document, however malformed, must end ``simulate``, ``analyze`` and
 ``conformance`` with a documented exit code (0/2/3/4/5), never an uncaught
 exception, and every JSON artifact must be strict JSON (no NaN/Infinity).
 Valid draws stay cheap: thresholds <= 50, paths <= 500, horizon <= 1000.
-Wild values reach every field, the size fields included: a size above its
-config bound (1e15, 1e300) exits 3 before any work is done.
+Wild values reach every field of the config table, the size fields
+included: a size above its config bound (1e15, 1e300) exits 3 before any
+work is done.
 
 ``classify`` arguments, in any combination of flags and values (NaN, +-inf,
 0, negatives, a missing partner, both forms at once), end in one of the
@@ -24,20 +25,14 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from literal import config_leaves
 from strategyshift import cli
 from strategyshift import config as config_mod
 
 #: Values that are out of range, fractional, of the wrong type or extreme.
 WILD = st.sampled_from([0, -1, -0.5, 1.5, 1e-300, 1e15, 1e300, "x", None])
 
-FIELDS = sorted({
-    "thresholds.m", "thresholds.n", "simulation.paths", "simulation.horizon",
-    "process.mark_a.value", "process.mark_b.value",
-    "process.lambda_a", "process.lambda_b", "process.mark_a.p",
-    "process.mark_b.p", "process.mark_a.family", "observation.family",
-    "observation.initial_mean", "observation.interval_mean", "simulation.seed",
-    "matrix.labels", "output.formats",
-})
+FIELDS = [field for field, _ in config_leaves()]
 
 positive = st.floats(0.05, 4.0)
 

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from literal import d_apply, d_apply_2d, series_exp
+from literal import BivariateSeries, d_apply, d_apply_2d, d_extract_2d, series_exp
 from strategyshift.errors import DomainError, OrderError
-from strategyshift.series import (
-    BivariateSeries,
-    TruncatedSeries,
-    d_extract,
-    d_extract_2d,
-)
+from strategyshift.series import TruncatedSeries, d_extract
 
 
 EPS = np.finfo(float).eps
