@@ -28,9 +28,10 @@ from .params import (INTERVAL_FAMILIES, MARK_FAMILIES, IntervalDistribution,
                      MarkDistribution, ModelParams, Thresholds)
 
 #: Upper bounds on the size fields.  A threshold sets the series order that
-#: ``analyze`` expands (O(order^2) work; m = n = 20,000 takes a few seconds)
-#: and the path count sets every simulated array (1,000,000 paths take a few
-#: hundred MB).  The horizon and a fixed mark value stay far enough below
+#: ``analyze`` expands (O(order log order) work above the FFT crossover;
+#: m = n = 20,000 takes 0.3-0.5 s, interpreter start included) and the
+#: path count sets every simulated array (1,000,000 paths take a few hundred
+#: MB).  The horizon and a fixed mark value stay far enough below
 #: 2**63 that every index and level total the sampler forms fits in int64.
 MAX_THRESHOLD = 20_000
 MAX_PATHS = 1_000_000
@@ -45,11 +46,12 @@ REQUIRED = object()
 class Entry:
     """One config field.
 
-    ``kind`` is "number" (a finite float), "integer", "string" or "strings"
-    (a list of strings); ``choices``, when given, lists the names a string
-    may take.  ``default`` is filled in when the key is absent: REQUIRED
-    makes the key mandatory, and None leaves it absent.  ``ge``, ``gt`` and
-    ``le`` bound a number.
+    ``kind`` is "number" (a finite JSON number, never a string or a
+    boolean), "integer", "string" or "strings" (a list of strings);
+    ``choices``, when given, lists the names a string may take.
+    ``default`` is filled in when the key is absent: REQUIRED makes the key
+    mandatory, and None leaves it absent.  ``ge``, ``gt`` and ``le`` bound a
+    number.
     """
 
     kind: str
@@ -165,9 +167,12 @@ def _value(raw, entry: Entry, field: str):
         wanted = "a string" if entry.kind == "string" else "a list of strings"
         wanted += f" in {entry.choices}" if entry.choices else ""
         raise ConfigError(f"{field} must be {wanted}, got {raw!r}", field=field)
+    # A JSON number only: float() would also read "1.5" and true.
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(f"{field} must be a number, got {raw!r}", field=field)
     try:
         value = float(raw)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         raise ConfigError(f"{field} must be a number, got {raw!r}", field=field) from None
     if not math.isfinite(value):
         raise ConfigError(f"{field} must be finite, got {raw!r}", field=field)

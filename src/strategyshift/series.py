@@ -7,8 +7,8 @@ implemented as cumulative sums, which is exact.
 
 The two series kernels are Newton iterations for power series (Brent and
 Kung, J. ACM 1978).  Each step doubles the number of correct coefficients
-with a few ``np.convolve`` calls, so a series of order N costs O(log N)
-numpy calls and O(N^2) multiply-adds done inside numpy:
+with a few truncated products, so a series of order N costs O(log N) numpy
+calls:
 
   * ``reciprocal``: b <- b - b*(a*b - 1);
   * ``exp``: f <- f*(1 + a - log f), with log f the integral of f' * (1/f)
@@ -16,12 +16,24 @@ numpy calls and O(N^2) multiply-adds done inside numpy:
     halved until its absolute coefficient sum is at most 1, and the result
     squared back as often.
 
+Every product goes through ``_product``: ``np.convolve`` while the shorter
+operand has fewer than FFT_CROSSOVER terms, a real FFT from there on.  So a
+product costs O(N^2) multiply-adds below the crossover and O(N log N) above
+it, and the kernels O(N log N) in all.
+
+Accuracy.  ``np.convolve`` rounds each coefficient relative to its own
+terms: below the crossover ``reciprocal`` keeps O(k) ulps of relative error
+on coefficient k, as the recurrence does.  FFT rounding is absolute: a few
+ulps of the largest coefficient per log2 of the FFT length.  So above the
+crossover a coefficient far below the largest (the tail of a fast-decaying
+law) carries that absolute error, not a relative one.  The partial sums of
+a series with positive terms, the only thing ``d_extract`` reads, stay
+within 4N ulps relative at order N.
+
 On PGF-shaped arguments -c(1 - h), with h the PGF of unit, fixed-2 or
 geometric(0.5) marks, ``exp`` agrees with the coefficient-by-coefficient
-recurrence to 1.3e-16 absolute (c <= 30, order 2000), and with the
+recurrence to 3.2e-16 absolute (c <= 30, order 2000), and with the
 Poisson(c) pmf to 2e-14 up to c = 900, where exp(-c) itself underflows.
-``reciprocal`` keeps O(k) ulps of relative error on coefficient k, as the
-recurrence does.
 """
 
 from __future__ import annotations
@@ -31,6 +43,11 @@ import math
 import numpy as np
 
 from .errors import DomainError, OrderError
+
+#: Terms in the shorter operand from which a product is formed by FFT.  Full
+#: products of two length-n vectors cost the same both ways near n = 512 on
+#: a 2-vCPU Xeon VM (numpy 2.4, pocketfft); BENCH_12.json has the timings.
+FFT_CROSSOVER = 512
 
 
 class TruncatedSeries:
@@ -87,7 +104,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries(self.coeffs * float(other))
         k = min(self.order, other.order) + 1
-        return TruncatedSeries(np.convolve(self.coeffs, other.coeffs)[:k])
+        return TruncatedSeries(_product(self.coeffs, other.coeffs, 0, k))
 
     __rmul__ = __mul__
 
@@ -120,7 +137,7 @@ class TruncatedSeries:
         for _ in range(s):
             if not f.any():
                 break  # an underflowed series stays zero under squaring
-            f = _square(f)
+            f = _product(f, f, 0, len(f))
         return TruncatedSeries(f)
 
 
@@ -134,8 +151,8 @@ def _extend_inverse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n, h = len(a), len(b)
     while h < n:
         h2 = min(2 * h, n)
-        err = np.convolve(a[1:h2], b, "valid")  # coefficients h..h2-1 of a*b
-        b = np.concatenate((b, -np.convolve(b[: h2 - h], err)[: h2 - h]))
+        err = _product(a, b, h, h2)
+        b = np.concatenate((b, -_product(b, err, 0, h2 - h)))
         h = h2
     return b
 
@@ -156,23 +173,38 @@ def _newton_exp(a: np.ndarray) -> np.ndarray:
         h2 = min(2 * h, n)
         g = _extend_inverse(f, g)
         # coefficients h-1..h2-2 of f*a'; f' has none there
-        r = np.convolve(da[: h2 - 1], f, "valid")
+        r = _product(da, f, h - 1, h2 - 1)
         # coefficients h..h2-1 of a - log f
-        t = np.convolve(g[: h2 - h], r)[: h2 - h] / np.arange(h, h2)
-        f = np.concatenate((f, np.convolve(f[: h2 - h], t)[: h2 - h]))
+        t = _product(g, r, 0, h2 - h) / np.arange(h, h2)
+        f = np.concatenate((f, _product(f, t, 0, h2 - h)))
         h = h2
     return f
 
 
-def _square(f: np.ndarray) -> np.ndarray:
-    """f*f mod x^len(f) from the low half's square and one cross product."""
-    n = len(f)
-    k = (n + 1) // 2
-    out = np.zeros(n)
-    out[: 2 * k - 1] = np.convolve(f[:k], f[:k])
-    if n > 1:
-        out[k:] += 2.0 * np.convolve(f[: n - k], f[k:])[: n - k]
-    return out
+def _product(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Coefficients lo..hi-1 of a*b, for hi <= len(a) + len(b) - 1.
+
+    Terms of a and b from x^hi on reach no kept coefficient and are cut
+    first; so are the terms of a below x^(lo - len(b) + 1).  When the shorter
+    operand has FFT_CROSSOVER terms or more, the product is one real FFT
+    per distinct operand and one inverse, over a power-of-two length that
+    covers the whole product of the cut operands: a shorter cyclic length
+    would fold its high coefficients onto the low ones.  Below that,
+    ``np.convolve`` forms the kept window alone when it lies where the
+    operands fully overlap, and the full product otherwise.
+    """
+    square = a is b
+    a, b = a[:hi], b[:hi]
+    skip = max(0, lo - len(b) + 1)
+    a = a[skip:]
+    if min(len(a), len(b)) < FFT_CROSSOVER:
+        if lo >= len(b) - 1 and len(a) == hi - skip:
+            return np.convolve(a, b, "valid")
+        return np.convolve(a, b)[lo - skip : hi - skip]
+    size = 1 << (len(a) + len(b) - 2).bit_length()
+    fa = np.fft.rfft(a, size)
+    fb = fa if square else np.fft.rfft(b, size)
+    return np.fft.irfft(fa * fb, size)[lo - skip : hi - skip]
 
 
 def d_extract(f: TruncatedSeries, k: int) -> float:

@@ -113,8 +113,10 @@ class TestConfig:
         assert config_mod.from_dict(_doc_with("thresholds.m", 4.0)).thresholds.m == 4.0
 
     @pytest.mark.parametrize("field", NUMERIC_FIELDS)
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "x", None])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "x", None,
+                                       "1.5", "3", True, False])
     def test_bad_number_rejected(self, field, value):
+        # float() reads "1.5" and true; a config holds JSON numbers only.
         with pytest.raises(ConfigError) as excinfo:
             config_mod.from_dict(_doc_with(field, value))
         assert excinfo.value.field == field
@@ -265,6 +267,19 @@ class TestExitCodes:
         path = tmp_path / "oversized.json"
         path.write_text(json.dumps(_doc_with(field, value)))
         for command in commands:
+            assert cli.main([command, str(path)]) == 3
+            assert f"(field: {field})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("process.lambda_a", "1.5"), ("thresholds.m", "3"), ("process.lambda_b", True),
+    ])
+    def test_number_given_as_string_or_boolean_exit_code(self, tmp_path, monkeypatch,
+                                                         capsys, field, value):
+        # Each of these once ran every command as the number float() read.
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(_doc_with(field, value)))
+        for command in ("simulate", "analyze", "conformance"):
             assert cli.main([command, str(path)]) == 3
             assert f"(field: {field})" in capsys.readouterr().err
 

@@ -30,7 +30,8 @@ from strategyshift import cli
 from strategyshift import config as config_mod
 
 #: Values that are out of range, fractional, of the wrong type or extreme.
-WILD = st.sampled_from([0, -1, -0.5, 1.5, 1e-300, 1e15, 1e300, "x", None])
+WILD = st.sampled_from([0, -1, -0.5, 1.5, 1e-300, 1e15, 1e300, "x", "1.5", "3",
+                       True, False, None])
 
 FIELDS = [field for field, _ in config_leaves()]
 

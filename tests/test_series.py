@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from literal import BivariateSeries, d_apply, d_apply_2d, d_extract_2d, series_exp
 from strategyshift.errors import DomainError, OrderError
-from strategyshift.series import TruncatedSeries, d_extract
+from strategyshift import series
+from strategyshift.series import FFT_CROSSOVER, TruncatedSeries, d_extract
 
 
 EPS = np.finfo(float).eps
@@ -82,15 +83,29 @@ class TestNewtonKernels:
     # Accuracy of reciprocal and exp against closed forms and the
     # coefficient-by-coefficient recurrence, at the orders the config allows.
 
-    @pytest.mark.parametrize("order", [2000, 20000])
+    @pytest.mark.parametrize("order", [300, 2000, 20000])
     @pytest.mark.parametrize("c", [1.0, 1000.0])
     def test_reciprocal_geometric_closed_form(self, c, order):
         coeffs = np.zeros(order + 1)
         coeffs[:2] = 1.0 + c, -c
         got = TruncatedSeries(coeffs).reciprocal().coeffs
         expect = (c / (1.0 + c)) ** np.arange(order + 1) / (1.0 + c)
-        # term k of a geometric sequence carries O(k) ulps of rounding
-        np.testing.assert_allclose(got, expect, rtol=4 * order * EPS, atol=0.0)
+        # The closed form is a sum of positive terms, so its partial sums (all
+        # d_extract reads) keep the relative accuracy of the recurrence.
+        np.testing.assert_allclose(np.cumsum(got), np.cumsum(expect),
+                                   rtol=4 * order * EPS, atol=0.0)
+        if order < FFT_CROSSOVER:
+            # every product is an np.convolve: term k of a geometric
+            # sequence carries O(k) ulps of rounding
+            np.testing.assert_allclose(got, expect, rtol=4 * order * EPS, atol=0.0)
+        else:
+            # FFT rounding is absolute: ulps of the largest coefficient per
+            # log2 of the FFT length (at most that of a full product of two
+            # order-N series), summed over the Newton steps.  Measured: at
+            # most 16 such units, at c = 1000 and order 2000.
+            log2_length = (2 * order).bit_length()
+            bound = 32 * expect.max() * log2_length * EPS
+            np.testing.assert_allclose(got, expect, rtol=0.0, atol=bound)
 
     @pytest.mark.parametrize("c", [0.5, 3.0, 30.0])
     @pytest.mark.parametrize("mark", ["unit", "fixed2", "geometric"])
@@ -129,16 +144,16 @@ class TestNewtonKernels:
             [1.0 / b0, -1.5 / b0**2], rtol=4 * EPS)
 
     def test_kernels_make_logarithmically_many_products(self, monkeypatch):
-        # A coefficient-by-coefficient loop makes ~20,000 numpy calls here,
-        # or none through np.convolve; either fails.
+        # A coefficient-by-coefficient loop makes ~20,000 products here, or
+        # none through the product helper; either fails.
         calls = []
-        convolve = np.convolve
+        product = series._product
 
         def counting(*args):
             calls.append(1)
-            return convolve(*args)
+            return product(*args)
 
-        monkeypatch.setattr(np, "convolve", counting)
+        monkeypatch.setattr(series, "_product", counting)
         order = 20000
         coeffs = np.zeros(order + 1)
         coeffs[:2] = 4.0, -3.0
@@ -147,6 +162,50 @@ class TestNewtonKernels:
         calls.clear()
         TruncatedSeries(compound_exponent(3.0, "unit", order)).exp()
         assert 0 < len(calls) <= 100
+
+
+class TestProduct:
+    # The product helper against the full np.convolve product, on both
+    # sides of the FFT crossover.
+
+    @pytest.mark.parametrize("len_a, len_b, lo, hi", [
+        (1, 1, 0, 1),
+        (1, 700, 0, 700),
+        (9, 4, 0, 9),
+        (9, 4, 3, 12),
+        (64, 64, 0, 64),
+        (127, 64, 64, 127),
+        (127, 64, 63, 126),
+        (FFT_CROSSOVER, FFT_CROSSOVER, 0, FFT_CROSSOVER),
+        (2 * FFT_CROSSOVER - 1, FFT_CROSSOVER, FFT_CROSSOVER, 2 * FFT_CROSSOVER - 1),
+        (2 * FFT_CROSSOVER, FFT_CROSSOVER - 1, 0, 3 * FFT_CROSSOVER - 2),
+        (3000, 700, 0, 3000),
+        (700, 3000, 1000, 2500),
+        (3000, 3000, 2999, 3000),
+    ])
+    def test_matches_convolve(self, rng, len_a, len_b, lo, hi):
+        a, b = rng.normal(size=len_a), rng.normal(size=len_b)
+        assert_product(series._product(a, b, lo, hi), a, b, lo, hi)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, FFT_CROSSOVER - 1, FFT_CROSSOVER, 3001])
+    def test_square_is_the_truncated_product(self, rng, n):
+        f = rng.random(n)
+        assert_product(series._product(f, f, 0, n), f, f, 0, n)
+
+
+def assert_product(got, a, b, lo, hi):
+    """``got`` is coefficients lo..hi-1 of a*b: exactly as np.convolve forms
+    them below the crossover, and above it within FFT rounding, which is
+    absolute: a few ulps of the largest possible coefficient per log2 of
+    the FFT length."""
+    full = np.convolve(a, b)
+    assert len(got) == hi - lo
+    if min(len(a), len(b), hi) < FFT_CROSSOVER:
+        assert np.array_equal(got, full[lo:hi])
+    else:
+        largest = np.abs(a).max() * np.abs(b).max() * min(len(a), len(b))
+        bound = 4 * largest * (len(a) + len(b)).bit_length() * EPS
+        np.testing.assert_allclose(got, full[lo:hi], rtol=0.0, atol=bound)
 
 
 class TestGeometricSeries:

@@ -1,9 +1,14 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from literal import gamma_marginal
+from strategyshift.config import MAX_THRESHOLD
 from strategyshift.errors import DomainError, UnsupportedConfigurationError
 from strategyshift.params import IntervalDistribution, MarkDistribution
+from strategyshift.series import d_extract
 from strategyshift.transforms import TransformContext, gamma_series
 
 EXP1 = IntervalDistribution.exponential(1.0)
@@ -100,6 +105,32 @@ class TestGammaSeries:
         s = gamma_series(1500, 0.0, 300.0, UNIT, det)
         assert s.coeffs.sum() == pytest.approx(1.0, abs=1e-12)
         assert s.coeffs.argmax() in (899, 900)
+
+    @pytest.mark.parametrize("family", ["deterministic", "exponential"])
+    def test_mean_exit_index_at_the_threshold_cap(self, family):
+        # E[mu] = sum_{i < m} u_i with u the coefficients of G0 / (1 - G):
+        # one extraction from FFT-backed products at the largest order a
+        # config allows, against the benchmark's exact law (Panjer's
+        # recursion and the renewal sequence, term by term).
+        m = MAX_THRESHOLD
+        doc = {"process": {"lambda_a": 1.0, "mark_a": {"family": "geometric", "p": 0.5}},
+               "observation": {"family": family, "initial_mean": 3.0, "interval_mean": 1.0},
+               "thresholds": {"m": m}}
+        mark = MarkDistribution.geometric(0.5)
+        g0 = gamma_series(m - 1, 0.0, 1.0, mark, IntervalDistribution(family, 3.0))
+        g = gamma_series(m - 1, 0.0, 1.0, mark, IntervalDistribution(family, 1.0))
+        got = d_extract(g0 * (1.0 - g).reciprocal(), m - 1)
+        expect = _exact_law().AxisLaw(doc, "a").mean_exit_index()
+        assert got == pytest.approx(expect, rel=1e-11, abs=0.0)
+
+
+def _exact_law():
+    """perfbench/exact.py, which imports nothing from the package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "exact.py"
+    spec = importlib.util.spec_from_file_location("perfbench_exact", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestTransformContext:
