@@ -8,6 +8,7 @@ for a fixed (config, seed) pair.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -54,31 +55,53 @@ def _output_dir(cfg) -> Path:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    """Write one JSON artifact: every float, at any depth, rounded to 12
+    significant digits; sorted keys; a non-finite number raises before the
+    file is touched; one trailing newline."""
+    def rounded(value):
+        if isinstance(value, float):
+            return float(format(value, ".12g"))
+        if isinstance(value, dict):
+            return {key: rounded(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [rounded(item) for item in value]
+        return value
+
+    path.write_text(json.dumps(rounded(payload), indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """Write one CSV artifact: strings as they are, None as an empty cell,
+    every number with 12 significant digits; "\\n" ends each row."""
+    import csv  # here, so classify and config errors never load it
+
+    with path.open("w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cell if cell is None or isinstance(cell, str)
+                             else format(float(cell), ".12g") for cell in row])
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     from .oracle import estimate_exits
-    from .report import _round12, histogram_csv
     out = _output_dir(cfg)
     summary = estimate_exits(
         cfg.params, cfg.thresholds, cfg.n_paths, cfg.seed, cfg.horizon
     )
     if "csv" in cfg.formats:
-        for axis in ("a", "b"):
+        for axis, name in (("a", "histogram_mu.csv"), ("b", "histogram_nu.csv")):
             counts, probs = summary.histogram(axis)
-            name = "histogram_mu.csv" if axis == "a" else "histogram_nu.csv"
-            (out / name).write_text(histogram_csv(counts, probs))
+            _write_csv(out / name, ("index", "count", "probability"),
+                       ((i, c, p) for i, (c, p) in enumerate(zip(counts, probs))))
     if "json" in cfg.formats:
         payload = {"n_paths": summary.n_paths,
                    "censored_a": summary.n_censored_a,
                    "censored_b": summary.n_censored_b}
         for name in ("mu", "nu", "tau_mu", "tau_mu_prev", "tau_nu", "tau_nu_prev"):
-            mean, se = summary.mean_se(name)
-            payload[f"mean_{name}"] = _round12(mean)
-            payload[f"se_{name}"] = _round12(se)
+            payload[f"mean_{name}"], payload[f"se_{name}"] = summary.mean_se(name)
         _write_json(out / "summary.json", payload)
     print(f"simulate: {summary.n_paths} paths -> {out}")
     return EXIT_OK
@@ -86,38 +109,33 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = _load_config(args.config)
-    from .analytics import axis_means, lemma_note, lemma_pgf, phi_functional
-    from .report import DEFAULT_Z_GRID, _round12
+    from .analytics import lemma_note, lemma_pgf, phi_functional
+    from .report import DEFAULT_Z_GRID, means_or_note
     from .transforms import TransformContext
     out = _output_dir(cfg)
     params = cfg.params
-    m, n = int(cfg.thresholds.m), int(cfg.thresholds.n)
+    m, n = cfg.thresholds.m, cfg.thresholds.n
     axes = (("a", m, params.lambda_a), ("b", n, params.lambda_b))
-    report: dict = {"means": {}}
-    for axis, _, lam in axes:
-        try:
-            values = [_round12(v) for v in axis_means(params, lam)]
-        except NoExitError:
-            values = ["no shift predicted"] * 3
-        report["means"][axis] = dict(zip(
-            ("exit_index_mean", "shift_time_mean", "prior_time_mean"), values))
+    report = {"means": {
+        axis: dict(zip(("exit_index_mean", "shift_time_mean", "prior_time_mean"),
+                       means_or_note(params, lam)))
+        for axis, _, lam in axes
+    }}
 
     z_grid = list(DEFAULT_Z_GRID)
     note = lemma_note(params)
     report["index_pgf_closed"] = {"note": note} if note else {
-        axis: {f"{z:g}": _round12(lemma_pgf(z, level, params, lam)) for z in z_grid}
+        axis: {f"{z:g}": lemma_pgf(z, level, params, lam) for z in z_grid}
         for axis, level, lam in axes
     }
     report["index_pgf_operator"] = {
-        "a": {f"{z:g}": _round12(phi_functional(m, n, TransformContext(z=z), params))
+        "a": {f"{z:g}": phi_functional(m, n, TransformContext(z=z), params)
               for z in z_grid},
-        "b": {f"{z:g}": _round12(phi_functional(m, n, TransformContext(g=z), params))
+        "b": {f"{z:g}": phi_functional(m, n, TransformContext(g=z), params)
               for z in z_grid},
     }
     report["joint_functional"] = {
-        f"{mm},{nn}": _round12(
-            phi_functional(mm, nn, TransformContext.neutral(), params)
-        )
+        f"{mm},{nn}": phi_functional(mm, nn, TransformContext.neutral(), params)
         for mm in (1, 2, 3)
         for nn in (1, 2, 3)
     }
@@ -149,7 +167,7 @@ def cmd_classify(args) -> int:
 def cmd_conformance(args) -> int:
     cfg = _load_config(args.config)
     from .oracle import estimate_exits
-    from .report import STUDY_LEVELS, conformance_rows, rows_to_csv, rows_to_json
+    from .report import STUDY_LEVELS, ConformanceRow, conformance_rows
     out = _output_dir(cfg)
     # One sample serves the table, the joint functional and the study.
     summary = estimate_exits(
@@ -158,9 +176,11 @@ def cmd_conformance(args) -> int:
     )
     rows = conformance_rows(summary)
     if "csv" in cfg.formats:
-        (out / "conformance.csv").write_text(rows_to_csv(rows))
+        _write_csv(out / "conformance.csv",
+                   [f.name for f in dataclasses.fields(ConformanceRow)],
+                   map(dataclasses.astuple, rows))
     if "json" in cfg.formats:
-        (out / "conformance.json").write_text(rows_to_json(rows))
+        _write_json(out / "conformance.json", [dataclasses.asdict(r) for r in rows])
     n_dev = sum(1 for r in rows if r.verdict == "deviation")
     print(f"conformance: {len(rows)} rows, {n_dev} deviation(s) -> {out}")
     return EXIT_CONFORMANCE_DEVIATION if n_dev else EXIT_OK

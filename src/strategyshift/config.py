@@ -84,8 +84,7 @@ SCHEMA = {
         "initial_mean": Entry("number", gt=0),
         "interval_mean": Entry("number", gt=0),
     },
-    # Thresholds are counts of mark units: a fractional one would be
-    # simulated as its ceiling but analysed as its floor.
+    # Thresholds are counts of mark units (params.Thresholds holds ints).
     "thresholds": {
         "m": Entry("integer", ge=0, le=MAX_THRESHOLD),
         "n": Entry("integer", ge=0, le=MAX_THRESHOLD),
@@ -237,8 +236,7 @@ def from_dict(doc) -> RunConfig:
             mark_a=_mark(proc["mark_a"]),
             mark_b=_mark(proc["mark_b"]),
         ),
-        thresholds=Thresholds(m=float(doc["thresholds"]["m"]),
-                              n=float(doc["thresholds"]["n"])),
+        thresholds=Thresholds(**doc["thresholds"]),
         matrix=StrategyMatrix(tuple(labels), *cuts),
         scale_factor=mat["scale_factor"],
         n_paths=sim["paths"],

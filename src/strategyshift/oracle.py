@@ -21,7 +21,6 @@ has its exact law but is not coupled to the other levels of its path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, Sequence, Tuple
@@ -249,7 +248,7 @@ def _simulate(
     else:
         new_epochs = partial(_ArithmeticEpochs, t0, d, cap)
 
-    crossings = [_crossing(rng, intensity, mark, math.ceil(threshold), n_paths)
+    crossings = [_crossing(rng, intensity, mark, threshold, n_paths)
                  for intensity, mark, threshold in (
                      (params.lambda_a, params.mark_a, thresholds.m),
                      (params.lambda_b, params.mark_b, thresholds.n))]

@@ -13,6 +13,7 @@ series expansions in ``transforms``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ParameterError, UnsupportedConfigurationError
@@ -134,11 +135,18 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Exceedance levels for the two cumulative decision parameters."""
+    """Exceedance levels for the two cumulative decision parameters, as
+    whole counts of mark units (an integral float is stored as its int)."""
 
-    m: float
-    n: float
+    m: int
+    n: int
 
     def __post_init__(self):
-        if self.m < 0 or self.n < 0:
-            raise ParameterError("thresholds must be nonnegative")
+        for name in ("m", "n"):
+            value = getattr(self, name)
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+            if isinstance(value, bool) or not hasattr(value, "__index__") or value < 0:
+                raise ParameterError(
+                    f"threshold {name} must be a nonnegative integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))

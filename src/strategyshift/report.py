@@ -1,22 +1,21 @@
-"""The conformance table and report serialization.
+"""The conformance table.
 
 ``conformance_rows`` builds the whole table from one simulated sample,
 pairing each closed-form value with its Monte Carlo estimate.  Every row is
 judged by one rule (``judge``).  Assertability policy: only the exit-index
 means at unit thresholds with matching interval means, unit marks, and
 exponential observation are gated on; every other closed form is documented
-with its deviation.
+with its deviation.  ``ConformanceRow``'s fields are the artifact columns;
+writing the rows out is the CLI's job.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .analytics import axis_means, lemma_note, lemma_pgf, phi_functional
+from .errors import NoExitError
 from .oracle import (
     EmpiricalExitSummary,
     empirical_functional,
@@ -40,7 +39,7 @@ class ConformanceRow:
     """One analytic-vs-empirical comparison in the conformance table."""
 
     quantity: str
-    reference: str
+    paper_ref: str
     analytic: Union[float, str]
     mc_estimate: float
     se: float
@@ -50,7 +49,7 @@ class ConformanceRow:
 
 def judge(
     quantity: str,
-    reference: str,
+    paper_ref: str,
     analytic: Union[float, str],
     estimate: Tuple[float, float],
     assertable: bool = False,
@@ -63,7 +62,7 @@ def judge(
     """
     est, se = estimate
     if isinstance(analytic, str):
-        return ConformanceRow(quantity, reference, analytic, est, se, None,
+        return ConformanceRow(quantity, paper_ref, analytic, est, se, None,
                               "not-assertable")
     rel = abs(est - analytic) / abs(analytic) if analytic != 0.0 else abs(est)
     if not assertable:
@@ -72,10 +71,19 @@ def judge(
         verdict = "match"
     else:
         verdict = "deviation"
-    return ConformanceRow(quantity, reference, analytic, est, se, rel, verdict)
+    return ConformanceRow(quantity, paper_ref, analytic, est, se, rel, verdict)
 
 
-def _exit_mean_assertable(params: ModelParams, level: float) -> bool:
+def means_or_note(params: ModelParams, intensity: float) -> Tuple[Union[float, str], ...]:
+    """``axis_means`` of one axis, or the note "no shift predicted" in place
+    of each mean when the axis has zero intensity and so never exits."""
+    try:
+        return axis_means(params, intensity)
+    except NoExitError:
+        return ("no shift predicted",) * 3
+
+
+def _exit_mean_assertable(params: ModelParams, level: int) -> bool:
     # The printed mean carries no threshold dependence; it provably matches
     # simulation only at unit thresholds with unit marks and a memoryless
     # observation process whose two interval means coincide.
@@ -99,14 +107,14 @@ def conformance_rows(summary: EmpiricalExitSummary) -> List[ConformanceRow]:
     simulation.
     """
     params, thresholds = summary.params, summary.thresholds
-    m, n = int(thresholds.m), int(thresholds.n)
-    e_mu, t_a, p_a = axis_means(params, params.lambda_a)
-    e_nu, t_b, p_b = axis_means(params, params.lambda_b)
-    gate_a = _exit_mean_assertable(params, thresholds.m)
-    gate_b = _exit_mean_assertable(params, thresholds.n)
+    m, n = thresholds.m, thresholds.n
+    e_mu, t_a, p_a = means_or_note(params, params.lambda_a)
+    e_nu, t_b, p_b = means_or_note(params, params.lambda_b)
+    gate_a = _exit_mean_assertable(params, m)
+    gate_b = _exit_mean_assertable(params, n)
     rows = [
-        judge(quantity, reference, value, summary.mean_se(sample), gate)
-        for quantity, reference, value, sample, gate in (
+        judge(quantity, paper_ref, value, summary.mean_se(sample), gate)
+        for quantity, paper_ref, value, sample, gate in (
             ("mean_exit_index_a", "closed-form exit-index mean, axis A",
              e_mu, "mu", gate_a),
             ("mean_exit_index_b", "closed-form exit-index mean, axis B",
@@ -146,55 +154,3 @@ def conformance_rows(summary: EmpiricalExitSummary) -> List[ConformanceRow]:
                           e_mu, sample_mean_se(idx[idx >= 0].astype(float),
                                                f"mu at level {level}")))
     return rows
-
-
-def fmt(value) -> str:
-    """Serialize a number with 12 significant digits; pass strings through."""
-    if isinstance(value, str):
-        return value
-    if value is None:
-        return ""
-    return format(float(value), ".12g")
-
-
-def rows_to_csv(rows: List[ConformanceRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["quantity", "paper_ref", "analytic", "mc_estimate", "se", "rel_dev", "verdict"]
-    )
-    for r in rows:
-        writer.writerow(
-            [r.quantity, r.reference, fmt(r.analytic), fmt(r.mc_estimate),
-             fmt(r.se), fmt(r.rel_dev), r.verdict]
-        )
-    return buf.getvalue()
-
-
-def rows_to_json(rows: List[ConformanceRow]) -> str:
-    payload = [
-        {
-            "quantity": r.quantity,
-            "paper_ref": r.reference,
-            "analytic": r.analytic if isinstance(r.analytic, str) else _round12(r.analytic),
-            "mc_estimate": _round12(r.mc_estimate),
-            "se": _round12(r.se),
-            "rel_dev": None if r.rel_dev is None else _round12(r.rel_dev),
-            "verdict": r.verdict,
-        }
-        for r in rows
-    ]
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def _round12(x: float) -> float:
-    return float(format(float(x), ".12g"))
-
-
-def histogram_csv(counts, probabilities) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "count", "probability"])
-    for i, (c, p) in enumerate(zip(counts, probabilities)):
-        writer.writerow([i, int(c), fmt(p)])
-    return buf.getvalue()

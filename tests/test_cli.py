@@ -433,11 +433,17 @@ class TestExitCodes:
             ("exit_index_mean", "shift_time_mean", "prior_time_mean"),
             "no shift predicted")
         assert report["means"]["a"]["exit_index_mean"] == 1.0
+        # conformance reads the same note for axis B's three means, and each
+        # of those rows is not-assertable instead of a domain error
         capsys.readouterr()
-        assert cli.main(["conformance", str(path)]) == 4
-        assert capsys.readouterr().err == (
-            "error: closed-form means need a positive intensity\n")
-        assert not (tmp_path / "out" / "conformance.json").exists()
+        assert cli.main(["conformance", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = json.loads((tmp_path / "out" / "conformance.json").read_text())
+        noted = [r for r in rows if r["analytic"] == "no shift predicted"]
+        assert [r["quantity"] for r in noted] == [
+            "mean_exit_index_b", "mean_shift_time_b", "mean_prior_time_b"]
+        assert all(r["verdict"] == "not-assertable" and r["rel_dev"] is None
+                   for r in noted)
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -485,6 +491,86 @@ def test_analyze_and_conformance_report_the_same_closed_forms(
         assert rows[f"index_pgf_operator_a[z={z}]"] == value
         assert rows[f"index_pgf_closed_a[z={z}]"] == (
             closed["note"] if "note" in closed else closed["a"][z])
+
+
+REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
+
+
+@pytest.fixture(scope="module")
+def reference_artifacts(tmp_path_factory):
+    """The output directory of simulate, analyze and conformance on
+    configs/reference.json."""
+    out = tmp_path_factory.mktemp("artifacts")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(cli.OUTPUT_DIR_ENV, str(out))
+        for command in ("simulate", "analyze", "conformance"):
+            assert cli.main([command, str(REFERENCE_CONFIG)]) == 0
+    return out
+
+
+def _json_numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _json_numbers(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+def _numeric(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+class TestArtifactContract:
+    """Every artifact number carries 12 significant digits, and the two
+    conformance files hold the same table."""
+
+    @pytest.mark.parametrize("name", ["summary.json", "analysis.json", "conformance.json"])
+    def test_json_numbers_are_rounded(self, reference_artifacts, name):
+        numbers = list(_json_numbers(json.loads((reference_artifacts / name).read_text())))
+        assert any(x != int(x) for x in numbers)
+        for x in numbers:
+            assert x == float(format(x, ".12g")), (name, x)
+
+    @pytest.mark.parametrize("name", ["histogram_mu.csv", "histogram_nu.csv",
+                                      "conformance.csv"])
+    def test_csv_numbers_are_rounded(self, reference_artifacts, name):
+        import csv
+
+        with (reference_artifacts / name).open(newline="") as f:
+            cells = [cell for row in list(csv.reader(f))[1:] for cell in row]
+        numeric = [cell for cell in cells if _numeric(cell)]
+        assert any("." in cell for cell in numeric)
+        for cell in numeric:
+            assert cell == format(float(cell), ".12g"), (name, cell)
+
+    def test_conformance_csv_matches_json(self, reference_artifacts):
+        import csv
+        import dataclasses
+
+        from strategyshift.report import ConformanceRow
+
+        with (reference_artifacts / "conformance.csv").open(newline="") as f:
+            csv_rows = list(csv.DictReader(f))
+        json_rows = json.loads((reference_artifacts / "conformance.json").read_text())
+        columns = [field.name for field in dataclasses.fields(ConformanceRow)]
+        assert list(csv_rows[0]) == columns
+        assert len(csv_rows) == len(json_rows) == 16
+        for from_csv, from_json in zip(csv_rows, json_rows):
+            assert sorted(from_json) == sorted(columns)
+            for column, value in from_json.items():
+                cell = from_csv[column]
+                if value is None:
+                    assert cell == ""
+                elif isinstance(value, str):
+                    assert cell == value
+                else:
+                    assert float(cell) == value and cell == format(value, ".12g")
 
 
 class TestArtifacts:
@@ -543,15 +629,18 @@ class TestArtifacts:
             (tmp_path / "out" / "conformance.json").read_text())}
         study = [r for r in rows if "[m=" in r]
         assert len(study) == len(report.STUDY_LEVELS)
+        expected = {}
         for level in report.STUDY_LEVELS:
             idx = summaries[0].exit_index_a(level)
-            est, se = oracle.sample_mean_se(idx[idx >= 0].astype(float), "mu")
-            row = rows[f"mean_exit_index_a[m={level}]"]
-            assert row["mc_estimate"] == report._round12(est)
-            assert row["se"] == report._round12(se)
-        est, se = oracle.empirical_functional(summaries[0], TransformContext.neutral())
-        assert rows["joint_functional"]["mc_estimate"] == report._round12(est)
-        assert rows["joint_functional"]["se"] == report._round12(se)
+            expected[f"mean_exit_index_a[m={level}]"] = oracle.sample_mean_se(
+                idx[idx >= 0].astype(float), "mu")
+        expected["joint_functional"] = oracle.empirical_functional(
+            summaries[0], TransformContext.neutral())
+        # the estimates as the artifact writer rounds them
+        cli._write_json(tmp_path / "expected.json", expected)
+        expected = json.loads((tmp_path / "expected.json").read_text())
+        for quantity, (est, se) in expected.items():
+            assert (rows[quantity]["mc_estimate"], rows[quantity]["se"]) == (est, se)
 
     def test_conformance_csv_header(self, config_file, tmp_path):
         cli.main(["conformance", str(config_file)])
@@ -614,16 +703,19 @@ class TestArtifacts:
     def test_json_writers_refuse_nan(self, tmp_path):
         import dataclasses
 
-        from strategyshift.report import ConformanceRow, rows_to_json
+        from strategyshift.report import ConformanceRow
 
         nan = float("nan")
         target = tmp_path / "summary.json"
         with pytest.raises(ValueError):
             cli._write_json(target, {"mean_mu": nan})
         assert not target.exists()
+        # conformance.json is written from the rows as dicts
         row = ConformanceRow("q", "ref", 1.0, nan, 0.1, None, "not-assertable")
+        target = tmp_path / "conformance.json"
         with pytest.raises(ValueError):
-            rows_to_json([row])
+            cli._write_json(target, [dataclasses.asdict(row)])
+        assert not target.exists()
         cfg = config_mod.from_dict(REFERENCE_DOC)
         doc = cfg.to_dict()
         doc["matrix"]["scale_factor"] = nan

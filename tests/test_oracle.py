@@ -24,6 +24,23 @@ def scan_exit_index(levels, threshold) -> int:
     return -1
 
 
+class TestThresholds:
+    # A threshold counts mark units; the simulator and the series extraction
+    # must read the same level, so a fraction never gets in.
+    @pytest.mark.parametrize("value", [2.5, True, False, float("nan"), float("inf"),
+                                       "3", -1])
+    def test_non_integer_or_negative_threshold_refused(self, value):
+        with pytest.raises(ParameterError):
+            Thresholds(value, 1)
+        with pytest.raises(ParameterError):
+            Thresholds(1, value)
+
+    def test_integral_thresholds_stored_as_ints(self):
+        thresholds = Thresholds(4.0, np.int64(2))
+        assert (thresholds.m, thresholds.n) == (4, 2)
+        assert type(thresholds.m) is int and type(thresholds.n) is int
+
+
 class TestEstimateExits:
     def test_zero_paths_rejected(self, reference_params, unit_thresholds):
         with pytest.raises(ParameterError):
