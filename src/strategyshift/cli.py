@@ -1,8 +1,8 @@
 """Command-line surface: simulate, analyze, classify, conformance.
 
-Exit codes: 0 success, 2 missing input file, 3 invalid configuration,
-4 domain error, 5 conformance deviation.  All artifacts are deterministic
-for a fixed (config, seed) pair.
+Exit codes: 0 success, 2 missing input file or command-line usage error,
+3 invalid configuration, 4 domain error, 5 conformance deviation.  All
+artifacts are deterministic for a fixed (config, seed) pair.
 """
 
 from __future__ import annotations
@@ -86,22 +86,27 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    from .oracle import estimate_exits
+    import numpy as np
+    from .oracle import estimate_exits, exit_mean_se
     out = _output_dir(cfg)
     summary = estimate_exits(
         cfg.params, cfg.thresholds, cfg.n_paths, cfg.seed, cfg.horizon
     )
-    if "csv" in cfg.formats:
-        for axis, name in (("a", "histogram_mu.csv"), ("b", "histogram_nu.csv")):
-            counts, probs = summary.histogram(axis)
-            _write_csv(out / name, ("index", "count", "probability"),
-                       ((i, c, p) for i, (c, p) in enumerate(zip(counts, probs))))
+    payload = {"n_paths": summary.n_paths}
+    for axis, name, record in (("a", "mu", summary.a), ("b", "nu", summary.b)):
+        exited = record.index[record.index >= 0]
+        payload[f"censored_{axis}"] = summary.n_paths - exited.size
+        for key, values in ((name, record.index), (f"tau_{name}", record.shift),
+                            (f"tau_{name}_prev", record.prior)):
+            payload[f"mean_{key}"], payload[f"se_{key}"] = exit_mean_se(
+                record.index, values, key)
+        if "csv" in cfg.formats:
+            # Probabilities are over all paths, so censored mass shows as a
+            # total below 1.
+            counts = np.bincount(exited, minlength=1)
+            _write_csv(out / f"histogram_{name}.csv", ("index", "count", "probability"),
+                       ((i, c, c / summary.n_paths) for i, c in enumerate(counts)))
     if "json" in cfg.formats:
-        payload = {"n_paths": summary.n_paths,
-                   "censored_a": summary.n_censored_a,
-                   "censored_b": summary.n_censored_b}
-        for name in ("mu", "nu", "tau_mu", "tau_mu_prev", "tau_nu", "tau_nu_prev"):
-            payload[f"mean_{name}"], payload[f"se_{name}"] = summary.mean_se(name)
         _write_json(out / "summary.json", payload)
     print(f"simulate: {summary.n_paths} paths -> {out}")
     return EXIT_OK
@@ -220,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK

@@ -38,6 +38,9 @@ MAX_PATHS = 1_000_000
 MAX_HORIZON = 10**9
 MAX_MARK_VALUE = 10**9
 
+#: Observations per path before a path that has not exceeded is censored.
+DEFAULT_HORIZON = 10_000
+
 #: Default of an entry that must be given.
 REQUIRED = object()
 
@@ -104,7 +107,7 @@ SCHEMA = {
     "simulation": {
         "paths": Entry("integer", ge=1, le=MAX_PATHS),
         "seed": Entry("integer", ge=0),
-        "horizon": Entry("integer", 10_000, ge=1, le=MAX_HORIZON),
+        "horizon": Entry("integer", DEFAULT_HORIZON, ge=1, le=MAX_HORIZON),
     },
     "output": {
         "directory": Entry("string", "out"),

@@ -17,6 +17,9 @@ A path thus costs a fixed number of draws per recorded level, whatever its
 exit index.  Each extra axis-A level of the threshold-dependence study is a
 fresh draw of the same kind on the same paths' first epochs, so its exit index
 has its exact law but is not coupled to the other levels of its path.
+
+Each axis's record is one ``AxisExits``, censored where its index is -1, and
+every Monte Carlo mean over one axis's exited paths is ``exit_mean_se``.
 """
 
 from __future__ import annotations
@@ -27,13 +30,13 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from .config import DEFAULT_HORIZON
 from .errors import HorizonError, NoDataError, NoExitError, ParameterError
 from .params import MarkDistribution, ModelParams, Thresholds
 from .transforms import TransformContext
 
-#: Observation cap per path; paths that never exceed within the cap are
-#: censored, and a run fails when censoring exceeds MAX_CENSOR_FRACTION.
-DEFAULT_HORIZON = 10_000
+#: Paths that never exceed within the horizon are censored, and a run fails
+#: when censoring exceeds this fraction on any recorded level.
 MAX_CENSOR_FRACTION = 0.001
 
 
@@ -43,6 +46,19 @@ def sample_mean_se(samples: np.ndarray, what: str) -> Tuple[float, float]:
         raise NoDataError(f"all paths censored; no samples of {what}")
     se = samples.std(ddof=1) / np.sqrt(samples.size) if samples.size > 1 else 0.0
     return float(samples.mean()), float(se)
+
+
+def exit_mean_se(index: np.ndarray, values, what: str) -> Tuple[float, float]:
+    """Sample mean and standard error of a per-path value over the paths
+    that exited (``index >= 0``).
+
+    ``values`` is an array aligned with ``index``, or a function of the
+    exited paths' indices.  The function never sees a censored index, so a
+    transform such as ``z ** k`` at z = 0 never divides by zero.
+    """
+    exited = index >= 0
+    samples = values(index[exited]) if callable(values) else values[exited]
+    return sample_mean_se(np.asarray(samples, dtype=float), what)
 
 
 def compound_increments(
@@ -77,38 +93,36 @@ def compound_increments(
 
 
 @dataclass(frozen=True)
-class EmpiricalExitSummary:
-    """Per-path exit data for a batch of simulated trajectories.
+class AxisExits:
+    """One axis's exit record, arrays aligned by path: the exit index (-1
+    where censored), the prior epoch (0 before index 0), the shift epoch and
+    the level at exit (NaN where censored)."""
 
-    Arrays are aligned by path; censored axes hold index -1 and NaN epochs.
+    index: np.ndarray
+    prior: np.ndarray
+    shift: np.ndarray
+    level: np.ndarray
+
+
+@dataclass(frozen=True)
+class EmpiricalExitSummary:
+    """The exit records of a batch of simulated trajectories.
+
+    ``a`` and ``b`` are the two axes' records at the thresholds (m, n).
     ``study_mu`` maps each extra axis-A level to its exit-index array (-1
     where censored).  Each such array has its level's exact law, but is drawn
-    on its own: it is not coupled to ``mu`` or to the other levels.
+    on its own: it is not coupled to ``a`` or to the other levels.
     """
 
+    a: AxisExits
+    b: AxisExits
     n_paths: int
-    seed: int
     params: ModelParams
     thresholds: Thresholds
-    mu: np.ndarray
-    nu: np.ndarray
-    tau_mu: np.ndarray
-    tau_mu_prev: np.ndarray
-    tau_nu: np.ndarray
-    tau_nu_prev: np.ndarray
-    level_at_mu: np.ndarray
-    level_at_nu: np.ndarray
-    censored_a: np.ndarray
-    censored_b: np.ndarray
     study_mu: Dict[int, np.ndarray] = field(default_factory=dict)
 
-    @property
-    def n_censored_a(self) -> int:
-        return int(np.count_nonzero(self.censored_a))
-
-    @property
-    def n_censored_b(self) -> int:
-        return int(np.count_nonzero(self.censored_b))
+    mu = property(lambda self: self.a.index, doc="Axis-A exit indices.")
+    nu = property(lambda self: self.b.index, doc="Axis-B exit indices.")
 
     def exit_index_a(self, level: int) -> np.ndarray:
         """Axis-A exit indices at ``level``: ``mu`` at m, else a study level."""
@@ -117,30 +131,6 @@ class EmpiricalExitSummary:
         if level not in self.study_mu:
             raise NoDataError(f"axis-A level {level} was not recorded")
         return self.study_mu[level]
-
-    def histogram(self, axis: str) -> Tuple[np.ndarray, np.ndarray]:
-        """(counts, probabilities) of the exit index on one axis.
-
-        Probabilities are relative to the full path count, so censored mass
-        is visible as a total below 1.
-        """
-        idx, cens = (self.mu, self.censored_a) if axis == "a" else (self.nu, self.censored_b)
-        ok = idx[~cens]
-        counts = np.bincount(ok) if ok.size else np.zeros(1, dtype=np.int64)
-        return counts, counts / self.n_paths
-
-    def mean_se(self, name: str) -> Tuple[float, float]:
-        """Sample mean and standard error of one tracked quantity."""
-        samples = {
-            "mu": (self.mu, self.censored_a),
-            "nu": (self.nu, self.censored_b),
-            "tau_mu": (self.tau_mu, self.censored_a),
-            "tau_mu_prev": (self.tau_mu_prev, self.censored_a),
-            "tau_nu": (self.tau_nu, self.censored_b),
-            "tau_nu_prev": (self.tau_nu_prev, self.censored_b),
-        }
-        values, cens = samples[name]
-        return sample_mean_se(values[~cens].astype(float), name)
 
 
 #: A gap whose expected epoch count exceeds this is drawn at this mean (numpy
@@ -264,12 +254,14 @@ def _simulate(
         (a_first, crossings[0], params.lambda_a, params.mark_a),
         (~a_first, crossings[1], params.lambda_b, params.mark_b),
     ):
-        index, prev, epoch = (np.where(in_first, f, s) for f, s in zip(first, second))
+        index, prior, shift = (np.where(in_first, f, s) for f, s in zip(first, second))
         level = np.full(n_paths, np.nan)
         ok = index < cap
         level[ok] = total[ok] + compound_increments(rng, intensity, mark,
-                                                    epoch[ok] - crossed[ok])
-        exits.append((index, prev, epoch, level))
+                                                    shift[ok] - crossed[ok])
+        index[~ok] = -1
+        prior[~ok] = shift[~ok] = np.nan
+        exits.append(AxisExits(index, prior, shift, level))
 
     # Each study level is drawn on its own after the (m, n) record, from a
     # fresh crossing and fresh later epochs after the path's t0: its law is
@@ -281,21 +273,7 @@ def _simulate(
         index[index >= cap] = -1
         study[level] = index
 
-    for index, prev, epoch, level in exits:
-        censored = index >= cap
-        index[censored] = -1
-        prev[censored] = epoch[censored] = np.nan
-
-    (mu, tau_mu_prev, tau_mu, lev_mu), (nu, tau_nu_prev, tau_nu, lev_nu) = exits
-    return EmpiricalExitSummary(
-        n_paths=n_paths, seed=seed, params=params, thresholds=thresholds,
-        mu=mu, nu=nu,
-        tau_mu=tau_mu, tau_mu_prev=tau_mu_prev,
-        tau_nu=tau_nu, tau_nu_prev=tau_nu_prev,
-        level_at_mu=lev_mu, level_at_nu=lev_nu,
-        censored_a=mu < 0, censored_b=nu < 0,
-        study_mu=study,
-    )
+    return EmpiricalExitSummary(*exits, n_paths, params, thresholds, study)
 
 
 def estimate_exits(
@@ -334,28 +312,14 @@ def estimate_exits(
                 f"never reaches level {level:g}"
             )
     summary = _simulate(params, thresholds, n_paths, seed, horizon, levels)
-    worst = max(
-        summary.n_censored_a, summary.n_censored_b,
-        *(int(np.count_nonzero(idx < 0)) for idx in summary.study_mu.values()),
-    )
+    worst = max(int(np.count_nonzero(index < 0)) for index in
+                (summary.mu, summary.nu, *summary.study_mu.values()))
     if worst > MAX_CENSOR_FRACTION * n_paths:
         raise HorizonError(
             f"{worst}/{n_paths} paths hit the {horizon}-observation cap "
             "before exceedance; raise the horizon to keep estimates unbiased"
         )
     return summary
-
-
-def empirical_pgf(
-    summary: EmpiricalExitSummary, z: float, axis: str = "a"
-) -> Tuple[float, float]:
-    """Sample mean of z^exit_index with its standard error."""
-    idx, cens = (
-        (summary.mu, summary.censored_a)
-        if axis == "a"
-        else (summary.nu, summary.censored_b)
-    )
-    return sample_mean_se(np.asarray(z, dtype=float) ** idx[~cens], "the exit index")
 
 
 def empirical_functional(
@@ -367,18 +331,18 @@ def empirical_functional(
     tau_nu_prev - vartheta1 tau_nu) over the summary's paths, times the
     literal level indicators 1{level_at_mu <= m} 1{level_at_nu <= n}.
     """
-    s = summary
-    ok = ~(s.censored_a | s.censored_b)
+    a, b = summary.a, summary.b
+    ok = (a.index >= 0) & (b.index >= 0)
     samples = (
-        ctx.z ** s.mu[ok]
-        * ctx.g ** s.nu[ok]
+        ctx.z ** a.index[ok]
+        * ctx.g ** b.index[ok]
         * np.exp(
-            -ctx.theta0 * s.tau_mu_prev[ok]
-            - ctx.theta1 * s.tau_mu[ok]
-            - ctx.vartheta0 * s.tau_nu_prev[ok]
-            - ctx.vartheta1 * s.tau_nu[ok]
+            -ctx.theta0 * a.prior[ok]
+            - ctx.theta1 * a.shift[ok]
+            - ctx.vartheta0 * b.prior[ok]
+            - ctx.vartheta1 * b.shift[ok]
         )
-        * ((s.level_at_mu[ok] <= s.thresholds.m)
-           & (s.level_at_nu[ok] <= s.thresholds.n))
+        * ((a.level[ok] <= summary.thresholds.m)
+           & (b.level[ok] <= summary.thresholds.n))
     )
     return sample_mean_se(samples, "the joint functional")

@@ -16,12 +16,7 @@ from typing import List, Optional, Tuple, Union
 
 from .analytics import axis_means, lemma_note, lemma_pgf, phi_functional
 from .errors import NoExitError
-from .oracle import (
-    EmpiricalExitSummary,
-    empirical_functional,
-    empirical_pgf,
-    sample_mean_se,
-)
+from .oracle import EmpiricalExitSummary, empirical_functional, exit_mean_se
 from .params import ModelParams
 from .transforms import TransformContext
 
@@ -106,31 +101,26 @@ def conformance_rows(summary: EmpiricalExitSummary) -> List[ConformanceRow]:
     threshold dependence, so those rows document its growing deviation from
     simulation.
     """
-    params, thresholds = summary.params, summary.thresholds
-    m, n = thresholds.m, thresholds.n
-    e_mu, t_a, p_a = means_or_note(params, params.lambda_a)
-    e_nu, t_b, p_b = means_or_note(params, params.lambda_b)
-    gate_a = _exit_mean_assertable(params, m)
-    gate_b = _exit_mean_assertable(params, n)
+    params, m, n = summary.params, summary.thresholds.m, summary.thresholds.n
+    a, b = summary.a, summary.b
+    means_a = means_or_note(params, params.lambda_a)
+    means_b = means_or_note(params, params.lambda_b)
+    # Each closed-form mean against its field of the axis record, A then B;
+    # only the exit-index mean can be gated on.
     rows = [
-        judge(quantity, paper_ref, value, summary.mean_se(sample), gate)
-        for quantity, paper_ref, value, sample, gate in (
-            ("mean_exit_index_a", "closed-form exit-index mean, axis A",
-             e_mu, "mu", gate_a),
-            ("mean_exit_index_b", "closed-form exit-index mean, axis B",
-             e_nu, "nu", gate_b),
-            ("mean_shift_time_a", "closed-form shift-epoch mean, axis A",
-             t_a, "tau_mu", False),
-            ("mean_shift_time_b", "closed-form shift-epoch mean, axis B",
-             t_b, "tau_nu", False),
-            ("mean_prior_time_a", "shift-epoch mean minus one interval, axis A",
-             p_a, "tau_mu_prev", False),
-            ("mean_prior_time_b", "shift-epoch mean minus one interval, axis B",
-             p_b, "tau_nu_prev", False),
-        )
+        judge(f"{quantity}_{axis}", f"{paper_ref}, axis {axis.upper()}", means[i],
+              exit_mean_se(record.index, getattr(record, field), f"{quantity}_{axis}"),
+              i == 0 and _exit_mean_assertable(params, level))
+        for i, (quantity, paper_ref, field) in enumerate((
+            ("mean_exit_index", "closed-form exit-index mean", "index"),
+            ("mean_shift_time", "closed-form shift-epoch mean", "shift"),
+            ("mean_prior_time", "shift-epoch mean minus one interval", "prior"),
+        ))
+        for axis, record, level, means in (("a", a, m, means_a), ("b", b, n, means_b))
     ]
 
-    pgfs = {z: empirical_pgf(summary, z, axis="a") for z in DEFAULT_Z_GRID}
+    pgfs = {z: exit_mean_se(a.index, lambda k: z ** k, "the exit index")
+            for z in DEFAULT_Z_GRID}
     for z, pgf in pgfs.items():
         rows.append(judge(f"index_pgf_operator_a[z={z:g}]",
                           "exit-index PGF via the operator route, axis A",
@@ -148,9 +138,8 @@ def conformance_rows(summary: EmpiricalExitSummary) -> List[ConformanceRow]:
                       empirical_functional(summary, neutral)))
 
     for level in STUDY_LEVELS:
-        idx = summary.exit_index_a(level)
+        index = summary.exit_index_a(level)
         rows.append(judge(f"mean_exit_index_a[m={level}]",
                           "closed-form exit-index mean, threshold-dependence study",
-                          e_mu, sample_mean_se(idx[idx >= 0].astype(float),
-                                               f"mu at level {level}")))
+                          means_a[0], exit_mean_se(index, index, f"mu at level {level}")))
     return rows

@@ -445,6 +445,34 @@ class TestExitCodes:
         assert all(r["verdict"] == "not-assertable" and r["rel_dev"] is None
                    for r in noted)
 
+    def test_zero_intensity_a_at_zero_threshold(self, tmp_path, monkeypatch, capsys):
+        # simulate and analyze read only m = 0, where a static axis already
+        # is; conformance also draws the study levels 2, 3 and 5, which a
+        # static axis A never reaches.
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        doc = json.loads(json.dumps(REFERENCE_DOC))
+        doc["process"]["lambda_a"] = 0.0
+        doc["thresholds"]["m"] = 0
+        path = tmp_path / "static_a.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["simulate", str(path)]) == 0
+        assert cli.main(["analyze", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["conformance", str(path)]) == 4
+        assert capsys.readouterr().err == (
+            "error: axis A has zero drift (intensity times mean mark) and never "
+            "reaches level 5\n")
+        assert not (tmp_path / "out" / "conformance.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["frobnicate"],
+        ["classify", "CONFIG", "--share", "abc", "--growth", "5"],
+    ])
+    def test_usage_error_returns_2(self, config_file, capsys, argv):
+        argv = [str(config_file) if arg == "CONFIG" else arg for arg in argv]
+        assert cli.main(argv) == 2
+        assert "usage: strategyshift" in capsys.readouterr().err
+
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -632,8 +660,8 @@ class TestArtifacts:
         expected = {}
         for level in report.STUDY_LEVELS:
             idx = summaries[0].exit_index_a(level)
-            expected[f"mean_exit_index_a[m={level}]"] = oracle.sample_mean_se(
-                idx[idx >= 0].astype(float), "mu")
+            expected[f"mean_exit_index_a[m={level}]"] = oracle.exit_mean_se(
+                idx, idx, "mu")
         expected["joint_functional"] = oracle.empirical_functional(
             summaries[0], TransformContext.neutral())
         # the estimates as the artifact writer rounds them
@@ -878,3 +906,27 @@ def test_classify_and_config_errors_need_no_numpy(tmp_path, capsys):
         assert code == cli.main(argv), argv
         assert [out, err] == list(capsys.readouterr()), argv
     assert [code for code, _, _ in blocked] == [0] * 5 + [2, 3] * 4
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "conformance"])
+def test_perfbench_tracer_runs_the_cli(tmp_path, command):
+    # perfbench/traced.py binds package names (cli.main, cli._write_json, the
+    # TruncatedSeries kernels, summary.mu/nu); a rename here must not break it.
+    import os
+    import subprocess
+    import sys
+
+    import strategyshift
+
+    src = str(Path(strategyshift.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path,
+               **{cli.OUTPUT_DIR_ENV: str(tmp_path / "out")})
+    spans_path = tmp_path / "spans.json"
+    result = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "traced.py"), str(spans_path),
+         command, str(REPO / "configs" / "reference.json")],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    spans = json.loads(spans_path.read_text())["spans"]
+    assert "cli.main" in {span[0] for span in spans}

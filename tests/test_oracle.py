@@ -1,9 +1,18 @@
+import csv
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from literal import exit_indices, sample_path
 from strategyshift.errors import HorizonError, NoDataError, NoExitError, ParameterError
-from strategyshift.oracle import empirical_functional, empirical_pgf, estimate_exits
+from strategyshift.oracle import (
+    AxisExits,
+    empirical_functional,
+    estimate_exits,
+    exit_mean_se,
+)
 from strategyshift.params import (
     IntervalDistribution,
     MarkDistribution,
@@ -12,6 +21,16 @@ from strategyshift.params import (
 )
 from strategyshift.report import STUDY_LEVELS, conformance_rows, judge
 from strategyshift.transforms import TransformContext
+
+
+def index_probabilities(index, n_paths):
+    """P(exit index = k) for k = 0, 1, ..., over all ``n_paths`` paths."""
+    return np.bincount(index[index >= 0]) / n_paths
+
+
+def pgf(index, z):
+    """Sample mean and SE of z^index over the exited paths."""
+    return exit_mean_se(index, lambda k: z ** k, "the exit index")
 
 
 def scan_exit_index(levels, threshold) -> int:
@@ -50,18 +69,18 @@ class TestEstimateExits:
         s1 = estimate_exits(reference_params, unit_thresholds, 5000, 99)
         s2 = estimate_exits(reference_params, unit_thresholds, 5000, 99)
         assert np.array_equal(s1.mu, s2.mu)
-        assert np.array_equal(s1.tau_mu, s2.tau_mu, equal_nan=True)
-        assert np.array_equal(s1.tau_nu_prev, s2.tau_nu_prev, equal_nan=True)
+        assert np.array_equal(s1.a.shift, s2.a.shift, equal_nan=True)
+        assert np.array_equal(s1.b.prior, s2.b.prior, equal_nan=True)
 
     def test_geometric_exit_distribution(self, reference_params, unit_thresholds):
         n = 100_000
         s = estimate_exits(reference_params, unit_thresholds, n, 7)
-        _, probs = s.histogram("a")
+        probs = index_probabilities(s.mu, s.n_paths)
         for j in range(7):
             expect = 0.5 ** (j + 1)
             se = np.sqrt(expect * (1 - expect) / n)
             assert abs(probs[j] - expect) <= 3 * se
-        mean, se = s.mean_se("mu")
+        mean, se = exit_mean_se(s.mu, s.mu, "mu")
         assert abs(mean - 1.0) <= 3 * se
 
     def test_zero_intensity_censors_out(self, unit_thresholds):
@@ -104,15 +123,33 @@ class TestEstimateExits:
         assert np.all(s.mu == 0)
 
     def test_se_shrinks_with_sample_size(self, reference_params, unit_thresholds):
-        _, se_small = estimate_exits(reference_params, unit_thresholds, 10_000, 5).mean_se("mu")
-        _, se_large = estimate_exits(reference_params, unit_thresholds, 40_000, 5).mean_se("mu")
+        small = estimate_exits(reference_params, unit_thresholds, 10_000, 5).mu
+        large = estimate_exits(reference_params, unit_thresholds, 40_000, 5).mu
+        _, se_small = exit_mean_se(small, small, "mu")
+        _, se_large = exit_mean_se(large, large, "mu")
         assert se_large < se_small
 
-    def test_histogram_mass_accounts_for_censoring(self, reference_params, unit_thresholds):
-        s = estimate_exits(reference_params, unit_thresholds, 20_000, 13)
-        counts, probs = s.histogram("a")
-        assert counts.sum() == s.n_paths - s.n_censored_a
-        assert probs.sum() == pytest.approx((s.n_paths - s.n_censored_a) / s.n_paths)
+    def test_histogram_mass_accounts_for_censoring(self, tmp_path, monkeypatch):
+        # The histogram is written by ``simulate``: the reference process at
+        # m = n = 1 over 20,000 paths, seed 13.
+        from strategyshift import cli
+
+        doc = {"process": {"lambda_a": 1.0, "lambda_b": 1.0},
+               "observation": {"family": "exponential", "initial_mean": 1.0,
+                               "interval_mean": 1.0},
+               "thresholds": {"m": 1, "n": 1},
+               "simulation": {"paths": 20_000, "seed": 13}}
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        assert cli.main(["simulate", str(tmp_path / "config.json")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        with open(tmp_path / "out" / "histogram_mu.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        counts = np.array([float(r["count"]) for r in rows])
+        probs = np.array([float(r["probability"]) for r in rows])
+        n_paths, n_censored = summary["n_paths"], summary["censored_a"]
+        assert counts.sum() == n_paths - n_censored
+        assert probs.sum() == pytest.approx((n_paths - n_censored) / n_paths)
 
     def test_agrees_with_path_level_exit_records(self, reference_params):
         # mutual cross-check: path machinery vs the oracle's plain linear scan
@@ -133,6 +170,9 @@ GEOMETRIC_PARAMS = ModelParams(
 )
 
 
+AXIS_FIELDS = [f.name for f in dataclasses.fields(AxisExits)]
+
+
 class TestMultiLevelRecord:
     @pytest.fixture(params=["reference", "geometric"])
     def params(self, request, reference_params):
@@ -141,12 +181,12 @@ class TestMultiLevelRecord:
     def test_per_path_invariants(self, params, unit_thresholds):
         s = estimate_exits(params, unit_thresholds, 20_000, 41, levels=(2, 3, 5))
         indices = [s.exit_index_a(level) for level in (1, 2, 3, 5)]
-        assert indices[0] is s.mu
-        for idx, tau_prev, tau, level, cens, threshold in (
-            (s.mu, s.tau_mu_prev, s.tau_mu, s.level_at_mu, s.censored_a, s.thresholds.m),
-            (s.nu, s.tau_nu_prev, s.tau_nu, s.level_at_nu, s.censored_b, s.thresholds.n),
-        ):
-            assert np.array_equal(cens, idx < 0)
+        assert indices[0] is s.a.index
+        for record, threshold in ((s.a, s.thresholds.m), (s.b, s.thresholds.n)):
+            idx, tau_prev, tau, level = (record.index, record.prior, record.shift,
+                                         record.level)
+            cens = idx < 0
+            assert np.array_equal(cens, np.isnan(tau))
             assert np.all(np.isnan(tau[cens])) and np.all(np.isnan(level[cens]))
             later = idx > 0
             assert np.all(tau_prev[later] < tau[later])
@@ -157,10 +197,11 @@ class TestMultiLevelRecord:
         thresholds = Thresholds(m=5, n=5)
         plain = estimate_exits(params, thresholds, 5000, 43)
         multi = estimate_exits(params, thresholds, 5000, 43, levels=(2, 3, 5))
-        for name in ("mu", "nu", "tau_mu", "tau_mu_prev", "tau_nu", "tau_nu_prev",
-                     "level_at_mu", "level_at_nu"):
-            assert np.array_equal(getattr(plain, name), getattr(multi, name),
-                                  equal_nan=True), name
+        for axis in ("a", "b"):
+            for name in AXIS_FIELDS:
+                assert np.array_equal(getattr(getattr(plain, axis), name),
+                                      getattr(getattr(multi, axis), name),
+                                      equal_nan=True), (axis, name)
         assert multi.exit_index_a(5) is multi.mu
         assert sorted(multi.study_mu) == [2, 3]
 
@@ -168,10 +209,11 @@ class TestMultiLevelRecord:
         # Study levels are drawn after the (m, n) record, wherever they lie.
         plain = estimate_exits(params, unit_thresholds, 5000, 47)
         multi = estimate_exits(params, unit_thresholds, 5000, 47, levels=(2, 3, 5))
-        for name in ("mu", "nu", "tau_mu", "tau_mu_prev", "tau_nu", "tau_nu_prev",
-                     "level_at_mu", "level_at_nu"):
-            assert np.array_equal(getattr(plain, name), getattr(multi, name),
-                                  equal_nan=True), name
+        for axis in ("a", "b"):
+            for name in AXIS_FIELDS:
+                assert np.array_equal(getattr(getattr(plain, axis), name),
+                                      getattr(getattr(multi, axis), name),
+                                      equal_nan=True), (axis, name)
 
     def test_censoring_cap_applies_to_every_level(self, reference_params, unit_thresholds):
         estimate_exits(reference_params, unit_thresholds, 2000, 3, horizon=20)
@@ -191,31 +233,34 @@ class TestEmpiricalPgf:
         return estimate_exits(reference_params, unit_thresholds, 20_000, 21)
 
     def test_normalized_at_one(self, summary):
-        estimate, se = empirical_pgf(summary, 1.0)
+        estimate, se = pgf(summary.mu, 1.0)
         assert estimate == 1.0
         assert se == 0.0
 
     def test_at_zero_equals_initial_exceedance_probability(self, summary):
-        estimate, _ = empirical_pgf(summary, 0.0)
-        _, probs = summary.histogram("a")
+        estimate, _ = pgf(summary.mu, 0.0)
+        probs = index_probabilities(summary.mu, summary.n_paths)
+        n_censored = np.count_nonzero(summary.mu < 0)
         assert estimate == pytest.approx(probs[0] * summary.n_paths
-                                         / (summary.n_paths - summary.n_censored_a))
+                                         / (summary.n_paths - n_censored))
+
+    def test_censored_index_is_never_transformed(self):
+        # 0.0 ** -1 would divide by zero (an error under this suite's
+        # warning filter); the censored path is dropped first.
+        estimate, _ = pgf(np.array([-1, 0, 2]), 0.0)
+        assert estimate == 0.5
 
     def test_degenerate_sample(self, summary):
-        frozen = summary.__class__(
-            **{**summary.__dict__, "mu": np.full(summary.n_paths, 3),
-               "censored_a": np.zeros(summary.n_paths, dtype=bool)}
-        )
-        estimate, _ = empirical_pgf(frozen, 0.5)
+        frozen = dataclasses.replace(
+            summary, a=dataclasses.replace(summary.a, index=np.full(summary.n_paths, 3)))
+        estimate, _ = pgf(frozen.mu, 0.5)
         assert estimate == 0.125
 
     def test_all_censored_raises(self, summary):
-        frozen = summary.__class__(
-            **{**summary.__dict__,
-               "censored_a": np.ones(summary.n_paths, dtype=bool)}
-        )
+        frozen = dataclasses.replace(
+            summary, a=dataclasses.replace(summary.a, index=np.full(summary.n_paths, -1)))
         with pytest.raises(NoDataError):
-            empirical_pgf(frozen, 0.5)
+            pgf(frozen.mu, 0.5)
 
 
 class TestEmpiricalFunctional:

