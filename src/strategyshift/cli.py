@@ -1,8 +1,11 @@
 """Command-line surface: simulate, analyze, classify, conformance.
 
-Exit codes: 0 success, 2 missing input file or command-line usage error,
-3 invalid configuration, 4 domain error, 5 conformance deviation.  All
-artifacts are deterministic for a fixed (config, seed) pair.
+Exit codes: 0 success, 2 command-line usage error or a file the OS refuses
+(a missing or unreadable config, an output directory that cannot be made
+or written), 3 invalid configuration, 4 domain error, 5 conformance
+deviation.  The commands raise; ``main`` alone turns an error into its exit
+code and its one ``error:`` line.  All artifacts are deterministic for a
+fixed (config, seed) pair.
 """
 
 from __future__ import annotations
@@ -16,14 +19,7 @@ import sys
 from pathlib import Path
 
 from . import config as config_mod
-from .errors import (
-    ConfigError,
-    DomainError,
-    HorizonError,
-    NoExitError,
-    ParameterError,
-    StrategyShiftError,
-)
+from .errors import ConfigError, DomainError, StrategyShiftError
 from .matrix import bcg_scale, classify
 
 EXIT_OK = 0
@@ -35,21 +31,8 @@ EXIT_CONFORMANCE_DEVIATION = 5
 OUTPUT_DIR_ENV = "STRATEGYSHIFT_OUTPUT_DIR"
 
 
-def _load_config(path: str):
-    try:
-        return config_mod.load(path)
-    except FileNotFoundError:
-        print(f"error: config file not found: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_MISSING_INPUT)
-    except ConfigError as exc:
-        field = f" (field: {exc.field})" if exc.field else ""
-        print(f"error: invalid config{field}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID_CONFIG)
-
-
 def _output_dir(cfg) -> Path:
-    directory = os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir)
-    path = Path(directory)
+    path = Path(os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -85,7 +68,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = config_mod.load(args.config)
     import numpy as np
     from .oracle import estimate_exits, exit_mean_se
     out = _output_dir(cfg)
@@ -113,7 +96,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = config_mod.load(args.config)
     from .analytics import lemma_note, lemma_pgf, phi_functional
     from .report import DEFAULT_Z_GRID, means_or_note
     from .transforms import TransformContext
@@ -150,27 +133,24 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = config_mod.load(args.config)
     share_form = args.share is not None or args.growth is not None
     if share_form and (args.a is not None or args.b is not None):
-        print("error: give --share/--growth or --a/--b, not both", file=sys.stderr)
-        return EXIT_DOMAIN_ERROR
+        raise DomainError("give --share/--growth or --a/--b, not both")
     if args.share is not None:
         if args.growth is None:
-            print("error: --share requires --growth", file=sys.stderr)
-            return EXIT_DOMAIN_ERROR
+            raise DomainError("--share requires --growth")
         level_a, level_b = bcg_scale(args.share, cfg.scale_factor), args.growth
     elif args.a is not None and args.b is not None:
         level_a, level_b = args.a, args.b
     else:
-        print("error: provide --share/--growth or --a/--b", file=sys.stderr)
-        return EXIT_DOMAIN_ERROR
+        raise DomainError("provide --share/--growth or --a/--b")
     print(classify(level_a, level_b, cfg.matrix))
     return EXIT_OK
 
 
 def cmd_conformance(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = config_mod.load(args.config)
     from .oracle import estimate_exits
     from .report import STUDY_LEVELS, ConformanceRow, conformance_rows
     out = _output_dir(cfg)
@@ -225,17 +205,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the except chain is the table from failure to exit
+    code, and the only place that prints ``error:``."""
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse: --help, or a usage error it printed
         return int(exc.code) if exc.code is not None else EXIT_OK
-    except (ParameterError, NoExitError, HorizonError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN_ERROR
+    except FileNotFoundError as exc:
+        code, message = EXIT_MISSING_INPUT, f"config file not found: {exc.filename}"
+    except OSError as exc:  # a write that fails, on a full disk say, names no file
+        where = f": {exc.filename}" if exc.filename else ""
+        code, message = EXIT_MISSING_INPUT, f"{exc.strerror}{where}"
+    except ConfigError as exc:
+        field = f" (field: {exc.field})" if exc.field else ""
+        code, message = EXIT_INVALID_CONFIG, f"invalid config{field}: {exc}"
     except StrategyShiftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_CONFIG
+        code, message = EXIT_DOMAIN_ERROR, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import ConfigError
 from .matrix import (BCG_A_HIGH, BCG_A_LOW, BCG_B, BCG_LABELS, DEFAULT_SCALE_FACTOR,
@@ -252,11 +251,12 @@ def from_dict(doc) -> RunConfig:
 
 
 def load(path) -> RunConfig:
-    """Load and validate a config file; FileNotFoundError propagates."""
-    text = Path(path).read_text()
+    """Load and validate a config file.  An OSError from reading it propagates;
+    bytes that are not JSON text, or nest too deep to parse, raise ConfigError."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        with open(path, "rb") as file:  # an OSError names ``path`` as given
+            doc = json.loads(file.read())
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return from_dict(doc)
 

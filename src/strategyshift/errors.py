@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Package errors: ``cli.main`` exits 3 on a ConfigError, 4 on any other."""
 
 
 class StrategyShiftError(Exception):
@@ -7,10 +7,6 @@ class StrategyShiftError(Exception):
 
 class ParameterError(StrategyShiftError):
     """Invalid model parameters (nonpositive means, negative intensities, ...)."""
-
-
-class UnsupportedConfigurationError(StrategyShiftError):
-    """A mark or interval family outside the supported set was requested."""
 
 
 class OrderError(StrategyShiftError):
@@ -42,3 +38,7 @@ class ConfigError(StrategyShiftError):
     def __init__(self, message, field=None):
         super().__init__(message)
         self.field = field
+
+
+class UnsupportedConfigurationError(ConfigError):
+    """A mark or interval family outside the supported set was requested."""

@@ -76,9 +76,7 @@ def compound_increments(
         means = intensity * interval_lengths
     try:
         counts = rng.poisson(means)
-        if mark.family == "unit":
-            return counts.astype(np.int64)
-        if mark.family == "fixed":
+        if mark.family != "geometric":
             return mark.value * counts.astype(np.int64)
         totals = np.zeros(counts.shape, dtype=np.int64)
         nz = counts > 0
@@ -146,18 +144,16 @@ def _crossing(rng, intensity, mark, level, size):
     if level <= 0:
         return np.zeros(size, dtype=np.int64), np.zeros(size)
     need = np.full(size, level, dtype=np.int64)
-    if mark.family == "unit":
-        arrivals, total = need, need
-    elif mark.family == "fixed":
-        arrivals = -(-need // mark.value)
-        total = arrivals * mark.value
-    else:
+    if mark.family == "geometric":
         # The totals a sum of geometric(p) marks visits are the successes of
         # Bernoulli(p) trials over the levels 1, 2, ...: it visits
         # Binomial(level - 1, p) levels below ``level``, and its first total
         # at or above ``level`` is level - 1 + Geometric(p) by memorylessness.
         arrivals = 1 + rng.binomial(need - 1, mark.p)
         total = need - 1 + rng.geometric(mark.p, size)
+    else:
+        arrivals = -(-need // mark.value)
+        total = arrivals * mark.value
     return total, rng.gamma(arrivals, 1.0 / intensity)
 
 

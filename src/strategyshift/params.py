@@ -27,7 +27,8 @@ class MarkDistribution:
     """Distribution of the nonnegative integer mark attached to each arrival.
 
     Families:
-      * ``unit`` — every arrival contributes exactly 1 (counting process).
+      * ``unit`` — every arrival contributes exactly 1: a fixed mark that
+        stores ``value`` 1, so readers branch only on geometric or not.
       * ``fixed`` — every arrival contributes the constant ``value``.
       * ``geometric`` — marks on {1, 2, ...} with success probability ``p``.
     """
@@ -42,6 +43,8 @@ class MarkDistribution:
                 f"unsupported mark family {self.family!r}; "
                 f"expected one of {MARK_FAMILIES}"
             )
+        if self.family == "unit":
+            object.__setattr__(self, "value", 1)
         if self.family == "fixed" and (self.value < 0 or self.value != int(self.value)):
             raise ParameterError("fixed mark value must be a nonnegative integer")
         if self.family == "geometric" and not 0.0 < self.p <= 1.0:
@@ -60,11 +63,7 @@ class MarkDistribution:
         return cls(family="geometric", p=p)
 
     def mean(self) -> float:
-        if self.family == "unit":
-            return 1.0
-        if self.family == "fixed":
-            return float(self.value)
-        return 1.0 / self.p
+        return 1.0 / self.p if self.family == "geometric" else float(self.value)
 
 
 @dataclass(frozen=True)

@@ -87,14 +87,10 @@ def _gamma_series(order, theta, intensity, mark, interval) -> TruncatedSeries:
 def _pgf_coefficients(mark: MarkDistribution, order: int) -> np.ndarray:
     """Power-series coefficients of the mark PGF up to ``order``."""
     c = np.zeros(order + 1)
-    if mark.family == "unit":
-        if order >= 1:
-            c[1] = 1.0
-    elif mark.family == "fixed":
-        if mark.value <= order:
-            c[mark.value] = 1.0
-    else:
+    if mark.family == "geometric":
         q = 1.0 - mark.p
         k = np.arange(1, order + 1)
         c[1:] = mark.p * q ** (k - 1)
+    elif mark.value <= order:
+        c[mark.value] = 1.0
     return c

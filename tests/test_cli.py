@@ -8,7 +8,9 @@ import pytest
 from literal import config_leaves
 from strategyshift import cli
 from strategyshift import config as config_mod
-from strategyshift.errors import ConfigError
+from strategyshift.errors import (ConfigError, DomainError, HorizonError, NoDataError,
+                                  NoExitError, OrderError, ParameterError,
+                                  StrategyShiftError, UnsupportedConfigurationError)
 
 REFERENCE_DOC = {
     "process": {"lambda_a": 1.0, "lambda_b": 1.0},
@@ -98,6 +100,12 @@ class TestConfig:
         doc["observation"]["interval_mean"] = 0.0
         with pytest.raises(ConfigError):
             config_mod.from_dict(doc)
+
+    def test_deeply_nested_json_is_a_config_error(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ConfigError, match="config is not valid JSON"):
+            config_mod.load(path)
 
     def test_full_doc_sets_every_table_entry(self):
         def leaves(doc, path=""):
@@ -930,3 +938,80 @@ def test_perfbench_tracer_runs_the_cli(tmp_path, command):
     assert result.returncode == 0, result.stderr
     spans = json.loads(spans_path.read_text())["spans"]
     assert "cli.main" in {span[0] for span in spans}
+
+
+#: (error main catches, exit code, stderr) for each failure a command can
+#: raise: main's except chain is the only table from error to exit code.
+FAILURES = [
+    (FileNotFoundError(2, "No such file or directory", "c.json"), 2,
+     "error: config file not found: c.json\n"),
+    (IsADirectoryError(21, "Is a directory", "c.json"), 2, "error: Is a directory: c.json\n"),
+    (PermissionError(13, "Permission denied", "out"), 2, "error: Permission denied: out\n"),
+    (OSError(28, "No space left on device"), 2, "error: No space left on device\n"),
+    (ConfigError("bad", field="thresholds.m"), 3,
+     "error: invalid config (field: thresholds.m): bad\n"),
+    (ConfigError("not JSON"), 3, "error: invalid config: not JSON\n"),
+    (UnsupportedConfigurationError("no such family"), 3,
+     "error: invalid config: no such family\n"),
+    *[(error("why"), 4, "error: why\n") for error in (
+        ParameterError, OrderError, DomainError, NoExitError, HorizonError,
+        NoDataError, StrategyShiftError)],
+]
+
+
+def test_main_maps_every_error_class_to_its_exit_code(config_file, monkeypatch,
+                                                      capsys):
+    for error, code, stderr in FAILURES:
+        def fail(args, error=error):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_simulate", fail)
+        assert (cli.main(["simulate", str(config_file)]), capsys.readouterr()) == (
+            code, ("", stderr)), error
+
+
+#: (config file content, STRATEGYSHIFT_OUTPUT_DIR, exit code) of each input
+#: the OS or the JSON parser refuses.  The CLI runs in a directory holding a
+#: regular file named "file"; a content of None makes the config path a
+#: directory.
+REFUSED_INPUTS = {
+    "config-is-a-directory": (None, None, 2),
+    "config-not-utf8": (b"\xff{}", None, 3),
+    "config-nested-100000-deep": (b"[" * 100_000, None, 3),
+    "output-env-is-a-file": (REFERENCE_DOC, "file", 2),
+    "output-env-under-a-file": (REFERENCE_DOC, "file/out", 2),
+    "output-directory-is-a-file": (dict(REFERENCE_DOC, output={"directory": "file"}),
+                                   None, 2),
+    "output-directory-under-a-file": (
+        dict(REFERENCE_DOC, output={"directory": "file/out"}), None, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_INPUTS))
+def test_refused_input_ends_in_one_error_line(tmp_path, case):
+    # Each of these once ended in a traceback and exit 1.
+    import os
+    import subprocess
+    import sys
+
+    import strategyshift
+
+    content, output, code = REFUSED_INPUTS[case]
+    (tmp_path / "file").write_text("")
+    config = tmp_path / "config.json"
+    if content is None:
+        config.mkdir()
+    else:
+        config.write_bytes(content if isinstance(content, bytes)
+                           else json.dumps(content).encode())
+    src = str(Path(strategyshift.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != cli.OUTPUT_DIR_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if output is not None:
+        env[cli.OUTPUT_DIR_ENV] = output
+    result = subprocess.run([sys.executable, "-m", "strategyshift.cli", "simulate",
+                             "config.json"], capture_output=True, text=True,
+                            cwd=tmp_path, env=env)
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1

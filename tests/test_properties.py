@@ -6,7 +6,11 @@ exception, and every JSON artifact must be strict JSON (no NaN/Infinity).
 Valid draws stay cheap: thresholds <= 50, paths <= 500, horizon <= 1000.
 Wild values reach every field of the config table, the size fields
 included: a size above its config bound (1e15, 1e300) exits 3 before any
-work is done.
+work is done.  The same holds however the config reaches the CLI (JSON
+text, bytes that are not UTF-8, arrays nested past the parser's depth, a
+directory in place of the file) and wherever the output goes (a fresh
+directory, an existing regular file, a path under one): each failure is
+one ``error:`` line.
 
 ``classify`` arguments, in any combination of flags and values (NaN, +-inf,
 0, negatives, a missing partner, both forms at once), end in one of the
@@ -118,6 +122,52 @@ def test_every_document_ends_in_a_documented_exit_code(doc):
                 assert cli.main([command, str(config)]) in {0, 2, 3, 4, 5}
         for artifact in out.glob("*.json"):
             json.loads(artifact.read_text(), parse_constant=_strict)
+
+
+#: How a document reaches the CLI: as JSON text, as bytes that are not UTF-8,
+#: as arrays nested past the parser's depth, or as a directory in its place.
+DELIVERIES = ("json", "not-utf8", "nested", "directory")
+
+#: Where the output goes: a fresh directory, a regular file, or a path under one.
+OUTPUTS = ("fresh", "file", "file/out")
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(documents(), st.sampled_from(DELIVERIES), st.sampled_from(OUTPUTS),
+       st.integers(0, 10**6))
+@example(_reference(), "directory", "fresh", 0)
+@example(_reference(), "not-utf8", "fresh", 0)
+@example(_reference(), "nested", "fresh", 0)
+@example(_reference(), "json", "file", 0)
+@example(_reference(), "json", "file/out", 0)
+def test_every_delivery_ends_in_a_documented_exit_code(doc, delivery, output, cut):
+    text = json.dumps(doc).encode()
+    cut %= len(text) + 1
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        if delivery == "directory":
+            config.mkdir()
+        else:
+            config.write_bytes({"json": text, "nested": b"[" * 100_000,
+                                "not-utf8": text[:cut] + b"\xff" + text[cut:]}[delivery])
+        (Path(tmp) / "file").write_text("")
+        err = io.StringIO()
+        with mock.patch.dict(os.environ, {cli.OUTPUT_DIR_ENV: str(Path(tmp) / output)}), \
+                redirect_stderr(err):
+            codes = [cli.main([command, str(config)])
+                     for command in ("simulate", "analyze", "conformance")]
+    # The config is read before the output directory is made.
+    if delivery == "directory":
+        allowed = {2}
+    elif delivery != "json":
+        allowed = {3}
+    else:
+        allowed = {0, 3, 4, 5} if output == "fresh" else {2, 3}
+    assert set(codes) <= allowed
+    lines = err.getvalue().splitlines()
+    assert len(lines) == sum(code not in (0, 5) for code in codes)
+    assert all(line.startswith("error: ") for line in lines)
 
 
 #: Values a user can type for a classify coordinate, non-finite ones included.

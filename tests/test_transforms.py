@@ -99,6 +99,15 @@ class TestGammaSeries:
         approx = np.polynomial.polynomial.polyval(z, s.coeffs)
         assert approx == pytest.approx(gamma_marginal(z, 0.0, 1.0, mark, EXP1), abs=1e-10)
 
+    @pytest.mark.parametrize("order", [0, 1, 60])
+    def test_unit_mark_is_fixed_mark_one(self, order):
+        # A unit mark stores value 1, whatever it is given, and reads as one.
+        unit = MarkDistribution("unit", value=7)
+        assert (unit.value, unit.mean()) == (1, 1.0)
+        np.testing.assert_array_equal(
+            gamma_series(order, 0.2, 1.5, unit, EXP1).coeffs,
+            gamma_series(order, 0.2, 1.5, MarkDistribution.fixed(1), EXP1).coeffs)
+
     def test_deterministic_law_with_underflowing_mass_at_zero(self):
         # Poisson(900) counts: P(0) = exp(-900) underflows, the law does not.
         det = IntervalDistribution.deterministic(3.0)
