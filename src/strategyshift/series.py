@@ -2,8 +2,10 @@
 
 The operator pair of the calculus is multiplication by (1 - x) and its
 inverse; the inverse reads coefficient k of F(x) / (1 - x), i.e. the k-th
-partial sum of F's coefficients.  Division by (1 - x) is therefore
-implemented as cumulative sums, which is exact.
+partial sum of F's coefficients.  Division by (1 - x) is therefore a
+partial sum, taken with ``math.fsum`` so that it is correctly rounded: the
+roundtrip through (1 - x) loses only the rounding of the differences, not
+a second rounding per added term.
 
 The two series kernels are Newton iterations for power series (Brent and
 Kung, J. ACM 1978).  Each step doubles the number of correct coefficients
@@ -218,4 +220,4 @@ def d_extract(f: TruncatedSeries, k: int) -> float:
         raise OrderError(
             f"coefficient {k} requested from a series of order {f.order}"
         )
-    return float(np.sum(f.coeffs[: k + 1]))
+    return math.fsum(f.coeffs[: k + 1])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from literal import BivariateSeries, d_apply, d_apply_2d, d_extract_2d, series_exp
 from strategyshift.errors import DomainError, OrderError
@@ -258,6 +258,11 @@ class TestOperatorPair:
         assert d_extract(d_apply([2.0, 5.0, 7.0]), 1) == 5.0
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=32))
+    @example(g=[0.0, 0.0, -1.3325576713541523, 722348.9972153385, 0.0, 0.0,
+                0.0, 0.0, 0.0, 0.0, 0.0, 951848.1678515677, 430713.0, 0.001,
+                0.0, -524287.2695457275, 0.0, -410875.0, 637703.1131425232,
+                422954.94648429984, 93576.0, 0.0, 0.0, -1.2952120357658714,
+                0.0])
     def test_roundtrip_property(self, g):
         f = d_apply(g)
         for k, value in enumerate(g):
