@@ -12,7 +12,8 @@ harness can confront each one:
     exit-index PGF, evaluated term by term exactly as printed;
     ``lemma_note`` names why it is undefined for a configuration.
   * ``axis_means`` — the closed-form means of one axis's exit index, shift
-    epoch and prior epoch.
+    epoch and prior epoch; ``means_or_note`` reads them where the axis can
+    exit.
 
 The printed closed forms are known to be suspect in places (duplicated
 bracket sums, threshold-independent means); they are evaluated faithfully
@@ -23,12 +24,15 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from .errors import DomainError, NoExitError
 from .params import ModelParams
 from .series import TruncatedSeries, d_extract
 from .transforms import TransformContext, gamma_series
+
+#: Exit-index PGF arguments that ``analyze`` and the conformance table read.
+DEFAULT_Z_GRID = (0.25, 0.5, 0.75)
 
 
 def axis_factor(
@@ -45,8 +49,9 @@ def axis_factor(
 
     Built as (delta(theta1) - phi) * (w - w*G0*G + G0) / (1 - w*G) where
     phi, G, G0 are the marginal-transform series at theta1, theta0 + theta1,
-    and the initial-interval analog.  Zero intensity collapses the numerator
-    to zero; that case is short-circuited to avoid inverting 1 - w at w = 1.
+    and the initial-interval analog.  Zero drift (intensity times mean mark)
+    collapses the numerator to zero; that case is short-circuited to avoid
+    inverting 1 - w at w = 1.
     Each distinct factor is built once per process; the returned
     coefficients are shared and read-only.
     """
@@ -61,7 +66,7 @@ def axis_factor(
 def _axis_factor(
     order, weight, theta0, theta1, intensity, mark, obs_initial, obs_interval
 ) -> TruncatedSeries:
-    if intensity == 0.0:
+    if intensity * mark.mean() == 0.0:
         factor = TruncatedSeries.constant(0.0, order)
     else:
         delta_t1 = obs_interval.lst(theta1)
@@ -158,3 +163,12 @@ def axis_means(params: ModelParams, intensity: float) -> Tuple[float, float, flo
     if not all(math.isfinite(mean) for mean in means):
         raise DomainError("closed-form means overflow")
     return means
+
+
+def means_or_note(params: ModelParams, intensity: float) -> Tuple[Union[float, str], ...]:
+    """``axis_means`` of one axis, or the note "no shift predicted" in place
+    of each mean when the axis has zero intensity and so never exits."""
+    try:
+        return axis_means(params, intensity)
+    except NoExitError:
+        return ("no shift predicted",) * 3

@@ -14,13 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
-from .analytics import axis_means, lemma_note, lemma_pgf, phi_functional
-from .errors import NoExitError
+from .analytics import (DEFAULT_Z_GRID, lemma_note, lemma_pgf, means_or_note,
+                        phi_functional)
 from .oracle import EmpiricalExitSummary, empirical_functional, exit_mean_se
 from .params import ModelParams
 from .transforms import TransformContext
-
-DEFAULT_Z_GRID = (0.25, 0.5, 0.75)
 
 #: Axis-A levels of the threshold-dependence study.
 STUDY_LEVELS = (2, 3, 5)
@@ -67,15 +65,6 @@ def judge(
     else:
         verdict = "deviation"
     return ConformanceRow(quantity, paper_ref, analytic, est, se, rel, verdict)
-
-
-def means_or_note(params: ModelParams, intensity: float) -> Tuple[Union[float, str], ...]:
-    """``axis_means`` of one axis, or the note "no shift predicted" in place
-    of each mean when the axis has zero intensity and so never exits."""
-    try:
-        return axis_means(params, intensity)
-    except NoExitError:
-        return ("no shift predicted",) * 3
 
 
 def _exit_mean_assertable(params: ModelParams, level: int) -> bool:

@@ -363,14 +363,14 @@ class TestExitCodes:
 
     def test_conformance_deviation(self, config_file, monkeypatch):
         # force an assertably wrong closed form to exercise exit code 5
-        import strategyshift.report as report
+        import strategyshift.analytics as analytics
 
-        real = report.axis_means
+        real = analytics.axis_means
 
         def wrong(params, intensity):
             return (50.0, *real(params, intensity)[1:])
 
-        monkeypatch.setattr(report, "axis_means", wrong)
+        monkeypatch.setattr(analytics, "axis_means", wrong)
         assert cli.main(["conformance", str(config_file)]) == 5
 
     @pytest.mark.parametrize("field, value", [
@@ -471,6 +471,32 @@ class TestExitCodes:
             "error: axis A has zero drift (intensity times mean mark) and never "
             "reaches level 5\n")
         assert not (tmp_path / "out" / "conformance.json").exists()
+
+    def test_zero_mark_b_at_zero_threshold(self, tmp_path, monkeypatch):
+        # Zero drift, not zero intensity alone, keeps an axis still: fixed
+        # marks of 0 give the operator route the same values as lambda_b = 0,
+        # while the printed means stay literal (1 / (delta_mean * lambda)).
+        def run(name, process):
+            out = tmp_path / name
+            monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(out))
+            doc = json.loads(json.dumps(REFERENCE_DOC))
+            doc["process"].update(process)
+            doc["thresholds"]["n"] = 0
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            assert cli.main(["analyze", str(path)]) == 0
+            assert cli.main(["conformance", str(path)]) == 0
+            report = json.loads((out / "analysis.json").read_text())
+            rows = json.loads((out / "conformance.json").read_text())
+            operator = [(r["quantity"], r["analytic"]) for r in rows
+                        if r["quantity"].startswith(("index_pgf_operator", "joint"))]
+            return (report["index_pgf_operator"], report["joint_functional"],
+                    operator, report["means"]["b"]["exit_index_mean"])
+
+        *zero_mark, mean = run("zero_mark", {"mark_b": {"family": "fixed", "value": 0}})
+        *zero_intensity, note = run("zero_intensity", {"lambda_b": 0.0})
+        assert zero_mark == zero_intensity
+        assert (mean, note) == (1.0, "no shift predicted")
 
     @pytest.mark.parametrize("argv", [
         ["frobnicate"],
@@ -850,6 +876,66 @@ def test_runtime_needs_numpy_only():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
     assert set(json.loads(result.stdout)) <= {"numpy", "strategyshift"}
+
+
+def test_analyze_never_loads_the_simulator(tmp_path):
+    # analyze reads only the closed forms; the Monte Carlo oracle is for
+    # simulate and conformance.
+    import os
+    import subprocess
+    import sys
+
+    import strategyshift
+
+    code = (
+        "import sys\n"
+        "from strategyshift import cli\n"
+        "code = cli.main(['analyze', sys.argv[1]])\n"
+        "print(code, 'strategyshift.oracle' in sys.modules)\n"
+    )
+    src = str(Path(strategyshift.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **{cli.OUTPUT_DIR_ENV: str(tmp_path)})
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(REPO / "configs" / "reference.json")],
+        capture_output=True, text=True, check=True, env=env)
+    assert result.stdout.splitlines()[-1] == "0 False"
+
+
+#: The variables OpenBLAS reads its thread count from, first one first.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("given", [None, "2"])
+def test_cli_starts_numpy_with_one_blas_thread_unless_told(given):
+    # Starting OpenBLAS's worker threads slows numpy's import, and no command
+    # has work for them; a value the user gives is kept.
+    import os
+    import subprocess
+    import sys
+
+    import strategyshift
+
+    code = (
+        "import json, os\n"
+        "import strategyshift.cli\n"
+        "import numpy\n"
+        "tasks = '/proc/self/task'\n"
+        "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
+        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), threads]))\n"
+    )
+    src = str(Path(strategyshift.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if key not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True, env=env)
+    value, threads = json.loads(result.stdout)
+    assert value == (given or "1")
+    if given is None and threads is not None:  # Linux: one task per thread
+        assert threads == 1
 
 
 #: Runs CLI invocations (a JSON list of argv lists) in a fresh interpreter
