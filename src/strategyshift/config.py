@@ -31,7 +31,7 @@ from .params import (INTERVAL_FAMILIES, MARK_FAMILIES, IntervalDistribution,
 #: m = n = 20,000 takes 0.4-0.7 s on 2 vCPUs, interpreter start included)
 #: and the path count sets every simulated array (1,000,000 paths take a few
 #: hundred MB).  The horizon and a fixed mark value stay far enough below
-#: 2**63 that every index and level total the sampler forms fits in int64.
+#: 2**63 that every index and arrival count the sampler forms fits in int64.
 MAX_THRESHOLD = 20_000
 MAX_PATHS = 1_000_000
 MAX_HORIZON = 10**9

@@ -12,7 +12,9 @@ Poisson stream (J = L for unit marks, ceil(L / v) for a fixed mark v,
 T ~ Gamma(J, 1 / lambda).  The exit index is the first observation epoch at
 or after T and the prior epoch is the one before it: plain arithmetic for
 deterministic intervals, a few memoryless draws around T for exponential ones
-(``_PoissonEpochs``).  The level at exit adds the increments over (T, epoch].
+(``_PoissonEpochs``).  Each axis records T with its epochs.  Its level at exit
+is never drawn: the joint functional averages the probability, given T and
+the exit epoch, that the level is still at the threshold (``_level_stays``).
 A path thus costs a fixed number of draws per recorded level, whatever its
 exit index.  Each extra axis-A level of the threshold-dependence study is a
 fresh draw of the same kind on the same paths' first epochs, so its exit index
@@ -31,8 +33,8 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .config import DEFAULT_HORIZON
-from .errors import HorizonError, NoDataError, NoExitError, ParameterError
-from .params import MarkDistribution, ModelParams, Thresholds
+from .errors import DomainError, HorizonError, NoDataError, NoExitError, ParameterError
+from .params import ModelParams, Thresholds
 from .transforms import TransformContext
 
 #: Paths that never exceed within the horizon are censored, and a run fails
@@ -41,11 +43,18 @@ MAX_CENSOR_FRACTION = 0.001
 
 
 def sample_mean_se(samples: np.ndarray, what: str) -> Tuple[float, float]:
-    """Sample mean and standard error (0.0 for a single sample)."""
+    """Sample mean and standard error (0.0 for a single sample); a
+    DomainError when either is not finite, as when huge epochs' squares
+    overflow."""
     if samples.size == 0:
         raise NoDataError(f"all paths censored; no samples of {what}")
-    se = samples.std(ddof=1) / np.sqrt(samples.size) if samples.size > 1 else 0.0
-    return float(samples.mean()), float(se)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        mean = samples.mean()
+        se = samples.std(ddof=1) / np.sqrt(samples.size) if samples.size > 1 else 0.0
+    if not (np.isfinite(mean) and np.isfinite(se)):
+        raise DomainError(f"the Monte Carlo mean or standard error of {what} "
+                          "is not a finite float")
+    return float(mean), float(se)
 
 
 def exit_mean_se(index: np.ndarray, values, what: str) -> Tuple[float, float]:
@@ -61,45 +70,16 @@ def exit_mean_se(index: np.ndarray, values, what: str) -> Tuple[float, float]:
     return sample_mean_se(np.asarray(samples, dtype=float), what)
 
 
-def compound_increments(
-    rng: np.random.Generator,
-    intensity: float,
-    mark: MarkDistribution,
-    interval_lengths: np.ndarray,
-) -> np.ndarray:
-    """Compound-Poisson totals for a batch of interval lengths.
-
-    Raises ParameterError when numpy refuses a draw: an expected arrival
-    count beyond the int64 range, or a geometric mark total too large.
-    """
-    with np.errstate(over="ignore"):  # numpy refuses an infinite mean below
-        means = intensity * interval_lengths
-    try:
-        counts = rng.poisson(means)
-        if mark.family != "geometric":
-            return mark.value * counts.astype(np.int64)
-        totals = np.zeros(counts.shape, dtype=np.int64)
-        nz = counts > 0
-        if np.any(nz):
-            # sum of c iid Geometric(p) on {1,2,...} = c + NegBinomial(c, p)
-            totals[nz] = counts[nz] + rng.negative_binomial(counts[nz], mark.p)
-        return totals
-    except ValueError as exc:
-        raise ParameterError(
-            f"expected increment too large to simulate ({exc})"
-        ) from exc
-
-
 @dataclass(frozen=True)
 class AxisExits:
     """One axis's exit record, arrays aligned by path: the exit index (-1
-    where censored), the prior epoch (0 before index 0), the shift epoch and
-    the level at exit (NaN where censored)."""
+    where censored), the prior epoch (0 before index 0), the crossing time T
+    and the shift epoch (NaN where censored)."""
 
     index: np.ndarray
     prior: np.ndarray
+    crossing: np.ndarray
     shift: np.ndarray
-    level: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -138,23 +118,42 @@ _MAX_GAP_EPOCHS = 1e18
 
 
 def _crossing(rng, intensity, mark, level, size):
-    """(total, elapsed time) on ``size`` paths at the arrival that first
-    brings a fresh compound Poisson stream to ``level`` or above; a level
-    <= 0 is there at time 0 with total 0."""
+    """Time on ``size`` paths of the arrival that first brings a fresh
+    compound Poisson stream to ``level`` or above; a level <= 0 is there at
+    time 0."""
     if level <= 0:
-        return np.zeros(size, dtype=np.int64), np.zeros(size)
+        return np.zeros(size)
     need = np.full(size, level, dtype=np.int64)
     if mark.family == "geometric":
         # The totals a sum of geometric(p) marks visits are the successes of
         # Bernoulli(p) trials over the levels 1, 2, ...: it visits
-        # Binomial(level - 1, p) levels below ``level``, and its first total
-        # at or above ``level`` is level - 1 + Geometric(p) by memorylessness.
+        # Binomial(level - 1, p) levels below ``level``.
         arrivals = 1 + rng.binomial(need - 1, mark.p)
-        total = need - 1 + rng.geometric(mark.p, size)
     else:
         arrivals = -(-need // mark.value)
-        total = arrivals * mark.value
-    return total, rng.gamma(arrivals, 1.0 / intensity)
+    return rng.gamma(arrivals, 1.0 / intensity)
+
+
+def _level_stays(intensity, mark, level, crossing, shift):
+    """P(an axis's level at its shift epoch equals ``level`` | its crossing
+    time and shift epoch), per path.
+
+    The crossing arrival lands on ``level`` surely at level 0 and for unit
+    marks, with probability p for geometric marks (the first total at or
+    above ``level`` is level - 1 + Geometric(p)), and when v divides
+    ``level`` for a fixed mark v.  Then no arrival of a non-zero mark may
+    follow in (crossing, shift].
+    """
+    if level <= 0:
+        lands = 1.0
+    elif mark.family == "geometric":
+        lands = mark.p
+    else:
+        lands = float(level % mark.value == 0)
+    if intensity * mark.mean() == 0.0:
+        return np.full(shift.shape, lands)  # never 0 * an infinite gap
+    with np.errstate(over="ignore"):  # an overflowing exponent is exp(-inf) = 0
+        return lands * np.exp(-intensity * (shift - crossing))
 
 
 class _ArithmeticEpochs:
@@ -234,37 +233,28 @@ def _simulate(
     else:
         new_epochs = partial(_ArithmeticEpochs, t0, d, cap)
 
-    crossings = [_crossing(rng, intensity, mark, threshold, n_paths)
-                 for intensity, mark, threshold in (
-                     (params.lambda_a, params.mark_a, thresholds.m),
-                     (params.lambda_b, params.mark_b, thresholds.n))]
+    time_a = _crossing(rng, params.lambda_a, params.mark_a, thresholds.m, n_paths)
+    time_b = _crossing(rng, params.lambda_b, params.mark_b, thresholds.n, n_paths)
 
     # Both axes read the same epochs: place the earlier crossing first.
     epochs = new_epochs()
-    (_, time_a), (_, time_b) = crossings
     a_first = time_a <= time_b
     first = epochs.first_at_or_after(np.minimum(time_a, time_b))
     second = epochs.first_at_or_after(np.maximum(time_a, time_b))
     exits = []
-    for in_first, (total, crossed), intensity, mark in (
-        (a_first, crossings[0], params.lambda_a, params.mark_a),
-        (~a_first, crossings[1], params.lambda_b, params.mark_b),
-    ):
+    for in_first, crossed in ((a_first, time_a), (~a_first, time_b)):
         index, prior, shift = (np.where(in_first, f, s) for f, s in zip(first, second))
-        level = np.full(n_paths, np.nan)
-        ok = index < cap
-        level[ok] = total[ok] + compound_increments(rng, intensity, mark,
-                                                    shift[ok] - crossed[ok])
-        index[~ok] = -1
-        prior[~ok] = shift[~ok] = np.nan
-        exits.append(AxisExits(index, prior, shift, level))
+        censored = index >= cap
+        index[censored] = -1
+        prior[censored] = crossed[censored] = shift[censored] = np.nan
+        exits.append(AxisExits(index, prior, crossed, shift))
 
     # Each study level is drawn on its own after the (m, n) record, from a
     # fresh crossing and fresh later epochs after the path's t0: its law is
     # exact, and the record is the same with or without it.
     study = {}
     for level in sorted(set(levels) - {thresholds.m}):
-        _, crossed = _crossing(rng, params.lambda_a, params.mark_a, level, n_paths)
+        crossed = _crossing(rng, params.lambda_a, params.mark_a, level, n_paths)
         index = new_epochs().first_at_or_after(crossed)[0]
         index[index >= cap] = -1
         study[level] = index
@@ -324,10 +314,14 @@ def empirical_functional(
     """Unbiased sample estimate of the joint first-exceedance functional.
 
     Averages z^mu g^nu exp(-theta0 tau_mu_prev - theta1 tau_mu - vartheta0
-    tau_nu_prev - vartheta1 tau_nu) over the summary's paths, times the
-    literal level indicators 1{level_at_mu <= m} 1{level_at_nu <= n}.
+    tau_nu_prev - vartheta1 tau_nu) over the summary's paths, times the level
+    indicators 1{level_at_mu <= m} 1{level_at_nu <= n}.  Each indicator
+    enters as its conditional probability given the path's crossing time and
+    shift epoch (``_level_stays``), which has the same mean and a smaller
+    variance than the indicator itself.
     """
     a, b = summary.a, summary.b
+    params, thresholds = summary.params, summary.thresholds
     ok = (a.index >= 0) & (b.index >= 0)
     samples = (
         ctx.z ** a.index[ok]
@@ -338,7 +332,9 @@ def empirical_functional(
             - ctx.vartheta0 * b.prior[ok]
             - ctx.vartheta1 * b.shift[ok]
         )
-        * ((a.level[ok] <= summary.thresholds.m)
-           & (b.level[ok] <= summary.thresholds.n))
+        * _level_stays(params.lambda_a, params.mark_a, thresholds.m,
+                       a.crossing[ok], a.shift[ok])
+        * _level_stays(params.lambda_b, params.mark_b, thresholds.n,
+                       b.crossing[ok], b.shift[ok])
     )
     return sample_mean_se(samples, "the joint functional")

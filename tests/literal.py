@@ -2,8 +2,9 @@
 
 - ``sample_path`` and ``exit_indices`` are the per-path definition of the
   model: every observation interval is drawn, both axes' increments are drawn
-  over it, and the exit index is read off the running sums.  The event-driven
-  sampler behind ``estimate_exits`` must agree with them in law.
+  over it (``compound_increments``), and the exit index is read off the
+  running sums.  The event-driven sampler behind ``estimate_exits`` must
+  agree with them in law; it shares no sampling code with them.
 - ``gamma_marginal`` is the scalar marginal transform that ``gamma_series``
   expands as a power series.
 - ``d_apply`` and ``d_apply_2d`` are the forward operators that
@@ -27,8 +28,37 @@ from strategyshift import config
 from strategyshift.analytics import axis_factor
 from strategyshift.errors import DomainError, OrderError, ParameterError
 from strategyshift.matrix import DEFAULT_SCALE_FACTOR, StrategyMatrix, bcg_scale, classify
-from strategyshift.oracle import compound_increments
+from strategyshift.params import MarkDistribution
 from strategyshift.series import TruncatedSeries
+
+
+def compound_increments(
+    rng: np.random.Generator,
+    intensity: float,
+    mark: MarkDistribution,
+    interval_lengths: np.ndarray,
+) -> np.ndarray:
+    """Compound-Poisson totals for a batch of interval lengths.
+
+    Raises ParameterError when numpy refuses a draw: an expected arrival
+    count beyond the int64 range, or a geometric mark total too large.
+    """
+    with np.errstate(over="ignore"):  # numpy refuses an infinite mean below
+        means = intensity * interval_lengths
+    try:
+        counts = rng.poisson(means)
+        if mark.family != "geometric":
+            return mark.value * counts.astype(np.int64)
+        totals = np.zeros(counts.shape, dtype=np.int64)
+        nz = counts > 0
+        if np.any(nz):
+            # sum of c iid Geometric(p) on {1,2,...} = c + NegBinomial(c, p)
+            totals[nz] = counts[nz] + rng.negative_binomial(counts[nz], mark.p)
+        return totals
+    except ValueError as exc:
+        raise ParameterError(
+            f"expected increment too large to simulate ({exc})"
+        ) from exc
 
 
 def sample_path(params, seed, max_observations):

@@ -376,11 +376,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("field, value", [
         ("observation.initial_mean", 1e300),
         ("observation.interval_mean", 1e300),
-        ("process.lambda_a", 1e300),
-        ("process.mark_a", {"family": "geometric", "p": 1e-300}),
+        ("observation.initial_mean", 1.7e308),
     ])
     def test_huge_expected_count_is_a_domain_error(self, tmp_path, monkeypatch,
                                                    capsys, field, value):
+        # Epochs near 1e300 overflow the squares behind a standard error;
+        # near 1.7e308 some overflow to inf themselves.
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
         doc = json.loads(json.dumps(REFERENCE_DOC))
         block, key = field.split(".")
@@ -391,7 +392,42 @@ class TestExitCodes:
             capsys.readouterr()
             assert cli.main([command, str(path)]) == 4
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
+            assert err.startswith("error: ") and "not a finite float" in err
+            assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    @pytest.mark.parametrize("fields, mean_mu, conformance_rc", [
+        # every crossing lies near 1e-300, before the first epoch
+        ({"process.lambda_a": 1e300}, 0.0, 5),
+        # level 1 is reached at the first arrival, whatever its mark
+        ({"process.mark_a": {"family": "geometric", "p": 1e-300}}, 1.0, 0),
+        # both crossings lie near 1e-154, before the one epoch 1e154
+        ({"observation.family": "deterministic", "observation.initial_mean": 1e154,
+          "observation.interval_mean": 1e154, "process.lambda_a": 1e154,
+          "process.lambda_b": 1e154}, 0.0, 4),
+    ])
+    def test_huge_intensity_or_mark_simulates_its_exit_law(
+            self, tmp_path, monkeypatch, capsys, fields, mean_mu, conformance_rc):
+        # No increment is drawn after a crossing, so a huge expected count
+        # leaves simulate with the exit law.  At lambda_a = 1e300 conformance
+        # gates the closed-form mean 1e-300 against a sample of zeros with
+        # SE 0, a deviation; the deterministic case's series argument
+        # overflows analyze's side.
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        doc = json.loads(json.dumps(REFERENCE_DOC))
+        for field, value in fields.items():
+            block, key = field.split(".")
+            doc[block][key] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["simulate", str(path)]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["censored_a"] == summary["censored_b"] == 0
+        assert abs(summary["mean_mu"] - mean_mu) <= 3 * summary["se_mu"]
+        capsys.readouterr()
+        assert cli.main(["conformance", str(path)]) == conformance_rc
+        # exits 0 and 5 print no error line, exit 4 prints one
+        assert capsys.readouterr().err.count("\n") == (1 if conformance_rc == 4 else 0)
 
     @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
     @pytest.mark.parametrize("family, fields", [
@@ -406,10 +442,11 @@ class TestExitCodes:
     ])
     def test_overflowing_series_argument_is_a_domain_error(
             self, tmp_path, monkeypatch, capsys, family, fields):
-        # interval mean times intensity overflows the series argument (1e300),
-        # its absolute coefficient sum and the simulator's expected arrival
-        # counts (1e154), or underflows to 0 (1e-300), where a crossing lies
-        # more epochs out than a float can count
+        # interval mean times intensity overflows the series argument (1e300)
+        # or its absolute coefficient sum (1e154), or underflows to 0
+        # (1e-300), where a crossing lies more epochs out than a float can
+        # count; simulate's epochs near 1e300, or exponential ones near
+        # 1e154, overflow the squares behind a standard error
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
         doc = json.loads(json.dumps(REFERENCE_DOC))
         doc["observation"]["family"] = family
@@ -418,9 +455,13 @@ class TestExitCodes:
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(doc))
         commands = ("simulate", "analyze", "conformance")
-        if family == "exponential" and fields.get("lambda_b") == 1e154:
-            # the reciprocal of this series is finite, so analyze succeeds
-            commands = ("simulate", "conformance")
+        if fields.get("lambda_b") == 1e154:
+            # The exponential series' reciprocal is finite, so analyze
+            # succeeds.  The deterministic one's epochs all lie at 1e154,
+            # whose square fits, so simulate succeeds (its answer is checked
+            # in test_huge_intensity_or_mark_simulates_its_exit_law).
+            commands = {"exponential": ("simulate", "conformance"),
+                        "deterministic": ("analyze", "conformance")}[family]
         for command in commands:
             capsys.readouterr()
             assert cli.main([command, str(path)]) == 4

@@ -9,6 +9,7 @@ from literal import exit_indices, sample_path
 from strategyshift.errors import HorizonError, NoDataError, NoExitError, ParameterError
 from strategyshift.oracle import (
     AxisExits,
+    _level_stays,
     empirical_functional,
     estimate_exits,
     exit_mean_se,
@@ -170,28 +171,39 @@ GEOMETRIC_PARAMS = ModelParams(
 )
 
 
+DETERMINISTIC_PARAMS = ModelParams(
+    1.0, 1.3,
+    IntervalDistribution.deterministic(0.7),
+    IntervalDistribution.deterministic(0.3),
+)
+
+
 AXIS_FIELDS = [f.name for f in dataclasses.fields(AxisExits)]
 
 
 class TestMultiLevelRecord:
-    @pytest.fixture(params=["reference", "geometric"])
+    @pytest.fixture(params=["reference", "geometric", "deterministic"])
     def params(self, request, reference_params):
-        return reference_params if request.param == "reference" else GEOMETRIC_PARAMS
+        return {"reference": reference_params, "geometric": GEOMETRIC_PARAMS,
+                "deterministic": DETERMINISTIC_PARAMS}[request.param]
 
     def test_per_path_invariants(self, params, unit_thresholds):
         s = estimate_exits(params, unit_thresholds, 20_000, 41, levels=(2, 3, 5))
         indices = [s.exit_index_a(level) for level in (1, 2, 3, 5)]
         assert indices[0] is s.a.index
-        for record, threshold in ((s.a, s.thresholds.m), (s.b, s.thresholds.n)):
-            idx, tau_prev, tau, level = (record.index, record.prior, record.shift,
-                                         record.level)
+        for record in (s.a, s.b):
+            idx, tau_prev, crossing, tau = (record.index, record.prior,
+                                            record.crossing, record.shift)
             cens = idx < 0
             assert np.array_equal(cens, np.isnan(tau))
-            assert np.all(np.isnan(tau[cens])) and np.all(np.isnan(level[cens]))
-            later = idx > 0
-            assert np.all(tau_prev[later] < tau[later])
-            assert np.all(tau_prev[idx == 0] == 0.0)
-            assert np.all(level[~cens] >= threshold)
+            assert np.all(np.isnan(tau_prev[cens])) and np.all(np.isnan(crossing[cens]))
+            # The crossing lies after the prior epoch (the time origin at
+            # index 0) and at or before the shift epoch.
+            later, first = idx > 0, idx == 0
+            assert np.all(tau_prev[later] < crossing[later])
+            assert np.all(tau_prev[first] == 0.0)
+            assert np.all(crossing[first] >= 0.0)
+            assert np.all(crossing[~cens] <= tau[~cens])
 
     def test_levels_up_to_m_leave_the_stream_unchanged(self, params):
         thresholds = Thresholds(m=5, n=5)
@@ -320,6 +332,57 @@ class TestEmpiricalFunctional:
             TransformContext.neutral(),
         )
         assert abs(estimate - oracle_value) <= 3 * se + tail
+
+
+class TestLevelAtExit:
+    # The joint functional's indicator 1{level at exit <= threshold} enters
+    # as its conditional probability given the crossing and shift epochs.
+
+    def test_exact_value_with_a_zero_mark(self):
+        # Axis A never moves from level 0 = m.  Axis B (unit marks, rate 1,
+        # n = 1) must see exactly one arrival by the epoch at or after its
+        # first: at epoch 1 with probability e^-1, else, after none by 1,
+        # in the k-th later half-interval, each empty with probability
+        # e^-1/2: e^-1 (1 + 0.5 e^-1/2 / (1 - e^-1/2)).
+        params = ModelParams(
+            1.0, 1.0,
+            IntervalDistribution.deterministic(1.0),
+            IntervalDistribution.deterministic(0.5),
+            mark_a=MarkDistribution.fixed(0),
+        )
+        half = np.exp(-0.5)
+        exact = np.exp(-1.0) * (1.0 + 0.5 * half / (1.0 - half))
+        estimate, se = empirical_functional(
+            estimate_exits(params, Thresholds(m=0, n=1), 200_000, 19),
+            TransformContext.neutral(),
+        )
+        assert exact == pytest.approx(0.651421, abs=1e-6)
+        assert abs(estimate - exact) <= 3 * se
+
+    def test_fixed_mark_off_the_threshold_reads_zero(self, reference_params):
+        # A fixed mark of 2 only visits even levels, so it passes 3 without
+        # ever resting on it.
+        params = dataclasses.replace(reference_params, mark_a=MarkDistribution.fixed(2))
+        summary = estimate_exits(params, Thresholds(m=3, n=1), 2000, 5)
+        assert empirical_functional(summary, TransformContext.neutral()) == (0.0, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("intensity, mark", [
+        (0.0, MarkDistribution.unit()),
+        (1e300, MarkDistribution.fixed(0)),
+    ])
+    def test_zero_drift_never_forms_zero_times_infinity(self, intensity, mark):
+        # A zero-drift axis at level 0 stays there, however far out its
+        # shift epoch lies (an exponential first epoch can overflow to inf).
+        shift = np.array([0.5, 1e308, np.inf])
+        stays = _level_stays(intensity, mark, 0, np.zeros(3), shift)
+        assert np.array_equal(stays, np.ones(3))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_exponent_reads_zero(self):
+        stays = _level_stays(1e300, MarkDistribution.unit(), 1,
+                             np.array([0.0, 0.0]), np.array([0.0, 1e10]))
+        assert np.array_equal(stays, [1.0, 0.0])
 
 
 class TestConformance:

@@ -1,14 +1,13 @@
-"""The literal per-path reference (``literal.py``) and the compound-Poisson
-increments the simulator draws (``oracle.compound_increments``)."""
+"""The literal per-path reference (``literal.py``): its compound-Poisson
+increments (``literal.compound_increments``), its paths and its exit records."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from literal import exit_indices, sample_path
+from literal import compound_increments, exit_indices, sample_path
 from strategyshift.errors import ParameterError
-from strategyshift.oracle import compound_increments
 from strategyshift.params import (
     IntervalDistribution,
     MarkDistribution,

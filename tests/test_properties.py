@@ -90,8 +90,8 @@ def _reference(family="exponential", **blocks):
 
 
 def _overflowing(family, **fields):
-    """A valid document whose interval mean times intensity over- or
-    underflows."""
+    """A valid document whose means and intensities (``fields``) are so
+    large or small that their products or squares over- or underflow."""
     doc = _reference(family)
     for key, value in fields.items():
         doc["process" if key.startswith("lambda") else "observation"][key] = value
@@ -110,6 +110,8 @@ def _strict(token):
 @example(_overflowing("deterministic", initial_mean=1e154, interval_mean=1e154,
                       lambda_a=1e154, lambda_b=1e154))
 @example(_overflowing("exponential", interval_mean=1e-300, lambda_a=1e-300))
+@example(_overflowing("exponential", initial_mean=1e155, interval_mean=1e155,
+                      lambda_a=1e-150, lambda_b=1e-150))
 @example(_reference(matrix={"labels": 5}))
 @example(_reference(output={"formats": 5}))
 def test_every_document_ends_in_a_documented_exit_code(doc):

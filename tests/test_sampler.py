@@ -13,13 +13,14 @@ import pytest
 
 from literal import exit_indices, sample_path
 from strategyshift.errors import HorizonError
-from strategyshift.oracle import estimate_exits
+from strategyshift.oracle import empirical_functional, estimate_exits, sample_mean_se
 from strategyshift.params import (
     IntervalDistribution,
     MarkDistribution,
     ModelParams,
     Thresholds,
 )
+from strategyshift.transforms import TransformContext
 
 N_PATHS = 200_000
 SE_MULTIPLE = 4.0
@@ -219,7 +220,8 @@ def test_wald_identity(case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_record_matches_literal_paths(case):
-    # Every field of the exit record against the literal per-path definition
+    # Every epoch field of the exit record, and the joint functional's level
+    # indicators, against the literal per-path definition
     # (literal.sample_path + literal.exit_indices), mean by mean.
     params, m, n = CASES[case]
     thresholds = Thresholds(m=m, n=n)
@@ -227,16 +229,19 @@ def test_record_matches_literal_paths(case):
                for seed in range(3000)]
     assert not any(r.censored_a or r.censored_b for r in records)
     s = estimate_exits(params, thresholds, 50_000, 83)
-    for name, sampled in (("mu", s.a.index), ("nu", s.b.index),
-                          ("tau_mu", s.a.shift), ("tau_mu_prev", s.a.prior),
-                          ("tau_nu", s.b.shift), ("tau_nu_prev", s.b.prior),
-                          ("level_at_mu", s.a.level), ("level_at_nu", s.b.level)):
-        literal = np.array([getattr(r, name) for r in records], dtype=float)
-        sampled = sampled.astype(float)
-        se = np.hypot(literal.std(ddof=1) / np.sqrt(literal.size),
-                      sampled.std(ddof=1) / np.sqrt(sampled.size))
-        gap = abs(literal.mean() - sampled.mean())
-        assert gap <= SE_MULTIPLE * max(se, 1e-12), name
+    pairs = [(name, [getattr(r, name) for r in records],
+              sample_mean_se(sampled.astype(float), name))
+             for name, sampled in (("mu", s.a.index), ("nu", s.b.index),
+                                   ("tau_mu", s.a.shift), ("tau_mu_prev", s.a.prior),
+                                   ("tau_nu", s.b.shift), ("tau_nu_prev", s.b.prior))]
+    # At neutral arguments the functional averages the level indicators.
+    pairs.append(("level indicators",
+                  [r.level_at_mu == m and r.level_at_nu == n for r in records],
+                  empirical_functional(s, TransformContext.neutral())))
+    for name, literal, (mean, se) in pairs:
+        literal = np.array(literal, dtype=float)
+        se = np.hypot(literal.std(ddof=1) / np.sqrt(literal.size), se)
+        assert abs(literal.mean() - mean) <= SE_MULTIPLE * max(se, 1e-12), name
 
 
 @pytest.mark.parametrize("interval", [EXP, DET])
