@@ -16,9 +16,9 @@ deterministic intervals, a few memoryless draws around T for exponential ones
 is never drawn: the joint functional averages the probability, given T and
 the exit epoch, that the level is still at the threshold (``_level_stays``).
 A path thus costs a fixed number of draws per recorded level, whatever its
-exit index.  Each extra axis-A level of the threshold-dependence study is a
-fresh draw of the same kind on the same paths' first epochs, so its exit index
-has its exact law but is not coupled to the other levels of its path.
+exit index.  Each axis-A level of the threshold-dependence study, m included,
+is a fresh draw of the same kind on the same paths' first epochs, so its exit
+index has its exact law but is not coupled to the other levels of its path.
 
 Each axis's record is one ``AxisExits``, censored where its index is -1, and
 every Monte Carlo mean over one axis's exited paths is ``exit_mean_se``.
@@ -28,14 +28,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 import numpy as np
 
 from .config import DEFAULT_HORIZON
 from .errors import DomainError, HorizonError, NoDataError, NoExitError, ParameterError
 from .params import ModelParams, Thresholds
-from .transforms import TransformContext
+
+if TYPE_CHECKING:
+    from .transforms import TransformContext
 
 #: Paths that never exceed within the horizon are censored, and a run fails
 #: when censoring exceeds this fraction on any recorded level.
@@ -87,9 +89,9 @@ class EmpiricalExitSummary:
     """The exit records of a batch of simulated trajectories.
 
     ``a`` and ``b`` are the two axes' records at the thresholds (m, n).
-    ``study_mu`` maps each extra axis-A level to its exit-index array (-1
+    ``study_mu`` maps each axis-A study level to its exit-index array (-1
     where censored).  Each such array has its level's exact law, but is drawn
-    on its own: it is not coupled to ``a`` or to the other levels.
+    on its own, m included: it is not coupled to ``a`` or to the other levels.
     """
 
     a: AxisExits
@@ -103,9 +105,8 @@ class EmpiricalExitSummary:
     nu = property(lambda self: self.b.index, doc="Axis-B exit indices.")
 
     def exit_index_a(self, level: int) -> np.ndarray:
-        """Axis-A exit indices at ``level``: ``mu`` at m, else a study level."""
-        if level == self.thresholds.m:
-            return self.mu
+        """Axis-A exit indices drawn at ``level``, which must be one of the
+        recorded ``levels`` (m is no exception); else a NoDataError."""
         if level not in self.study_mu:
             raise NoDataError(f"axis-A level {level} was not recorded")
         return self.study_mu[level]
@@ -249,11 +250,11 @@ def _simulate(
         prior[censored] = crossed[censored] = shift[censored] = np.nan
         exits.append(AxisExits(index, prior, crossed, shift))
 
-    # Each study level is drawn on its own after the (m, n) record, from a
-    # fresh crossing and fresh later epochs after the path's t0: its law is
-    # exact, and the record is the same with or without it.
+    # Each study level, m included, is drawn on its own after the (m, n)
+    # record, from a fresh crossing and fresh later epochs after the path's
+    # t0: its law is exact, and the record is the same with or without it.
     study = {}
-    for level in sorted(set(levels) - {thresholds.m}):
+    for level in sorted(set(levels)):
         crossed = _crossing(rng, params.lambda_a, params.mark_a, level, n_paths)
         index = new_epochs().first_at_or_after(crossed)[0]
         index[index >= cap] = -1
@@ -273,9 +274,9 @@ def estimate_exits(
     """Simulate ``n_paths`` trajectories and collect their exit records.
 
     Besides first passage at (m, n), records the axis-A exit index at every
-    level in ``levels`` (see ``EmpiricalExitSummary.exit_index_a``).  Each
-    is drawn on its own, from the same generator after the (m, n) record,
-    which is therefore the same with or without levels.
+    level in ``levels`` (see ``EmpiricalExitSummary.exit_index_a``).  Each,
+    m included, is drawn on its own, from the same generator after the
+    (m, n) record, which is therefore the same with or without levels.
     An index above ``horizon`` counts as censored.
 
     Deterministic for fixed (params, thresholds, n_paths, seed, levels).

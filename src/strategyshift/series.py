@@ -73,14 +73,6 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TruncatedSeries) and np.array_equal(
-            self.coeffs, other.coeffs
-        )
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({self.coeffs.tolist()})"
-
     def _coerce(self, other) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             return other

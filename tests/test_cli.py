@@ -291,6 +291,29 @@ class TestExitCodes:
             assert cli.main([command, str(path)]) == 3
             assert f"(field: {field})" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("thresholds.m", 10 ** 400),  # an int float() cannot hold
+        ("matrix.labels", ["Dogs", "Cows", "Stars"]),
+    ], ids=["400-digit-threshold", "three-labels"])
+    def test_unrepresentable_field_exit_code(self, tmp_path, monkeypatch, capsys,
+                                             field, value):
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_doc_with(field, value)))
+        for command in ("simulate", "analyze", "conformance"):
+            assert cli.main([command, str(path)]) == 3
+            assert f"(field: {field})" in capsys.readouterr().err
+
+    def test_overflowing_closed_form_mean_exit_code(self, tmp_path, monkeypatch, capsys):
+        # 1 / (delta * lambda) at the smallest subnormal lambda is inf.
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        doc = json.loads(json.dumps(REFERENCE_DOC))
+        doc["process"]["lambda_a"] = 5e-324
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["analyze", str(path)]) == 4
+        assert "closed-form means overflow" in capsys.readouterr().err
+
     def test_non_finite_config_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
         bad = tmp_path / "nan.json"
@@ -597,6 +620,39 @@ def test_analyze_and_conformance_report_the_same_closed_forms(
 
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
+
+
+def _mean_verdicts(tmp_path, monkeypatch, **marks):
+    """Exit code of ``conformance`` on configs/reference.json with the given
+    ``mark_a``/``mark_b`` blocks, and the verdicts of its two gated rows."""
+    doc = json.loads(REFERENCE_CONFIG.read_text())
+    doc["process"].update(marks)
+    out = tmp_path / ("_".join(sorted(marks)) or "plain")
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(out))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["conformance", str(path)])
+    rows = {r["quantity"]: r["verdict"]
+            for r in json.loads((out / "conformance.json").read_text())}
+    return code, rows["mean_exit_index_a"], rows["mean_exit_index_b"]
+
+
+@pytest.mark.parametrize("marks", [
+    {"mark_a": {"family": "fixed", "value": 1}},
+    {"mark_a": {"family": "geometric", "p": 0.3},
+     "mark_b": {"family": "fixed", "value": 4}},
+], ids=["fixed1-unit", "geometric-fixed4"])
+def test_exit_mean_is_gated_whatever_the_marks(tmp_path, monkeypatch, marks):
+    # At threshold 1 every mark (each at least 1) crosses at the first
+    # arrival, so E[mu] = 1/(delta lambda) exactly and both rows are gated.
+    assert _mean_verdicts(tmp_path, monkeypatch, **marks) == (0, "match", "match")
+
+
+def test_axis_b_gate_ignores_axis_a_marks(tmp_path, monkeypatch):
+    plain = _mean_verdicts(tmp_path, monkeypatch)
+    geometric = _mean_verdicts(tmp_path, monkeypatch,
+                               mark_a={"family": "geometric", "p": 0.3})
+    assert plain[2] == geometric[2] == "match"
 
 
 @pytest.fixture(scope="module")
@@ -919,9 +975,9 @@ def test_runtime_needs_numpy_only():
     assert set(json.loads(result.stdout)) <= {"numpy", "strategyshift"}
 
 
-def test_analyze_never_loads_the_simulator(tmp_path):
-    # analyze reads only the closed forms; the Monte Carlo oracle is for
-    # simulate and conformance.
+def _loaded_after(command, modules, tmp_path):
+    """Exit code of ``command`` on the reference config in a fresh
+    interpreter, and which of ``modules`` it loaded."""
     import os
     import subprocess
     import sys
@@ -929,18 +985,32 @@ def test_analyze_never_loads_the_simulator(tmp_path):
     import strategyshift
 
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "from strategyshift import cli\n"
-        "code = cli.main(['analyze', sys.argv[1]])\n"
-        "print(code, 'strategyshift.oracle' in sys.modules)\n"
+        "code = cli.main([sys.argv[1], sys.argv[2]])\n"
+        "print(json.dumps([code, [m for m in sys.argv[3:] if m in sys.modules]]))\n"
     )
     src = str(Path(strategyshift.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, **{cli.OUTPUT_DIR_ENV: str(tmp_path)})
     result = subprocess.run(
-        [sys.executable, "-c", code, str(REPO / "configs" / "reference.json")],
+        [sys.executable, "-c", code, command, str(REPO / "configs" / "reference.json"),
+         *modules],
         capture_output=True, text=True, check=True, env=env)
-    assert result.stdout.splitlines()[-1] == "0 False"
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_analyze_never_loads_the_simulator(tmp_path):
+    # analyze reads only the closed forms; the Monte Carlo oracle is for
+    # simulate and conformance.
+    assert _loaded_after("analyze", ["strategyshift.oracle"], tmp_path) == [0, []]
+
+
+def test_simulate_never_loads_the_series_code(tmp_path):
+    # simulate draws exit records only; the power series and transforms are
+    # for the closed forms of analyze and conformance.
+    modules = ["strategyshift.series", "strategyshift.transforms"]
+    assert _loaded_after("simulate", modules, tmp_path) == [0, []]
 
 
 #: The variables OpenBLAS reads its thread count from, first one first.

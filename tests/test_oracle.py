@@ -20,7 +20,7 @@ from strategyshift.params import (
     ModelParams,
     Thresholds,
 )
-from strategyshift.report import STUDY_LEVELS, conformance_rows, judge
+from strategyshift.report import SE_MULTIPLE, STUDY_LEVELS, conformance_rows, judge
 from strategyshift.transforms import TransformContext
 
 
@@ -188,9 +188,10 @@ class TestMultiLevelRecord:
                 "deterministic": DETERMINISTIC_PARAMS}[request.param]
 
     def test_per_path_invariants(self, params, unit_thresholds):
-        s = estimate_exits(params, unit_thresholds, 20_000, 41, levels=(2, 3, 5))
-        indices = [s.exit_index_a(level) for level in (1, 2, 3, 5)]
-        assert indices[0] is s.a.index
+        s = estimate_exits(params, unit_thresholds, 20_000, 41, levels=(1, 2, 3, 5))
+        # Every recorded level, m = 1 included, is a draw of its own.
+        assert sorted(s.study_mu) == [1, 2, 3, 5]
+        assert not np.shares_memory(s.exit_index_a(1), s.a.index)
         for record in (s.a, s.b):
             idx, tau_prev, crossing, tau = (record.index, record.prior,
                                             record.crossing, record.shift)
@@ -214,8 +215,25 @@ class TestMultiLevelRecord:
                 assert np.array_equal(getattr(getattr(plain, axis), name),
                                       getattr(getattr(multi, axis), name),
                                       equal_nan=True), (axis, name)
-        assert multi.exit_index_a(5) is multi.mu
-        assert sorted(multi.study_mu) == [2, 3]
+        assert sorted(multi.study_mu) == [2, 3, 5]
+        assert not np.array_equal(multi.exit_index_a(5), multi.mu)
+
+    def test_level_m_is_its_own_draw(self, params):
+        # m = 3 among the study levels is drawn afresh, like 2 and 5: same
+        # law as mu, other paths, and the (m, n) record stays as it was.
+        thresholds = Thresholds(m=3, n=2)
+        plain = estimate_exits(params, thresholds, 20_000, 53)
+        multi = estimate_exits(params, thresholds, 20_000, 53, levels=(2, 3, 5))
+        for axis in ("a", "b"):
+            for name in AXIS_FIELDS:
+                assert np.array_equal(getattr(getattr(plain, axis), name),
+                                      getattr(getattr(multi, axis), name),
+                                      equal_nan=True), (axis, name)
+        own = multi.exit_index_a(3)
+        assert own is multi.study_mu[3]
+        assert np.mean(own != multi.mu) > 0.1
+        (m1, se1), (m2, se2) = (exit_mean_se(i, i, "mu") for i in (own, multi.mu))
+        assert abs(m1 - m2) <= SE_MULTIPLE * np.hypot(se1, se2)
 
     def test_levels_above_m_leave_the_record_unchanged(self, params, unit_thresholds):
         # Study levels are drawn after the (m, n) record, wherever they lie.

@@ -6,8 +6,8 @@ import pytest
 
 from literal import gamma_marginal
 from strategyshift.config import MAX_THRESHOLD
-from strategyshift.errors import DomainError, UnsupportedConfigurationError
-from strategyshift.params import IntervalDistribution, MarkDistribution
+from strategyshift.errors import DomainError, ParameterError, UnsupportedConfigurationError
+from strategyshift.params import IntervalDistribution, MarkDistribution, ModelParams
 from strategyshift.series import d_extract
 from strategyshift.transforms import TransformContext, gamma_series
 
@@ -44,6 +44,25 @@ class TestLst:
             assert values[0] == 1.0
             assert all(0.0 < v <= 1.0 for v in values)
             assert all(a > b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: MarkDistribution("poisson"), UnsupportedConfigurationError),
+    (lambda: MarkDistribution.fixed(-1), ParameterError),
+    (lambda: MarkDistribution.fixed(1.5), ParameterError),
+    (lambda: MarkDistribution.geometric(0.0), ParameterError),
+    (lambda: MarkDistribution.geometric(1.5), ParameterError),
+    (lambda: IntervalDistribution.exponential(0.0), ParameterError),
+    (lambda: IntervalDistribution.deterministic(-1.0), ParameterError),
+    (lambda: EXP1.lst(-0.1), DomainError),
+    (lambda: ModelParams(-1.0, 1.0, EXP1, EXP1), ParameterError),
+    (lambda: ModelParams(1.0, -1.0, EXP1, EXP1), ParameterError),
+], ids=["mark-family", "fixed-negative", "fixed-fractional", "geometric-p-0",
+        "geometric-p-above-1", "interval-mean-0", "interval-mean-negative",
+        "lst-negative-theta", "negative-lambda-a", "negative-lambda-b"])
+def test_parameter_validation(build, error):
+    with pytest.raises(error):
+        build()
 
 
 class TestGammaMarginal:
@@ -107,6 +126,10 @@ class TestGammaSeries:
         np.testing.assert_array_equal(
             gamma_series(order, 0.2, 1.5, unit, EXP1).coeffs,
             gamma_series(order, 0.2, 1.5, MarkDistribution.fixed(1), EXP1).coeffs)
+
+    def test_negative_theta_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="theta"):
+            gamma_series(10, -0.1, 1.0, UNIT, EXP1)
 
     def test_deterministic_law_with_underflowing_mass_at_zero(self):
         # Poisson(900) counts: P(0) = exp(-900) underflows, the law does not.
