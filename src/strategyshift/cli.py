@@ -6,12 +6,18 @@ or written), 3 invalid configuration, 4 domain error, 5 conformance
 deviation.  The commands raise; ``main`` alone turns an error into its exit
 code and its one ``error:`` line.  All artifacts are deterministic for a
 fixed (config, seed) pair.
+
+``run`` is the process entry (``python -m strategyshift.cli`` and the
+``strategyshift`` console script): it calls ``main`` and exits with its code.
+``main`` returns the code and leaves the interpreter as it found it, for
+in-process callers.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -235,5 +241,19 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """Process entry: run one command, then exit with its code.
+
+    Every artifact is written and closed before ``main`` returns, so what is
+    left is the interpreter's shut-down.  Freezing moves every live object
+    into the collector's permanent generation, which shut-down's collections
+    skip: without it they walk every object numpy and the package made, only
+    to free memory the exiting process hands back anyway.  The std streams
+    are still flushed and atexit handlers still run."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -124,15 +124,14 @@ def _crossing(rng, intensity, mark, level, size):
     time 0."""
     if level <= 0:
         return np.zeros(size)
-    need = np.full(size, level, dtype=np.int64)
     if mark.family == "geometric":
         # The totals a sum of geometric(p) marks visits are the successes of
         # Bernoulli(p) trials over the levels 1, 2, ...: it visits
         # Binomial(level - 1, p) levels below ``level``.
-        arrivals = 1 + rng.binomial(need - 1, mark.p)
+        arrivals = 1 + rng.binomial(level - 1, mark.p, size)
     else:
-        arrivals = -(-need // mark.value)
-    return rng.gamma(arrivals, 1.0 / intensity)
+        arrivals = -(-level // mark.value)
+    return rng.gamma(arrivals, 1.0 / intensity, size)
 
 
 def _level_stays(intensity, mark, level, crossing, shift):

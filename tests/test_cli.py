@@ -1212,3 +1212,87 @@ def test_refused_input_ends_in_one_error_line(tmp_path, case):
     assert result.returncode == code, result.stderr
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+#: argv after the config of each command, run on configs/reference.json.
+COMMAND_FLAGS = {
+    "simulate": [],
+    "analyze": [],
+    "conformance": [],
+    "classify": ["--share", "2", "--growth", "5"],
+}
+
+
+def _run_process_entry(argv, out_dir):
+    """(exit code, stdout, stderr) of ``python -m strategyshift.cli argv``,
+    writing its artifacts to ``out_dir``."""
+    import os
+    import subprocess
+    import sys
+
+    import strategyshift
+
+    src = str(Path(strategyshift.__file__).resolve().parents[1])
+    env = dict(os.environ, **{cli.OUTPUT_DIR_ENV: str(out_dir)})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "strategyshift.cli", *argv],
+                            capture_output=True, text=True, env=env)
+    return result.returncode, result.stdout, result.stderr
+
+
+def _run_in_process(argv, out_dir, monkeypatch, capsys):
+    """(exit code, stdout, stderr) of ``cli.main(argv)``, writing its
+    artifacts to ``out_dir``.  Only the process entry freezes: ``main``
+    leaves the caller's collector as it was."""
+    import gc
+
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(out_dir))
+    capsys.readouterr()
+    collector = gc.get_freeze_count(), gc.isenabled()
+    code = cli.main(argv)
+    assert (gc.get_freeze_count(), gc.isenabled()) == collector
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _artifacts(out_dir):
+    return {path.name: path.read_bytes() for path in sorted(out_dir.glob("*"))}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_process_entry_writes_what_main_writes(tmp_path, monkeypatch, capsys, command):
+    # The process entry only adds the exit: the same artifacts, byte for
+    # byte, and the same lines on the std streams as an in-process call.
+    argv = [command, str(REFERENCE_CONFIG), *COMMAND_FLAGS[command]]
+    spawned = _run_process_entry(argv, tmp_path / "process")
+    called = _run_in_process(argv, tmp_path / "main", monkeypatch, capsys)
+    assert spawned[0] == called[0] == 0, spawned[2]
+    process, main = str(tmp_path / "process"), str(tmp_path / "main")
+    assert spawned[1].replace(process, main) == called[1]
+    assert spawned[2] == called[2] == ""
+    assert _artifacts(tmp_path / "process") == _artifacts(tmp_path / "main")
+    assert bool(_artifacts(tmp_path / "main")) == (command != "classify")
+
+
+@pytest.mark.parametrize("field, value, code", [
+    ("thresholds.m", 1.5, 3),     # an invalid config
+    ("process.lambda_a", 0, 4),   # axis A never reaches m = 2
+])
+def test_process_entry_passes_the_exit_code_through(tmp_path, monkeypatch, capsys,
+                                                    field, value, code):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_doc_with(field, value)))
+    argv = ["simulate", str(config)]
+    spawned = _run_process_entry(argv, tmp_path / "process")
+    assert spawned == _run_in_process(argv, tmp_path / "main", monkeypatch, capsys)
+    assert spawned[:2] == (code, "")
+    assert spawned[2].startswith("error: ") and spawned[2].count("\n") == 1
+
+
+def test_run_freezes_after_main_and_exits_with_its_code(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert (exc.value.code, calls) == (3, ["main", "freeze"])
