@@ -16,7 +16,6 @@ in-process callers.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import os
@@ -176,11 +175,10 @@ def cmd_conformance(args) -> int:
     )
     rows = conformance_rows(summary)
     if "csv" in cfg.formats:
-        _write_csv(out / "conformance.csv",
-                   [f.name for f in dataclasses.fields(ConformanceRow)],
-                   map(dataclasses.astuple, rows))
+        _write_csv(out / "conformance.csv", ConformanceRow._fields, rows)
     if "json" in cfg.formats:
-        _write_json(out / "conformance.json", [dataclasses.asdict(r) for r in rows])
+        # As dicts: _write_json writes any tuple, a row too, as a list.
+        _write_json(out / "conformance.json", [row._asdict() for row in rows])
     n_dev = sum(1 for r in rows if r.verdict == "deviation")
     print(f"conformance: {len(rows)} rows, {n_dev} deviation(s) -> {out}")
     return EXIT_CONFORMANCE_DEVIATION if n_dev else EXIT_OK

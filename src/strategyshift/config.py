@@ -18,7 +18,7 @@ import copy
 import json
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConfigError
 from .matrix import (BCG_A_HIGH, BCG_A_LOW, BCG_B, BCG_LABELS, DEFAULT_SCALE_FACTOR,
@@ -44,8 +44,8 @@ DEFAULT_HORIZON = 10_000
 REQUIRED = object()
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(namedtuple("Entry", "kind default ge gt le choices",
+                       defaults=(REQUIRED, None, None, None, ()))):
     """One config field.
 
     ``kind`` is "number" (a finite JSON number, never a string or a
@@ -56,12 +56,7 @@ class Entry:
     number.
     """
 
-    kind: str
-    default: object = REQUIRED
-    ge: float | None = None
-    gt: float | None = None
-    le: float | None = None
-    choices: tuple = ()
+    __slots__ = ()
 
 
 #: Region names of each matrix mode, used when ``matrix.labels`` is empty.
@@ -188,20 +183,11 @@ def _value(raw, entry: Entry, field: str):
     return int(raw) if isinstance(raw, int) else int(value)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(namedtuple("RunConfig", "params thresholds matrix scale_factor n_paths "
+                                        "seed horizon output_dir formats doc")):
     """Validated run configuration and the normalized document it came from."""
 
-    params: ModelParams
-    thresholds: Thresholds
-    matrix: StrategyMatrix
-    scale_factor: float
-    n_paths: int
-    seed: int
-    horizon: int
-    output_dir: str
-    formats: tuple
-    doc: dict
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         """Normalized six-block document; round-trips through from_dict."""

@@ -9,7 +9,7 @@ A point with a NaN or infinite coordinate lies in no region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 
@@ -27,8 +27,9 @@ BCG_B = 10.0
 DEFAULT_SCALE_FACTOR = 100.0
 
 
-@dataclass(frozen=True)
-class StrategyMatrix:
+class StrategyMatrix(namedtuple(
+        "StrategyMatrix", "labels a_threshold_low a_threshold_high b_threshold",
+        defaults=(GENERIC_LABELS, 0.0, 0.0, 0.0))):
     """Labeled 2x2 threshold matrix over the two decision-parameter levels.
 
     ``labels`` are the region names in quadrant order (low/low, high/low,
@@ -37,10 +38,7 @@ class StrategyMatrix:
     uniform matrix uses the same A-threshold in both rows.
     """
 
-    labels: tuple = GENERIC_LABELS
-    a_threshold_low: float = 0.0
-    a_threshold_high: float = 0.0
-    b_threshold: float = 0.0
+    __slots__ = ()
 
     @classmethod
     def uniform(cls, m: float, n: float, labels=GENERIC_LABELS) -> "StrategyMatrix":

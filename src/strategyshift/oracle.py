@@ -26,9 +26,9 @@ every Monte Carlo mean over one axis's exited paths is ``exit_mean_se``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import partial
-from typing import TYPE_CHECKING, Dict, Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
 
@@ -72,20 +72,17 @@ def exit_mean_se(index: np.ndarray, values, what: str) -> Tuple[float, float]:
     return sample_mean_se(np.asarray(samples, dtype=float), what)
 
 
-@dataclass(frozen=True)
-class AxisExits:
+class AxisExits(namedtuple("AxisExits", "index prior crossing shift")):
     """One axis's exit record, arrays aligned by path: the exit index (-1
     where censored), the prior epoch (0 before index 0), the crossing time T
-    and the shift epoch (NaN where censored)."""
+    and the shift epoch (NaN where censored).  ``index`` hides
+    ``tuple.index``."""
 
-    index: np.ndarray
-    prior: np.ndarray
-    crossing: np.ndarray
-    shift: np.ndarray
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EmpiricalExitSummary:
+class EmpiricalExitSummary(namedtuple(
+        "EmpiricalExitSummary", "a b n_paths params thresholds study_mu")):
     """The exit records of a batch of simulated trajectories.
 
     ``a`` and ``b`` are the two axes' records at the thresholds (m, n).
@@ -94,12 +91,7 @@ class EmpiricalExitSummary:
     on its own, m included: it is not coupled to ``a`` or to the other levels.
     """
 
-    a: AxisExits
-    b: AxisExits
-    n_paths: int
-    params: ModelParams
-    thresholds: Thresholds
-    study_mu: Dict[int, np.ndarray] = field(default_factory=dict)
+    __slots__ = ()
 
     mu = property(lambda self: self.a.index, doc="Axis-A exit indices.")
     nu = property(lambda self: self.b.index, doc="Axis-B exit indices.")

@@ -8,13 +8,17 @@ follow a different distribution (and mean) than the subsequent ones.
 These types only validate and describe; they need no numpy, so config
 loading stays numpy-free.  Drawing from them lives in ``oracle`` and their
 series expansions in ``transforms``.
+
+Every record type in the package is a ``collections.namedtuple`` subclass:
+cheap to build, and loading no further module at start-up (README,
+"Start-up").
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import DomainError, ParameterError, UnsupportedConfigurationError
 
@@ -22,8 +26,18 @@ MARK_FAMILIES = ("unit", "fixed", "geometric")
 INTERVAL_FAMILIES = ("exponential", "deterministic")
 
 
-@dataclass(frozen=True)
-class MarkDistribution:
+class Validated:
+    """Base of a namedtuple record whose ``__new__`` validates: ``_make``,
+    and with it ``_replace``, builds through the constructor too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class MarkDistribution(Validated, namedtuple("MarkDistribution", "family value p")):
     """Distribution of the nonnegative integer mark attached to each arrival.
 
     Families:
@@ -33,22 +47,21 @@ class MarkDistribution:
       * ``geometric`` — marks on {1, 2, ...} with success probability ``p``.
     """
 
-    family: str = "unit"
-    value: int = 1
-    p: float = 0.5
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in MARK_FAMILIES:
+    def __new__(cls, family: str = "unit", value: int = 1, p: float = 0.5):
+        if family not in MARK_FAMILIES:
             raise UnsupportedConfigurationError(
-                f"unsupported mark family {self.family!r}; "
+                f"unsupported mark family {family!r}; "
                 f"expected one of {MARK_FAMILIES}"
             )
-        if self.family == "unit":
-            object.__setattr__(self, "value", 1)
-        if self.family == "fixed" and (self.value < 0 or self.value != int(self.value)):
+        if family == "unit":
+            value = 1
+        if family == "fixed" and (value < 0 or value != int(value)):
             raise ParameterError("fixed mark value must be a nonnegative integer")
-        if self.family == "geometric" and not 0.0 < self.p <= 1.0:
+        if family == "geometric" and not 0.0 < p <= 1.0:
             raise ParameterError("geometric mark parameter p must be in (0, 1]")
+        return super().__new__(cls, family, value, p)
 
     @classmethod
     def unit(cls) -> "MarkDistribution":
@@ -66,21 +79,20 @@ class MarkDistribution:
         return 1.0 / self.p if self.family == "geometric" else float(self.value)
 
 
-@dataclass(frozen=True)
-class IntervalDistribution:
+class IntervalDistribution(Validated, namedtuple("IntervalDistribution", "family mean")):
     """Distribution of an observation interval (exponential or deterministic)."""
 
-    family: str
-    mean: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in INTERVAL_FAMILIES:
+    def __new__(cls, family: str, mean: float):
+        if family not in INTERVAL_FAMILIES:
             raise UnsupportedConfigurationError(
-                f"unsupported interval family {self.family!r}; "
+                f"unsupported interval family {family!r}; "
                 f"expected one of {INTERVAL_FAMILIES}"
             )
-        if not self.mean > 0.0:
+        if not mean > 0.0:
             raise ParameterError("interval mean must be positive")
+        return super().__new__(cls, family, mean)
 
     @classmethod
     def exponential(cls, mean: float) -> "IntervalDistribution":
@@ -99,20 +111,20 @@ class IntervalDistribution:
         return math.exp(-theta * self.mean)
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Validated, namedtuple(
+        "ModelParams", "lambda_a lambda_b obs_initial obs_interval mark_a mark_b")):
     """Full parameter set of the two-parameter observed shift model."""
 
-    lambda_a: float
-    lambda_b: float
-    obs_initial: IntervalDistribution
-    obs_interval: IntervalDistribution
-    mark_a: MarkDistribution = field(default_factory=MarkDistribution.unit)
-    mark_b: MarkDistribution = field(default_factory=MarkDistribution.unit)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lambda_a < 0.0 or self.lambda_b < 0.0:
+    def __new__(cls, lambda_a: float, lambda_b: float,
+                obs_initial: IntervalDistribution, obs_interval: IntervalDistribution,
+                mark_a: MarkDistribution = MarkDistribution(),
+                mark_b: MarkDistribution = MarkDistribution()):
+        if lambda_a < 0.0 or lambda_b < 0.0:
             raise ParameterError("intensities must be nonnegative")
+        return super().__new__(cls, lambda_a, lambda_b, obs_initial, obs_interval,
+                               mark_a, mark_b)
 
     @property
     def delta0_mean(self) -> float:
@@ -132,20 +144,20 @@ class ModelParams:
         )
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(Validated, namedtuple("Thresholds", "m n")):
     """Exceedance levels for the two cumulative decision parameters, as
     whole counts of mark units (an integral float is stored as its int)."""
 
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("m", "n"):
-            value = getattr(self, name)
-            if isinstance(value, float) and value.is_integer():
-                value = int(value)
-            if isinstance(value, bool) or not hasattr(value, "__index__") or value < 0:
-                raise ParameterError(
-                    f"threshold {name} must be a nonnegative integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+    def __new__(cls, m: int, n: int):
+        return super().__new__(cls, _count("m", m), _count("n", n))
+
+
+def _count(name: str, value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not hasattr(value, "__index__") or value < 0:
+        raise ParameterError(
+            f"threshold {name} must be a nonnegative integer, got {value!r}")
+    return operator.index(value)

@@ -12,8 +12,8 @@ is the CLI's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from collections import namedtuple
+from typing import List, Tuple, Union
 
 from .analytics import (DEFAULT_Z_GRID, lemma_note, lemma_pgf, means_or_note,
                         phi_functional)
@@ -28,17 +28,12 @@ STUDY_LEVELS = (2, 3, 5)
 SE_MULTIPLE = 3.0
 
 
-@dataclass(frozen=True)
-class ConformanceRow:
-    """One analytic-vs-empirical comparison in the conformance table."""
+class ConformanceRow(namedtuple(
+        "ConformanceRow", "quantity paper_ref analytic mc_estimate se rel_dev verdict")):
+    """One analytic-vs-empirical comparison in the conformance table:
+    ``analytic`` is a float, or a note with ``rel_dev`` None."""
 
-    quantity: str
-    paper_ref: str
-    analytic: Union[float, str]
-    mc_estimate: float
-    se: float
-    rel_dev: Optional[float]
-    verdict: str
+    __slots__ = ()
 
 
 def judge(

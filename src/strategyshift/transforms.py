@@ -10,36 +10,33 @@ coefficient expansions used by the operator calculus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
-from .params import IntervalDistribution, MarkDistribution
+from .params import IntervalDistribution, MarkDistribution, Validated
 from .series import TruncatedSeries
 
 
-@dataclass(frozen=True)
-class TransformContext:
+class TransformContext(Validated, namedtuple(
+        "TransformContext", "z g theta0 theta1 vartheta0 vartheta1")):
     """Scalar transform arguments of the joint first-exceedance functional.
 
     z and g weight the two exit indices; theta0/theta1 the prior and actual
     shift epochs of axis A; vartheta0/vartheta1 those of axis B.
     """
 
-    z: float = 1.0
-    g: float = 1.0
-    theta0: float = 0.0
-    theta1: float = 0.0
-    vartheta0: float = 0.0
-    vartheta1: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 <= self.z <= 1.0 and 0.0 <= self.g <= 1.0):
+    def __new__(cls, z: float = 1.0, g: float = 1.0, theta0: float = 0.0,
+                theta1: float = 0.0, vartheta0: float = 0.0, vartheta1: float = 0.0):
+        if not (0.0 <= z <= 1.0 and 0.0 <= g <= 1.0):
             raise DomainError("z and g must lie in [0, 1]")
-        if min(self.theta0, self.theta1, self.vartheta0, self.vartheta1) < 0.0:
+        if min(theta0, theta1, vartheta0, vartheta1) < 0.0:
             raise DomainError("exponential transform arguments must be >= 0")
+        return super().__new__(cls, z, g, theta0, theta1, vartheta0, vartheta1)
 
     @classmethod
     def neutral(cls) -> "TransformContext":

@@ -710,14 +710,13 @@ class TestArtifactContract:
 
     def test_conformance_csv_matches_json(self, reference_artifacts):
         import csv
-        import dataclasses
 
         from strategyshift.report import ConformanceRow
 
         with (reference_artifacts / "conformance.csv").open(newline="") as f:
             csv_rows = list(csv.DictReader(f))
         json_rows = json.loads((reference_artifacts / "conformance.json").read_text())
-        columns = [field.name for field in dataclasses.fields(ConformanceRow)]
+        columns = list(ConformanceRow._fields)
         assert list(csv_rows[0]) == columns
         assert len(csv_rows) == len(json_rows) == 16
         for from_csv, from_json in zip(csv_rows, json_rows):
@@ -860,8 +859,6 @@ class TestArtifacts:
             assert row["verdict"] == "not-assertable"
 
     def test_json_writers_refuse_nan(self, tmp_path):
-        import dataclasses
-
         from strategyshift.report import ConformanceRow
 
         nan = float("nan")
@@ -873,13 +870,13 @@ class TestArtifacts:
         row = ConformanceRow("q", "ref", 1.0, nan, 0.1, None, "not-assertable")
         target = tmp_path / "conformance.json"
         with pytest.raises(ValueError):
-            cli._write_json(target, [dataclasses.asdict(row)])
+            cli._write_json(target, [row._asdict()])
         assert not target.exists()
         cfg = config_mod.from_dict(REFERENCE_DOC)
         doc = cfg.to_dict()
         doc["matrix"]["scale_factor"] = nan
         with pytest.raises(ValueError):
-            config_mod.dumps(dataclasses.replace(cfg, doc=doc))
+            config_mod.dumps(cfg._replace(doc=doc))
 
     @staticmethod
     def _clear_series_caches():
@@ -1050,10 +1047,12 @@ def test_cli_starts_numpy_with_one_blas_thread_unless_told(given):
 
 
 #: Runs CLI invocations (a JSON list of argv lists) in a fresh interpreter
-#: where ``import numpy`` fails, after the set-up probe's imports and load.
-NUMPY_BLOCKED = """
-import contextlib, io, json, runpy, sys
-sys.modules["numpy"] = None
+#: where importing each module named after the probe config fails, after the
+#: set-up probe's imports and load.
+IMPORTS_BLOCKED = """
+import sys
+sys.modules.update(dict.fromkeys(sys.argv[3:]))
+import contextlib, io, json, runpy
 cases, probe_config = json.loads(sys.argv[1]), sys.argv[2]
 import strategyshift, strategyshift.config
 strategyshift.config.load(probe_config)
@@ -1080,7 +1079,10 @@ def _perfbench_classify_points():
     raise AssertionError("perfbench/run.py defines no CLASSIFY_POINTS")
 
 
-def test_classify_and_config_errors_need_no_numpy(tmp_path, capsys):
+def _check_without(blocked, tmp_path, capsys):
+    """Run the set-up probe, the benchmark's classify points and every
+    command's missing-config and invalid-config cases where importing any of
+    ``blocked`` fails; each must end as it does under in-process cli.main."""
     import os
     import subprocess
     import sys
@@ -1101,16 +1103,32 @@ def test_classify_and_config_errors_need_no_numpy(tmp_path, capsys):
     src = str(Path(strategyshift.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", NUMPY_BLOCKED, json.dumps(cases), str(reference)],
+        [sys.executable, "-c", IMPORTS_BLOCKED, json.dumps(cases), str(reference),
+         *blocked],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert result.returncode == 0, result.stderr
-    blocked = json.loads(result.stdout)
+    results = json.loads(result.stdout)
 
-    for argv, (code, out, err) in zip(cases, blocked):
+    for argv, (code, out, err) in zip(cases, results):
         capsys.readouterr()
         assert code == cli.main(argv), argv
         assert [out, err] == list(capsys.readouterr()), argv
-    assert [code for code, _, _ in blocked] == [0] * 5 + [2, 3] * 4
+    assert [code for code, _, _ in results] == [0] * 5 + [2, 3] * 4
+
+
+def test_classify_and_config_errors_need_no_numpy(tmp_path, capsys):
+    _check_without(["numpy"], tmp_path, capsys)
+
+
+def test_classify_and_config_errors_need_no_dataclasses(tmp_path, capsys):
+    # The record types are named tuples, so the config path never loads
+    # dataclasses, nor the inspect module that dataclasses imports.
+    _check_without(["dataclasses", "inspect"], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "conformance"])
+def test_numpy_commands_never_load_dataclasses(tmp_path, command):
+    assert _loaded_after(command, ["dataclasses"], tmp_path) == [0, []]
 
 
 @pytest.mark.parametrize("command", ["simulate", "analyze", "conformance"])

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 
 import numpy as np
@@ -178,7 +177,7 @@ DETERMINISTIC_PARAMS = ModelParams(
 )
 
 
-AXIS_FIELDS = [f.name for f in dataclasses.fields(AxisExits)]
+AXIS_FIELDS = list(AxisExits._fields)
 
 
 class TestMultiLevelRecord:
@@ -281,14 +280,12 @@ class TestEmpiricalPgf:
         assert estimate == 0.5
 
     def test_degenerate_sample(self, summary):
-        frozen = dataclasses.replace(
-            summary, a=dataclasses.replace(summary.a, index=np.full(summary.n_paths, 3)))
+        frozen = summary._replace(a=summary.a._replace(index=np.full(summary.n_paths, 3)))
         estimate, _ = pgf(frozen.mu, 0.5)
         assert estimate == 0.125
 
     def test_all_censored_raises(self, summary):
-        frozen = dataclasses.replace(
-            summary, a=dataclasses.replace(summary.a, index=np.full(summary.n_paths, -1)))
+        frozen = summary._replace(a=summary.a._replace(index=np.full(summary.n_paths, -1)))
         with pytest.raises(NoDataError):
             pgf(frozen.mu, 0.5)
 
@@ -380,7 +377,7 @@ class TestLevelAtExit:
     def test_fixed_mark_off_the_threshold_reads_zero(self, reference_params):
         # A fixed mark of 2 only visits even levels, so it passes 3 without
         # ever resting on it.
-        params = dataclasses.replace(reference_params, mark_a=MarkDistribution.fixed(2))
+        params = reference_params._replace(mark_a=MarkDistribution.fixed(2))
         summary = estimate_exits(params, Thresholds(m=3, n=1), 2000, 5)
         assert empirical_functional(summary, TransformContext.neutral()) == (0.0, 0.0)
 

@@ -1,0 +1,91 @@
+"""The package's record types: validation on every construction path, and
+the tuple behaviour that callers may rely on."""
+
+import pickle
+from pathlib import Path
+
+import pytest
+
+from strategyshift import config
+from strategyshift.errors import DomainError, ParameterError, UnsupportedConfigurationError
+from strategyshift.matrix import StrategyMatrix
+from strategyshift.params import (IntervalDistribution, MarkDistribution, ModelParams,
+                                  Thresholds)
+from strategyshift.report import ConformanceRow
+from strategyshift.transforms import TransformContext
+
+EXP1 = IntervalDistribution.exponential(1.0)
+PARAMS = ModelParams(1.0, 2.0, EXP1, IntervalDistribution.deterministic(0.5),
+                     MarkDistribution.geometric(0.3), MarkDistribution.fixed(4))
+
+#: A valid record, a change to one of its checked fields that makes it
+#: invalid, and the error that change raises.
+INVALID = {
+    "mark-family": (MarkDistribution.unit(), {"family": "poisson"},
+                    UnsupportedConfigurationError),
+    "fixed-negative": (MarkDistribution.fixed(2), {"value": -1}, ParameterError),
+    "fixed-fractional": (MarkDistribution.fixed(2), {"value": 1.5}, ParameterError),
+    "geometric-p-0": (MarkDistribution.geometric(0.5), {"p": 0.0}, ParameterError),
+    "geometric-p-above-1": (MarkDistribution.geometric(0.5), {"p": 1.5}, ParameterError),
+    "interval-family": (EXP1, {"family": "gamma"}, UnsupportedConfigurationError),
+    "interval-mean-0": (EXP1, {"mean": 0.0}, ParameterError),
+    "negative-lambda-a": (PARAMS, {"lambda_a": -1.0}, ParameterError),
+    "negative-lambda-b": (PARAMS, {"lambda_b": -1.0}, ParameterError),
+    "fractional-m": (Thresholds(1, 2), {"m": 1.5}, ParameterError),
+    "negative-n": (Thresholds(1, 2), {"n": -1}, ParameterError),
+    "boolean-m": (Thresholds(1, 2), {"m": True}, ParameterError),
+    "z-above-1": (TransformContext(), {"z": 1.2}, DomainError),
+    "g-negative": (TransformContext(), {"g": -0.1}, DomainError),
+    "theta1-negative": (TransformContext(), {"theta1": -0.1}, DomainError),
+    "vartheta0-negative": (TransformContext(), {"vartheta0": -0.1}, DomainError),
+}
+
+
+@pytest.mark.parametrize("record, change, error", INVALID.values(), ids=INVALID)
+def test_every_construction_path_validates(record, change, error):
+    fields = {**record._asdict(), **change}
+    with pytest.raises(error):
+        type(record)(**fields)
+    with pytest.raises(error):
+        type(record)._make(fields.values())
+    with pytest.raises(error):
+        record._replace(**change)
+
+
+def test_replace_normalises_as_the_constructor_does():
+    replaced = Thresholds(1, 2)._replace(m=2.0)
+    assert replaced == Thresholds(2, 2) and type(replaced.m) is int
+    assert MarkDistribution.unit()._replace(value=3).value == 1
+    with pytest.raises(ValueError):
+        Thresholds(1, 2)._replace(k=3)
+
+
+RECORDS = {
+    "mark": MarkDistribution.geometric(0.3),
+    "interval": EXP1,
+    "params": PARAMS,
+    "thresholds": Thresholds(3, 0),
+    "context": TransformContext(z=0.5, theta1=0.2),
+    "matrix": StrategyMatrix.bcg(),
+    "row": ConformanceRow("q", "ref", "a note", 1.5, 0.1, None, "not-assertable"),
+    "config": config.load(Path(__file__).resolve().parents[1] / "configs"
+                          / "reference.json"),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS.values(), ids=RECORDS)
+def test_pickle_round_trip(record):
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and type(copy) is type(record)
+
+
+def test_records_are_tuples_of_their_fields():
+    # Equal to a plain tuple of the same fields, hashed as that tuple, and
+    # unpackable; setting a field is refused.
+    thresholds = Thresholds(3, 4)
+    assert thresholds == (3, 4) and hash(thresholds) == hash((3, 4))
+    m, n = thresholds
+    assert (m, n) == (3, 4)
+    assert repr(thresholds) == "Thresholds(m=3, n=4)"
+    with pytest.raises(AttributeError):
+        thresholds.m = 5
