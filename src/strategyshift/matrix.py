@@ -40,16 +40,6 @@ class StrategyMatrix(namedtuple(
 
     __slots__ = ()
 
-    @classmethod
-    def uniform(cls, m: float, n: float, labels=GENERIC_LABELS) -> "StrategyMatrix":
-        return cls(labels=tuple(labels), a_threshold_low=m,
-                   a_threshold_high=m, b_threshold=n)
-
-    @classmethod
-    def bcg(cls) -> "StrategyMatrix":
-        return cls(labels=BCG_LABELS, a_threshold_low=BCG_A_LOW,
-                   a_threshold_high=BCG_A_HIGH, b_threshold=BCG_B)
-
     def a_threshold(self, b_high: bool) -> float:
         return self.a_threshold_high if b_high else self.a_threshold_low
 

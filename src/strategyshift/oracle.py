@@ -12,13 +12,25 @@ Poisson stream (J = L for unit marks, ceil(L / v) for a fixed mark v,
 T ~ Gamma(J, 1 / lambda).  The exit index is the first observation epoch at
 or after T and the prior epoch is the one before it: plain arithmetic for
 deterministic intervals, a few memoryless draws around T for exponential ones
-(``_PoissonEpochs``).  Each axis records T with its epochs.  Its level at exit
-is never drawn: the joint functional averages the probability, given T and
-the exit epoch, that the level is still at the threshold (``_level_stays``).
-A path thus costs a fixed number of draws per recorded level, whatever its
-exit index.  Each axis-A level of the threshold-dependence study, m included,
-is a fresh draw of the same kind on the same paths' first epochs, so its exit
-index has its exact law but is not coupled to the other levels of its path.
+(``_PoissonEpochs``, asked once for the earlier of the two axes' crossings
+and once for the later).  Each axis records T with its epochs.  Its level at
+exit is never drawn: the joint functional averages the probability, given T
+and the exit epoch, that the level is still at the threshold
+(``_level_stays``).  A path thus costs a fixed number of draws per recorded
+level, whatever its exit index.
+
+The axis-A levels of the threshold-dependence study, m included, are drawn
+after that record on one fresh compound Poisson stream per path, from the
+path's first epoch t0 (``_study``).  They form a nested chain: in increasing
+order, each level's crossing time is the one below it plus
+Gamma(J_high - J_low, 1 / lambda), the time of the arrivals between the two
+levels (L_high - L_low of them for unit marks, a difference of ceilings for a
+fixed mark, Binomial(L_high - L_low, p) for geometric marks).  On exponential
+intervals a level's index is 0 where T <= t0, else one plus the epochs of a
+fresh Poisson process in (t0, T), which grow by one Poisson draw per level;
+on deterministic ones it is arithmetic.  So each level has its exact law, no
+index of a path falls as the level rises, and the chain is independent of
+the record.
 
 Each axis's record is one ``AxisExits``, censored where its index is -1, and
 every Monte Carlo mean over one axis's exited paths is ``exit_mean_se``.
@@ -27,7 +39,6 @@ every Monte Carlo mean over one axis's exited paths is ``exit_mean_se``.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial
 from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
@@ -87,8 +98,9 @@ class EmpiricalExitSummary(namedtuple(
 
     ``a`` and ``b`` are the two axes' records at the thresholds (m, n).
     ``study_mu`` maps each axis-A study level to its exit-index array (-1
-    where censored).  Each such array has its level's exact law, but is drawn
-    on its own, m included: it is not coupled to ``a`` or to the other levels.
+    where censored).  The levels, m included, are one nested chain per path,
+    drawn apart from ``a``: each array has its level's exact law, and on a
+    path no exited index falls as the level rises.
     """
 
     __slots__ = ()
@@ -110,20 +122,26 @@ class EmpiricalExitSummary(namedtuple(
 _MAX_GAP_EPOCHS = 1e18
 
 
+def _arrivals(rng, mark, low, high, size):
+    """Arrivals, on ``size`` paths, that take a compound Poisson stream from
+    its first total at or above ``low`` to its first at or above ``high``
+    (0 <= low < high)."""
+    if mark.family == "geometric":
+        # The totals a sum of geometric(p) marks visits are 0 and the
+        # successes of Bernoulli(p) trials over the levels 1, 2, ...; each
+        # visited total below ``high`` is left by one arrival.
+        start = int(low == 0)
+        return start + rng.binomial(high - low - start, mark.p, size)
+    return (-low // mark.value) - (-high // mark.value)  # ceil(high/v) - ceil(low/v)
+
+
 def _crossing(rng, intensity, mark, level, size):
     """Time on ``size`` paths of the arrival that first brings a fresh
     compound Poisson stream to ``level`` or above; a level <= 0 is there at
     time 0."""
     if level <= 0:
         return np.zeros(size)
-    if mark.family == "geometric":
-        # The totals a sum of geometric(p) marks visits are the successes of
-        # Bernoulli(p) trials over the levels 1, 2, ...: it visits
-        # Binomial(level - 1, p) levels below ``level``.
-        arrivals = 1 + rng.binomial(level - 1, mark.p, size)
-    else:
-        arrivals = -(-level // mark.value)
-    return rng.gamma(arrivals, 1.0 / intensity, size)
+    return rng.gamma(_arrivals(rng, mark, 0, level, size), 1.0 / intensity, size)
 
 
 def _level_stays(intensity, mark, level, crossing, shift):
@@ -174,7 +192,8 @@ class _PoissonEpochs:
     that reaches back past x (then p = x and no epoch lies in (x, q)); the
     epochs strictly between x and p number Poisson((p - x) / d); the first
     epoch at or after q is the new x = q + Exp(d).  A later time at or before
-    x lies in (p, x], so its epoch is x too.
+    x lies in (p, x], so its epoch is x too.  Every query draws the segment's
+    variates on every path and keeps them where the path is ahead.
     """
 
     def __init__(self, rng, t0, d, cap):
@@ -182,27 +201,68 @@ class _PoissonEpochs:
         # Per path: the index of x, the epoch before it (0 before index 0), x.
         self.index = np.zeros(t0.size, dtype=np.int64)
         self.prev = np.zeros(t0.size)
-        self.epoch = t0.copy()
+        self.epoch = t0
 
     def first_at_or_after(self, times):
         """As ``_ArithmeticEpochs.first_at_or_after``."""
-        ahead = times > self.epoch
-        if ahead.any():
-            self._extend(times[ahead], np.flatnonzero(ahead))
-        return self.index.copy(), self.prev.copy(), self.epoch.copy()
+        rng, d, last = self.rng, self.d, self.epoch
+        back = rng.exponential(d, times.size)
+        forward = rng.exponential(d, times.size)
+        ahead = times > last
+        # Off the paths ahead, inf - inf may read NaN; np.where drops it.
+        with np.errstate(over="ignore", invalid="ignore"):  # overflows are capped
+            gap = times - last
+            empty = back >= gap
+            mean = np.where(ahead & ~empty,
+                            np.minimum((gap - back) / d, _MAX_GAP_EPOCHS), 0.0)
+            count = rng.poisson(mean) + np.where(empty, 1, 2)
+            self.index = np.where(ahead, np.minimum(self.index + count, self.cap),
+                                  self.index)
+            self.prev = np.where(ahead, np.where(empty, last, times - back), self.prev)
+            self.epoch = np.where(ahead, times + forward, last)
+        return self.index, self.prev, self.epoch
 
-    def _extend(self, times, rows):
-        rng, d = self.rng, self.d
-        last = self.epoch[rows]
-        back = rng.exponential(d, rows.size)
-        empty = back >= times - last
-        with np.errstate(over="ignore"):  # an overflowing mean is capped
-            mean = np.where(empty, 0.0,
-                            np.minimum((times - back - last) / d, _MAX_GAP_EPOCHS))
-        count = np.where(empty, 0, 1 + rng.poisson(mean))
-        self.prev[rows] = np.where(empty, last, times - back)
-        self.epoch[rows] = times + rng.exponential(d, rows.size)
-        self.index[rows] = np.minimum(self.index[rows] + count + 1, self.cap)
+
+def _study(rng, params, t0, epochs, cap, levels):
+    """Axis-A exit indices at each of ``levels`` (-1 where censored), read
+    off one fresh compound Poisson stream per path after its t0.
+
+    The levels are drawn in increasing order: each positive level's crossing
+    adds the Gamma time of the arrivals between it and the level below, so
+    no index falls as the level rises.  On exponential later intervals the
+    index is 0 where T <= t0, else 1 + N(t0, T), N counting the epochs of a
+    fresh rate-1/d Poisson process; N grows by one Poisson draw per level.
+    On deterministic ones ``epochs`` gives it by arithmetic.
+    """
+    intensity, mark, d = params.lambda_a, params.mark_a, params.obs_interval.mean
+    study, below, crossed, reached = {}, 0, None, t0
+    count = np.zeros(t0.size, dtype=np.int64)
+    for level in sorted(set(levels)):
+        if level <= 0:
+            study[level] = np.zeros(t0.size, dtype=np.int64)
+            continue
+        if crossed is None:
+            crossed = _crossing(rng, intensity, mark, level, t0.size)
+        else:
+            crossed = crossed + rng.gamma(_arrivals(rng, mark, below, level, t0.size),
+                                          1.0 / intensity, t0.size)
+        below = level
+        if isinstance(epochs, _ArithmeticEpochs):
+            index = epochs.first_at_or_after(crossed)[0]
+        else:
+            # The epochs in (t0, T) grow by those between the level below's
+            # reach past t0 and this one's; a gap that is empty or NaN
+            # (inf - inf) adds none.
+            reach = np.maximum(crossed, t0)
+            with np.errstate(over="ignore", invalid="ignore"):  # overflows are capped
+                gap = reach - reached
+                mean = np.where(gap > 0.0, np.minimum(gap / d, _MAX_GAP_EPOCHS), 0.0)
+            count = np.minimum(count + rng.poisson(mean), cap)
+            reached = reach
+            index = np.where(crossed > t0, count + 1, 0)
+        index[index >= cap] = -1
+        study[level] = index
+    return study
 
 
 def _simulate(
@@ -221,15 +281,14 @@ def _simulate(
         t0 = np.full(n_paths, params.obs_initial.mean)
     d = params.obs_interval.mean
     if params.obs_interval.family == "exponential":
-        new_epochs = partial(_PoissonEpochs, rng, t0, d, cap)
+        epochs = _PoissonEpochs(rng, t0, d, cap)
     else:
-        new_epochs = partial(_ArithmeticEpochs, t0, d, cap)
+        epochs = _ArithmeticEpochs(t0, d, cap)
 
     time_a = _crossing(rng, params.lambda_a, params.mark_a, thresholds.m, n_paths)
     time_b = _crossing(rng, params.lambda_b, params.mark_b, thresholds.n, n_paths)
 
     # Both axes read the same epochs: place the earlier crossing first.
-    epochs = new_epochs()
     a_first = time_a <= time_b
     first = epochs.first_at_or_after(np.minimum(time_a, time_b))
     second = epochs.first_at_or_after(np.maximum(time_a, time_b))
@@ -241,16 +300,9 @@ def _simulate(
         prior[censored] = crossed[censored] = shift[censored] = np.nan
         exits.append(AxisExits(index, prior, crossed, shift))
 
-    # Each study level, m included, is drawn on its own after the (m, n)
-    # record, from a fresh crossing and fresh later epochs after the path's
-    # t0: its law is exact, and the record is the same with or without it.
-    study = {}
-    for level in sorted(set(levels)):
-        crossed = _crossing(rng, params.lambda_a, params.mark_a, level, n_paths)
-        index = new_epochs().first_at_or_after(crossed)[0]
-        index[index >= cap] = -1
-        study[level] = index
-
+    # The study is drawn after the (m, n) record, so the record is the same
+    # with or without it.
+    study = _study(rng, params, t0, epochs, cap, levels)
     return EmpiricalExitSummary(*exits, n_paths, params, thresholds, study)
 
 
@@ -265,10 +317,11 @@ def estimate_exits(
     """Simulate ``n_paths`` trajectories and collect their exit records.
 
     Besides first passage at (m, n), records the axis-A exit index at every
-    level in ``levels`` (see ``EmpiricalExitSummary.exit_index_a``).  Each,
-    m included, is drawn on its own, from the same generator after the
-    (m, n) record, which is therefore the same with or without levels.
-    An index above ``horizon`` counts as censored.
+    level in ``levels`` (see ``EmpiricalExitSummary.exit_index_a``).  The
+    levels, m included, are drawn in increasing order on one fresh stream
+    per path (a nested chain; a level <= 0 reads index 0), from the same
+    generator after the (m, n) record, which is therefore the same with or
+    without levels.  An index above ``horizon`` counts as censored.
 
     Deterministic for fixed (params, thresholds, n_paths, seed, levels).
     Fails with NoExitError, before any draw, when an axis with zero drift
@@ -291,7 +344,7 @@ def estimate_exits(
             )
     summary = _simulate(params, thresholds, n_paths, seed, horizon, levels)
     worst = max(int(np.count_nonzero(index < 0)) for index in
-                (summary.mu, summary.nu, *summary.study_mu.values()))
+                (summary.a.index, summary.b.index, *summary.study_mu.values()))
     if worst > MAX_CENSOR_FRACTION * n_paths:
         raise HorizonError(
             f"{worst}/{n_paths} paths hit the {horizon}-observation cap "

@@ -45,16 +45,19 @@ def judge(
 ) -> ConformanceRow:
     """One table row from a closed-form value and an (estimate, SE) pair.
 
-    A note in place of the value, or a value not trusted enough to gate on,
-    is "not-assertable"; an assertable value is a "match" when the estimate
-    lies within SE_MULTIPLE standard errors of it, else a "deviation".
+    A note in place of the value, a value not trusted enough to gate on, or
+    an estimate with a standard error of 0 is "not-assertable"; an
+    assertable value is a "match" when the estimate lies within SE_MULTIPLE
+    standard errors of it, else a "deviation".  A sample with no spread
+    (every path exits at one index) carries no standard error, so it cannot
+    gate a value; its row still shows the estimate and ``rel_dev``.
     """
     est, se = estimate
     if isinstance(analytic, str):
         return ConformanceRow(quantity, paper_ref, analytic, est, se, None,
                               "not-assertable")
     rel = abs(est - analytic) / abs(analytic) if analytic != 0.0 else abs(est)
-    if not assertable:
+    if not assertable or se == 0.0:
         verdict = "not-assertable"
     elif abs(est - analytic) <= SE_MULTIPLE * se:
         verdict = "match"
@@ -83,8 +86,9 @@ def conformance_rows(summary: EmpiricalExitSummary) -> List[ConformanceRow]:
 
     ``summary`` must have recorded the axis-A exit index at STUDY_LEVELS
     (``estimate_exits(..., levels=STUDY_LEVELS)``).  Each study row reads
-    one level's own draw.  The closed-form exit-index mean carries no
-    threshold dependence, so those rows document its growing deviation from
+    one level of the summary's nested chain, whose levels share one stream
+    per path.  The closed-form exit-index mean carries no threshold
+    dependence, so those rows document its growing deviation from
     simulation.
     """
     params, m, n = summary.params, summary.thresholds.m, summary.thresholds.n

@@ -14,6 +14,8 @@
 - ``phi_series`` is the joint functional's bivariate series kernel, and
   ``d_extract_2d`` its two-dimensional extraction: the grid route that
   ``phi_functional``'s product of two univariate extractions replaces.
+- ``uniform_matrix`` and ``bcg_matrix`` build the two kinds of matrix
+  directly; ``config.from_dict`` builds a run's matrix from its document.
 - ``bcg_classify`` is the growth-share quadrant of a (relative share,
   growth %) position, the composition ``classify --share`` performs.
 - ``config_leaves`` flattens the config table, so the config tests reach
@@ -27,7 +29,9 @@ import numpy as np
 from strategyshift import config
 from strategyshift.analytics import axis_factor
 from strategyshift.errors import DomainError, OrderError, ParameterError
-from strategyshift.matrix import DEFAULT_SCALE_FACTOR, StrategyMatrix, bcg_scale, classify
+from strategyshift.matrix import (BCG_A_HIGH, BCG_A_LOW, BCG_B, BCG_LABELS,
+                                  DEFAULT_SCALE_FACTOR, GENERIC_LABELS, StrategyMatrix,
+                                  bcg_scale, classify)
 from strategyshift.params import MarkDistribution
 from strategyshift.series import TruncatedSeries
 
@@ -195,9 +199,21 @@ def phi_series(m, n, ctx, params) -> BivariateSeries:
     return BivariateSeries.separable(fx, fy)
 
 
+def uniform_matrix(m, n, labels=GENERIC_LABELS) -> StrategyMatrix:
+    """A matrix cut at ``m`` on the A axis in both rows and at ``n`` on B."""
+    return StrategyMatrix(labels=tuple(labels), a_threshold_low=m,
+                          a_threshold_high=m, b_threshold=n)
+
+
+def bcg_matrix() -> StrategyMatrix:
+    """The growth-share matrix: its labels and row-dependent cut points."""
+    return StrategyMatrix(labels=BCG_LABELS, a_threshold_low=BCG_A_LOW,
+                          a_threshold_high=BCG_A_HIGH, b_threshold=BCG_B)
+
+
 def bcg_classify(relative_share, growth_pct, factor=DEFAULT_SCALE_FACTOR) -> str:
     """Growth-share quadrant of a (relative share, growth %) position."""
-    return classify(bcg_scale(relative_share, factor), growth_pct, StrategyMatrix.bcg())
+    return classify(bcg_scale(relative_share, factor), growth_pct, bcg_matrix())
 
 
 def series_exp(a):

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import conftest
-from literal import d_apply, d_apply_2d, d_extract_2d, phi_series
+from literal import bcg_matrix, d_apply, d_apply_2d, d_extract_2d, phi_series
 from strategyshift import cli
 from strategyshift.analytics import axis_factor, phi_functional
-from strategyshift.matrix import StrategyMatrix, bcg_scale, classify
+from strategyshift.matrix import bcg_scale, classify
 from strategyshift.oracle import estimate_exits, exit_mean_se
 from strategyshift.params import (
     IntervalDistribution,
@@ -149,7 +149,7 @@ def test_criterion_5_functional_pipeline():
 
 
 def test_criterion_6_bcg_golden_table():
-    matrix = StrategyMatrix.bcg()
+    matrix = bcg_matrix()
     golden = [
         ((0.0, 10.0), "Dogs"),        # both boundaries, low side
         ((0.0, 5.0), "Dogs"),

@@ -421,7 +421,7 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
     @pytest.mark.parametrize("fields, mean_mu, conformance_rc", [
         # every crossing lies near 1e-300, before the first epoch
-        ({"process.lambda_a": 1e300}, 0.0, 5),
+        ({"process.lambda_a": 1e300}, 0.0, 0),
         # level 1 is reached at the first arrival, whatever its mark
         ({"process.mark_a": {"family": "geometric", "p": 1e-300}}, 1.0, 0),
         # both crossings lie near 1e-154, before the one epoch 1e154
@@ -432,9 +432,10 @@ class TestExitCodes:
     def test_huge_intensity_or_mark_simulates_its_exit_law(
             self, tmp_path, monkeypatch, capsys, fields, mean_mu, conformance_rc):
         # No increment is drawn after a crossing, so a huge expected count
-        # leaves simulate with the exit law.  At lambda_a = 1e300 conformance
-        # gates the closed-form mean 1e-300 against a sample of zeros with
-        # SE 0, a deviation; the deterministic case's series argument
+        # leaves simulate with the exit law.  At lambda_a = 1e300 every path
+        # exits at index 0: a sample with SE 0 gates nothing, so the
+        # closed-form mean 1e-300 is not-assertable against it and
+        # conformance exits 0.  The deterministic case's series argument
         # overflows analyze's side.
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
         doc = json.loads(json.dumps(REFERENCE_DOC))

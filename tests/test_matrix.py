@@ -3,26 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from literal import bcg_classify
+from literal import bcg_classify, bcg_matrix, uniform_matrix
 from strategyshift.errors import DomainError
-from strategyshift.matrix import StrategyMatrix, bcg_scale, classify
+from strategyshift.matrix import bcg_scale, classify
 
-BCG = StrategyMatrix.bcg()
+BCG = bcg_matrix()
 
 
 class TestClassify:
     def test_uniform_origin_is_region_one(self):
-        m = StrategyMatrix.uniform(0.0, 0.0)
+        m = uniform_matrix(0.0, 0.0)
         assert classify(0.0, 0.0, m) == "I"
 
     def test_uniform_quadrants(self):
-        m = StrategyMatrix.uniform(2.0, 3.0)
+        m = uniform_matrix(2.0, 3.0)
         assert classify(5.0, 1.0, m) == "II"
         assert classify(5.0, 9.0, m) == "III"
         assert classify(1.0, 9.0, m) == "IV"
 
     def test_uniform_boundary_goes_low(self):
-        m = StrategyMatrix.uniform(2.0, 3.0)
+        m = uniform_matrix(2.0, 3.0)
         assert classify(2.0, 3.0, m) == "I"
         assert classify(2.0, 9.0, m) == "IV"
         assert classify(9.0, 3.0, m) == "II"
@@ -47,7 +47,7 @@ class TestClassify:
 
     def test_partition_totality(self, rng):
         labels = set(BCG.labels)
-        uniform = StrategyMatrix.uniform(1.0, 2.0)
+        uniform = uniform_matrix(1.0, 2.0)
         points = rng.uniform(-50, 50, size=(10_000, 2))
         for a, b in points:
             assert classify(a, b, BCG) in labels

@@ -188,7 +188,8 @@ class TestMultiLevelRecord:
 
     def test_per_path_invariants(self, params, unit_thresholds):
         s = estimate_exits(params, unit_thresholds, 20_000, 41, levels=(1, 2, 3, 5))
-        # Every recorded level, m = 1 included, is a draw of its own.
+        # Every recorded level, m = 1 included, is a level of the study's
+        # nested chain, which is drawn apart from the (m, n) record.
         assert sorted(s.study_mu) == [1, 2, 3, 5]
         assert not np.shares_memory(s.exit_index_a(1), s.a.index)
         for record in (s.a, s.b):
@@ -218,8 +219,9 @@ class TestMultiLevelRecord:
         assert not np.array_equal(multi.exit_index_a(5), multi.mu)
 
     def test_level_m_is_its_own_draw(self, params):
-        # m = 3 among the study levels is drawn afresh, like 2 and 5: same
-        # law as mu, other paths, and the (m, n) record stays as it was.
+        # m = 3 among the study levels is a level of the nested chain, like
+        # 2 and 5, on a stream of its own apart from the record: same law as
+        # mu, other paths, and the (m, n) record stays as it was.
         thresholds = Thresholds(m=3, n=2)
         plain = estimate_exits(params, thresholds, 20_000, 53)
         multi = estimate_exits(params, thresholds, 20_000, 53, levels=(2, 3, 5))
@@ -243,6 +245,38 @@ class TestMultiLevelRecord:
                 assert np.array_equal(getattr(getattr(plain, axis), name),
                                       getattr(getattr(multi, axis), name),
                                       equal_nan=True), (axis, name)
+
+    def test_study_index_never_falls_as_the_level_rises(self, params):
+        # Each level's crossing is the one below it plus the time of the
+        # arrivals between them, read off one epoch sequence per path.
+        levels = (1, 2, 3, 5, 8)
+        s = estimate_exits(params, Thresholds(m=2, n=1), 20_000, 59, levels=levels)
+        for low, high in zip(levels, levels[1:]):
+            below, above = s.exit_index_a(low), s.exit_index_a(high)
+            exited = (below >= 0) & (above >= 0)
+            assert np.all(above[exited] >= below[exited]), (low, high)
+            assert np.all(above[below < 0] < 0), (low, high)
+            assert np.any(above > below), (low, high)
+
+    @pytest.mark.parametrize("interval", [IntervalDistribution.exponential,
+                                          IntervalDistribution.deterministic])
+    def test_levels_sharing_an_arrival_share_an_index(self, interval):
+        # A fixed mark of 3 reaches levels 2 and 3 at its first arrival and
+        # level 4 at its second.
+        params = ModelParams(1.0, 1.0, interval(1.0), interval(0.5),
+                             mark_a=MarkDistribution.fixed(3))
+        s = estimate_exits(params, Thresholds(m=1, n=1), 5000, 61, levels=(2, 3, 4))
+        assert np.array_equal(s.exit_index_a(2), s.exit_index_a(3))
+        assert np.all(s.exit_index_a(4) >= s.exit_index_a(3))
+        assert not np.array_equal(s.exit_index_a(4), s.exit_index_a(3))
+
+    def test_levels_at_or_below_zero_read_index_zero(self, params, unit_thresholds):
+        s = estimate_exits(params, unit_thresholds, 2000, 67, levels=(-3, 0, 2))
+        for level in (-3, 0):
+            assert np.array_equal(s.exit_index_a(level), np.zeros(2000, dtype=np.int64))
+        # They draw nothing: level 2 reads as it does when recorded alone.
+        alone = estimate_exits(params, unit_thresholds, 2000, 67, levels=(2,))
+        assert np.array_equal(s.exit_index_a(2), alone.exit_index_a(2))
 
     def test_censoring_cap_applies_to_every_level(self, reference_params, unit_thresholds):
         estimate_exits(reference_params, unit_thresholds, 2000, 3, horizon=20)
@@ -419,3 +453,22 @@ class TestConformance:
     def test_deviation_verdict(self):
         row = judge("q", "made-up", 10.0, (1.0, 0.01), assertable=True)
         assert row.verdict == "deviation"
+
+    @pytest.mark.parametrize("analytic, estimate", [(1e-300, 0.0), (2.0, 2.0), (0.0, 3.0)])
+    def test_zero_spread_is_not_assertable(self, analytic, estimate):
+        # A sample with no spread carries no standard error: its row keeps
+        # the estimate and the relative deviation, but gates nothing.
+        row = judge("q", "made-up", analytic, (estimate, 0.0), assertable=True)
+        assert row.verdict == "not-assertable"
+        assert (row.mc_estimate, row.se) == (estimate, 0.0)
+        expected = abs(estimate - analytic) / abs(analytic) if analytic else estimate
+        assert row.rel_dev == expected
+
+    @pytest.mark.parametrize("estimate, verdict", [
+        (1.0, "match"), (1.029, "match"), (0.971, "match"),
+        (1.0301, "deviation"), (0.9699, "deviation"),
+    ])
+    def test_positive_se_is_gated_at_three_se(self, estimate, verdict):
+        row = judge("q", "made-up", 1.0, (estimate, 0.01), assertable=True)
+        assert row.verdict == verdict
+        assert judge("q", "made-up", 1.0, (estimate, 0.01)).verdict == "not-assertable"

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from literal import bcg_matrix
 from strategyshift import config
 from strategyshift.errors import DomainError, ParameterError, UnsupportedConfigurationError
-from strategyshift.matrix import StrategyMatrix
 from strategyshift.params import (IntervalDistribution, MarkDistribution, ModelParams,
                                   Thresholds)
 from strategyshift.report import ConformanceRow
@@ -66,7 +66,7 @@ RECORDS = {
     "params": PARAMS,
     "thresholds": Thresholds(3, 0),
     "context": TransformContext(z=0.5, theta1=0.2),
-    "matrix": StrategyMatrix.bcg(),
+    "matrix": bcg_matrix(),
     "row": ConformanceRow("q", "ref", "a note", 1.5, 0.1, None, "not-assertable"),
     "config": config.load(Path(__file__).resolve().parents[1] / "configs"
                           / "reference.json"),

@@ -193,9 +193,10 @@ def test_joint_exit_index_law(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("m, low, high", [(5, 2, 4), (1, 2, 5), (3, 2, 5)])
 def test_law_of_each_study_level(case, m, low, high):
-    # Each study level is drawn on its own, wherever it lies against m, so
-    # each must have its own level's exit-index law.  A 1-D law has fewer
-    # cells than a joint one: the deterministic cases keep 6 unpooled.
+    # The study levels are one nested chain per path, drawn apart from the
+    # (m, n) record wherever they lie against m, so each must have its own
+    # level's exit-index law.  A 1-D law has fewer cells than a joint one:
+    # the deterministic cases keep 6 unpooled.
     params, _, n = CASES[case]
     initial = one_axis_law(params, params.obs_initial, low, high)
     later = one_axis_law(params, params.obs_interval, low, high)
@@ -203,6 +204,20 @@ def test_law_of_each_study_level(case, m, low, high):
     s = estimate_exits(params, Thresholds(m=m, n=n), N_PATHS, 73, levels=(low, high))
     for level, marginal in ((low, pmf.sum(axis=1)), (high, pmf.sum(axis=0))):
         assert_pmf_matches(marginal, s.exit_index_a(level), min_cells=5)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_joint_law_of_two_study_levels(case):
+    # Two levels of the chain share one compound Poisson stream and one
+    # epoch sequence per path, so the pair of their indices has the joint
+    # law of one axis read against both levels.
+    params, _, n = CASES[case]
+    low, high = 2, 5
+    initial = one_axis_law(params, params.obs_initial, low, high)
+    later = one_axis_law(params, params.obs_interval, low, high)
+    s = estimate_exits(params, Thresholds(m=1, n=n), N_PATHS, 89, levels=(low, high))
+    assert_pmf_matches(joint_exit_pmf(initial, later),
+                       s.exit_index_a(low), s.exit_index_a(high))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
