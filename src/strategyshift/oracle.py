@@ -11,13 +11,13 @@ Poisson stream (J = L for unit marks, ceil(L / v) for a fixed mark v,
 1 + Binomial(L - 1, p) for geometric(p) marks), so at the continuous time
 T ~ Gamma(J, 1 / lambda).  The exit index is the first observation epoch at
 or after T and the prior epoch is the one before it: plain arithmetic for
-deterministic intervals, a few memoryless draws around T for exponential ones
-(``_PoissonEpochs``, asked once for the earlier of the two axes' crossings
-and once for the later).  Each axis records T with its epochs.  Its level at
-exit is never drawn: the joint functional averages the probability, given T
-and the exit epoch, that the level is still at the threshold
-(``_level_stays``).  A path thus costs a fixed number of draws per recorded
-level, whatever its exit index.
+deterministic intervals (``_arithmetic_epochs``), a few memoryless draws
+around T for exponential ones (``_poisson_epochs``, asked once for the
+earlier of the two axes' crossings and once for the later).  Each axis
+records T with its epochs.  Its level at exit is never drawn: the joint
+functional averages the probability, given T and the exit epoch, that the
+level is still at the threshold (``_level_stays``).  A path thus costs a
+fixed number of draws per recorded level, whatever its exit index.
 
 The axis-A levels of the threshold-dependence study, m included, are drawn
 after that record on one fresh compound Poisson stream per path, from the
@@ -27,10 +27,10 @@ Gamma(J_high - J_low, 1 / lambda), the time of the arrivals between the two
 levels (L_high - L_low of them for unit marks, a difference of ceilings for a
 fixed mark, Binomial(L_high - L_low, p) for geometric marks).  On exponential
 intervals a level's index is 0 where T <= t0, else one plus the epochs of a
-fresh Poisson process in (t0, T), which grow by one Poisson draw per level;
-on deterministic ones it is arithmetic.  So each level has its exact law, no
-index of a path falls as the level rises, and the chain is independent of
-the record.
+fresh Poisson process in (t0, T), which grow by one Poisson draw per level
+(``_epochs_within``, which counts the record's epochs too); on deterministic
+ones it is arithmetic.  So each level has its exact law, no index of a path
+falls as the level rises, and the chain is independent of the record.
 
 Each axis's record is one ``AxisExits``, censored where its index is -1, and
 every Monte Carlo mean over one axis's exited paths is ``exit_mean_se``.
@@ -166,64 +166,52 @@ def _level_stays(intensity, mark, level, crossing, shift):
         return lands * np.exp(-intensity * (shift - crossing))
 
 
-class _ArithmeticEpochs:
-    """Observation epochs t0 + k d, k = 0, 1, ..., of deterministic later
-    intervals."""
-
-    def __init__(self, t0, d, cap):
-        self.t0, self.d, self.cap = t0, d, cap
-
-    def first_at_or_after(self, times):
-        """Index (at most ``cap``), previous epoch (0 before index 0) and
-        epoch of the first observation at or after ``times``, per path."""
-        with np.errstate(over="ignore"):  # an overflowing index is capped
-            index = np.clip(np.ceil((times - self.t0) / self.d), 0, self.cap)
-        epoch = self.t0 + index * self.d
-        return index.astype(np.int64), np.where(index > 0, epoch - self.d, 0.0), epoch
+def _arithmetic_epochs(times, t0, d, cap):
+    """Index (at most ``cap``), previous epoch (0 before index 0) and epoch
+    of the first observation at or after ``times``, per path, among the
+    epochs t0 + k d, k = 0, 1, ..., of deterministic later intervals."""
+    with np.errstate(over="ignore"):  # an overflowing index is capped
+        index = np.clip(np.ceil((times - t0) / d), 0, cap)
+    epoch = t0 + index * d
+    return index.astype(np.int64), np.where(index > 0, epoch - d, 0.0), epoch
 
 
-class _PoissonEpochs:
-    """Observation epochs of exponential later intervals, sampled only around
-    the times asked about, which must not decrease on a path.
+def _epochs_within(rng, gap, d):
+    """Epochs of a rate-1/d Poisson process in a window of length ``gap``,
+    per path.  A gap that is not positive, or NaN (inf - inf), holds none;
+    a mean above _MAX_GAP_EPOCHS is drawn at that cap."""
+    return rng.poisson(np.minimum(np.fmax(gap, 0.0) / d, _MAX_GAP_EPOCHS))
 
-    After the first epoch t0 the epochs form a Poisson process of rate 1/d.
-    A time q past a path's last sampled epoch x samples one segment: looking
-    back from q, the last epoch before q lies Exp(d) earlier, at p, unless
-    that reaches back past x (then p = x and no epoch lies in (x, q)); the
-    epochs strictly between x and p number Poisson((p - x) / d); the first
-    epoch at or after q is the new x = q + Exp(d).  A later time at or before
-    x lies in (p, x], so its epoch is x too.  Every query draws the segment's
-    variates on every path and keeps them where the path is ahead.
+
+def _poisson_epochs(rng, times, d, cap, index, prev, last):
+    """As ``_arithmetic_epochs``, for exponential later intervals, given the
+    triple ``(index, prev, last)`` that the previous query returned (for the
+    first, 0, 0.0 and t0); ``times`` must not fall below the previous
+    query's on a path.
+
+    After t0 the epochs form a Poisson process of rate 1/d, sampled only
+    around the times asked about.  A time q past a path's last sampled epoch
+    x samples one segment: looking back from q, the last epoch before q lies
+    Exp(d) earlier, at p, unless that reaches back past x (then p = x and no
+    epoch lies in (x, q)); the epochs strictly between x and p number
+    Poisson((p - x) / d); the first epoch at or after q is the new
+    x = q + Exp(d).  A time at or before x lies in (p, x], so its epoch is x
+    too.  Every query draws the segment's variates on every path and keeps
+    them where the path is ahead.
     """
-
-    def __init__(self, rng, t0, d, cap):
-        self.rng, self.d, self.cap = rng, d, cap
-        # Per path: the index of x, the epoch before it (0 before index 0), x.
-        self.index = np.zeros(t0.size, dtype=np.int64)
-        self.prev = np.zeros(t0.size)
-        self.epoch = t0
-
-    def first_at_or_after(self, times):
-        """As ``_ArithmeticEpochs.first_at_or_after``."""
-        rng, d, last = self.rng, self.d, self.epoch
-        back = rng.exponential(d, times.size)
-        forward = rng.exponential(d, times.size)
-        ahead = times > last
-        # Off the paths ahead, inf - inf may read NaN; np.where drops it.
-        with np.errstate(over="ignore", invalid="ignore"):  # overflows are capped
-            gap = times - last
-            empty = back >= gap
-            mean = np.where(ahead & ~empty,
-                            np.minimum((gap - back) / d, _MAX_GAP_EPOCHS), 0.0)
-            count = rng.poisson(mean) + np.where(empty, 1, 2)
-            self.index = np.where(ahead, np.minimum(self.index + count, self.cap),
-                                  self.index)
-            self.prev = np.where(ahead, np.where(empty, last, times - back), self.prev)
-            self.epoch = np.where(ahead, times + forward, last)
-        return self.index, self.prev, self.epoch
+    back = rng.exponential(d, times.size)
+    forward = rng.exponential(d, times.size)
+    ahead = times > last
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows are capped
+        gap = times - last
+        inside = back < gap
+        count = _epochs_within(rng, gap - back, d) + 1 + inside
+        return (np.where(ahead, np.minimum(index + count, cap), index),
+                np.where(ahead, np.where(inside, times - back, last), prev),
+                np.where(ahead, times + forward, last))
 
 
-def _study(rng, params, t0, epochs, cap, levels):
+def _study(rng, params, t0, cap, levels):
     """Axis-A exit indices at each of ``levels`` (-1 where censored), read
     off one fresh compound Poisson stream per path after its t0.
 
@@ -231,12 +219,13 @@ def _study(rng, params, t0, epochs, cap, levels):
     adds the Gamma time of the arrivals between it and the level below, so
     no index falls as the level rises.  On exponential later intervals the
     index is 0 where T <= t0, else 1 + N(t0, T), N counting the epochs of a
-    fresh rate-1/d Poisson process; N grows by one Poisson draw per level.
-    On deterministic ones ``epochs`` gives it by arithmetic.
+    fresh rate-1/d Poisson process; N grows by one Poisson draw per level
+    (``_epochs_within``).  On deterministic ones ``_arithmetic_epochs``
+    gives it.
     """
-    intensity, mark, d = params.lambda_a, params.mark_a, params.obs_interval.mean
-    study, below, crossed, reached = {}, 0, None, t0
-    count = np.zeros(t0.size, dtype=np.int64)
+    intensity, mark, interval = params.lambda_a, params.mark_a, params.obs_interval
+    d = interval.mean
+    study, below, crossed, reached, count = {}, 0, None, t0, 0
     for level in sorted(set(levels)):
         if level <= 0:
             study[level] = np.zeros(t0.size, dtype=np.int64)
@@ -247,19 +236,16 @@ def _study(rng, params, t0, epochs, cap, levels):
             crossed = crossed + rng.gamma(_arrivals(rng, mark, below, level, t0.size),
                                           1.0 / intensity, t0.size)
         below = level
-        if isinstance(epochs, _ArithmeticEpochs):
-            index = epochs.first_at_or_after(crossed)[0]
-        else:
+        if interval.family == "exponential":
             # The epochs in (t0, T) grow by those between the level below's
-            # reach past t0 and this one's; a gap that is empty or NaN
-            # (inf - inf) adds none.
+            # reach past t0 and this one's.
             reach = np.maximum(crossed, t0)
             with np.errstate(over="ignore", invalid="ignore"):  # overflows are capped
-                gap = reach - reached
-                mean = np.where(gap > 0.0, np.minimum(gap / d, _MAX_GAP_EPOCHS), 0.0)
-            count = np.minimum(count + rng.poisson(mean), cap)
+                count = np.minimum(count + _epochs_within(rng, reach - reached, d), cap)
             reached = reach
-            index = np.where(crossed > t0, count + 1, 0)
+            index = (count + 1) * (crossed > t0)
+        else:
+            index = _arithmetic_epochs(crossed, t0, d, cap)[0]
         index[index >= cap] = -1
         study[level] = index
     return study
@@ -279,19 +265,18 @@ def _simulate(
         t0 = rng.exponential(params.obs_initial.mean, n_paths)
     else:
         t0 = np.full(n_paths, params.obs_initial.mean)
-    d = params.obs_interval.mean
-    if params.obs_interval.family == "exponential":
-        epochs = _PoissonEpochs(rng, t0, d, cap)
-    else:
-        epochs = _ArithmeticEpochs(t0, d, cap)
-
     time_a = _crossing(rng, params.lambda_a, params.mark_a, thresholds.m, n_paths)
     time_b = _crossing(rng, params.lambda_b, params.mark_b, thresholds.n, n_paths)
 
     # Both axes read the same epochs: place the earlier crossing first.
     a_first = time_a <= time_b
-    first = epochs.first_at_or_after(np.minimum(time_a, time_b))
-    second = epochs.first_at_or_after(np.maximum(time_a, time_b))
+    d = params.obs_interval.mean
+    if params.obs_interval.family == "exponential":
+        first = _poisson_epochs(rng, np.minimum(time_a, time_b), d, cap, 0, 0.0, t0)
+        second = _poisson_epochs(rng, np.maximum(time_a, time_b), d, cap, *first)
+    else:
+        first = _arithmetic_epochs(np.minimum(time_a, time_b), t0, d, cap)
+        second = _arithmetic_epochs(np.maximum(time_a, time_b), t0, d, cap)
     exits = []
     for in_first, crossed in ((a_first, time_a), (~a_first, time_b)):
         index, prior, shift = (np.where(in_first, f, s) for f, s in zip(first, second))
@@ -302,7 +287,7 @@ def _simulate(
 
     # The study is drawn after the (m, n) record, so the record is the same
     # with or without it.
-    study = _study(rng, params, t0, epochs, cap, levels)
+    study = _study(rng, params, t0, cap, levels)
     return EmpiricalExitSummary(*exits, n_paths, params, thresholds, study)
 
 

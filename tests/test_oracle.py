@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from literal import exit_indices, sample_path
+from strategyshift.config import DEFAULT_HORIZON
 from strategyshift.errors import HorizonError, NoDataError, NoExitError, ParameterError
 from strategyshift.oracle import (
     AxisExits,
@@ -288,6 +289,80 @@ class TestMultiLevelRecord:
         s = estimate_exits(reference_params, unit_thresholds, 100, 3, levels=(2,))
         with pytest.raises(NoDataError):
             s.exit_index_a(3)
+
+
+class RecordingGenerator:
+    """A Generator that appends (method name, arguments, number of values
+    drawn) to ``calls`` for every method asked of it."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def record(*args, **kwargs):
+            values = method(*args, **kwargs)
+            self._calls.append((name, args, np.size(values)))
+            return values
+
+        return record
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The calls made of every generator that ``np.random.default_rng``
+    returns while the test runs."""
+    calls, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs:
+                        RecordingGenerator(default_rng(*args, **kwargs), calls))
+    return calls
+
+
+class TestDrawSequence:
+    # The order and kind of draws fixes every artifact for a seed, so a
+    # change here changes simulate and conformance output.  Each record
+    # draws only what it reads: no epoch draws on deterministic intervals,
+    # no binomial for unit or fixed marks.
+    EPOCHS = ["exponential", "exponential", "poisson"]
+
+    @pytest.mark.parametrize("params, thresholds, expected", [
+        (ModelParams(1.0, 1.0, IntervalDistribution.exponential(1.0),
+                     IntervalDistribution.exponential(1.0)),
+         Thresholds(1, 1),
+         ["exponential", "gamma", "gamma", *EPOCHS, *EPOCHS]
+         + ["gamma", "poisson"] * 3),
+        (ModelParams(1.0, 1.0, IntervalDistribution.exponential(1.0),
+                     IntervalDistribution.exponential(1.0),
+                     mark_a=MarkDistribution.geometric(0.3),
+                     mark_b=MarkDistribution.fixed(4)),
+         Thresholds(5, 7),
+         ["exponential", "binomial", "gamma", "gamma", *EPOCHS, *EPOCHS]
+         + ["binomial", "gamma", "poisson"] * 3),
+        (DETERMINISTIC_PARAMS, Thresholds(2, 3), ["gamma"] * 5),
+    ], ids=["reference", "geometric-fixed", "deterministic"])
+    def test_draw_sequence_is_pinned(self, draws, params, thresholds, expected):
+        estimate_exits(params, thresholds, 1000, 1, levels=STUDY_LEVELS)
+        assert [name for name, _, _ in draws] == expected
+        assert all(size == 1000 for _, _, size in draws)
+
+    @pytest.mark.parametrize("params, horizon", [
+        # t0 overflows to inf on some paths, so inf - inf arises.
+        (ModelParams(1.0, 1.0, IntervalDistribution.exponential(1.7e308),
+                     IntervalDistribution.exponential(1.0)), DEFAULT_HORIZON),
+        (ModelParams(1.0, 1.0, IntervalDistribution.exponential(1.0),
+                     IntervalDistribution.exponential(1e300)), DEFAULT_HORIZON),
+        (ModelParams(1.0, 1e-3, IntervalDistribution.exponential(1.0),
+                     IntervalDistribution.exponential(1.0)), 10 ** 9),
+    ], ids=["initial-mean-1.7e308", "interval-mean-1e300", "lambda-b-1e-3"])
+    def test_poisson_means_stay_in_their_domain(self, draws, params, horizon):
+        # numpy refuses a NaN, negative or over-2**63 Poisson mean.
+        estimate_exits(params, Thresholds(1, 1), 1000, 1, horizon=horizon,
+                       levels=STUDY_LEVELS)
+        means = [np.asarray(args[0]) for name, args, _ in draws if name == "poisson"]
+        assert len(means) == 5
+        for mean in means:
+            assert np.all(np.isfinite(mean)) and np.all((mean >= 0) & (mean <= 1e18))
 
 
 class TestEmpiricalPgf:
