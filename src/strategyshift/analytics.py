@@ -108,7 +108,7 @@ def lemma_note(params: ModelParams) -> Optional[str]:
     PGFs where they are undefined, or None where ``lemma_pgf`` applies."""
     if not params.is_memoryless():
         return "requires memoryless observation intervals"
-    if params.delta0_mean == params.delta_mean:
+    if params.obs_initial.mean == params.obs_interval.mean:
         return "singular"
     if params.lambda_a <= 0.0 or params.lambda_b <= 0.0:
         return "no shift predicted"
@@ -119,15 +119,16 @@ def lemma_pgf(z: float, level: int, params: ModelParams, intensity: float) -> fl
     """Closed-form exit-index PGF at threshold ``level`` of the axis with the
     given intensity (memoryless observation), evaluated term by term exactly
     as printed; the two kappa-weighted brackets are identical as printed and
-    are kept that way.  kappa = 1 / (lambda * (delta0_mean - delta_mean)).
+    are kept that way.  kappa = 1 / (lambda * (d0 - d)), with d0 and d the
+    initial and later interval means.
     """
     note = lemma_note(params)
     if note is not None:
         raise DomainError(f"closed-form exit-index PGF undefined: {note}")
     if not 0.0 <= z <= 1.0:
         raise DomainError("PGF argument must lie in [0, 1]")
-    d0 = params.delta0_mean
-    kappa = 1.0 / (intensity * (d0 - params.delta_mean))
+    d0 = params.obs_initial.mean
+    kappa = 1.0 / (intensity * (d0 - params.obs_interval.mean))
     d0_lam = d0 * intensity
     base = 1.0 + d0_lam
     ratio = d0_lam / base
@@ -146,15 +147,14 @@ def axis_means(params: ModelParams, intensity: float) -> Tuple[float, float, flo
     """Closed-form means on one axis with the given intensity.
 
     Returns (E[exit index], E[shift epoch], E[prior epoch]) with
-    E[exit index] = 1 / (delta_mean * lambda), E[shift epoch] =
-    delta0_mean + 1/lambda - delta_mean and prior = E[shift epoch] -
-    delta_mean.  A zero-intensity axis never exits; a product
-    delta_mean * lambda that underflows to 0, or a mean that overflows, is a
-    DomainError.
+    E[exit index] = 1 / (d * lambda), E[shift epoch] = d0 + 1/lambda - d and
+    prior = E[shift epoch] - d, d0 and d the initial and later interval
+    means.  A zero-intensity axis never exits; a product d * lambda that
+    underflows to 0, or a mean that overflows, is a DomainError.
     """
     if intensity <= 0.0:
         raise NoExitError("closed-form means need a positive intensity")
-    d0, d = params.delta0_mean, params.delta_mean
+    d0, d = params.obs_initial.mean, params.obs_interval.mean
     rate = d * intensity
     if rate == 0.0:
         raise DomainError("interval mean times intensity underflows to 0")

@@ -137,7 +137,7 @@ def cmd_analyze(args) -> int:
               for z in z_grid},
     }
     report["joint_functional"] = {
-        f"{mm},{nn}": phi_functional(mm, nn, TransformContext.neutral(), params)
+        f"{mm},{nn}": phi_functional(mm, nn, TransformContext(), params)
         for mm in (1, 2, 3)
         for nn in (1, 2, 3)
     }

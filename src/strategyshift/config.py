@@ -14,7 +14,6 @@ block.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import operator
@@ -184,14 +183,10 @@ def _value(raw, entry: Entry, field: str):
 
 
 class RunConfig(namedtuple("RunConfig", "params thresholds matrix scale_factor n_paths "
-                                        "seed horizon output_dir formats doc")):
-    """Validated run configuration and the normalized document it came from."""
+                                        "seed horizon output_dir formats")):
+    """Validated run configuration."""
 
     __slots__ = ()
-
-    def to_dict(self) -> dict:
-        """Normalized six-block document; round-trips through from_dict."""
-        return copy.deepcopy(self.doc)
 
 
 def _mark(mark: dict) -> MarkDistribution:
@@ -209,7 +204,7 @@ def from_dict(doc) -> RunConfig:
         for key in NEEDS.get(block[selector], ()):
             if key not in block:
                 raise _missing(path, key)
-    labels = mat["labels"] = mat["labels"] or list(DEFAULT_LABELS[mat["mode"]])
+    labels = mat["labels"] or DEFAULT_LABELS[mat["mode"]]
     if len(labels) != 4:
         raise ConfigError("matrix.labels must list four region names", field="matrix.labels")
     cuts = ((mat["m"], mat["m"], mat["n"]) if mat["mode"] == "uniform" else
@@ -232,7 +227,6 @@ def from_dict(doc) -> RunConfig:
         horizon=sim["horizon"],
         output_dir=out["directory"],
         formats=tuple(out["formats"]),
-        doc=doc,
     )
 
 
@@ -245,8 +239,3 @@ def load(path) -> RunConfig:
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return from_dict(doc)
-
-
-def dumps(config: RunConfig) -> str:
-    """Serialize a normalized config (stable key order)."""
-    return json.dumps(config.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -100,20 +100,15 @@ class EmpiricalExitSummary(namedtuple(
     ``study_mu`` maps each axis-A study level to its exit-index array (-1
     where censored).  The levels, m included, are one nested chain per path,
     drawn apart from ``a``: each array has its level's exact law, and on a
-    path no exited index falls as the level rises.
+    path no exited index falls as the level rises.  ``mu`` and ``nu`` are
+    ``a.index`` and ``b.index`` under the names that only
+    ``perfbench/traced.py`` reads.
     """
 
     __slots__ = ()
 
     mu = property(lambda self: self.a.index, doc="Axis-A exit indices.")
     nu = property(lambda self: self.b.index, doc="Axis-B exit indices.")
-
-    def exit_index_a(self, level: int) -> np.ndarray:
-        """Axis-A exit indices drawn at ``level``, which must be one of the
-        recorded ``levels`` (m is no exception); else a NoDataError."""
-        if level not in self.study_mu:
-            raise NoDataError(f"axis-A level {level} was not recorded")
-        return self.study_mu[level]
 
 
 #: A gap whose expected epoch count exceeds this is drawn at this mean (numpy
@@ -225,16 +220,13 @@ def _study(rng, params, t0, cap, levels):
     """
     intensity, mark, interval = params.lambda_a, params.mark_a, params.obs_interval
     d = interval.mean
-    study, below, crossed, reached, count = {}, 0, None, t0, 0
+    study, below, crossed, reached, count = {}, 0, 0.0, t0, 0
     for level in sorted(set(levels)):
         if level <= 0:
             study[level] = np.zeros(t0.size, dtype=np.int64)
             continue
-        if crossed is None:
-            crossed = _crossing(rng, intensity, mark, level, t0.size)
-        else:
-            crossed = crossed + rng.gamma(_arrivals(rng, mark, below, level, t0.size),
-                                          1.0 / intensity, t0.size)
+        crossed = crossed + rng.gamma(_arrivals(rng, mark, below, level, t0.size),
+                                      1.0 / intensity, t0.size)
         below = level
         if interval.family == "exponential":
             # The epochs in (t0, T) grow by those between the level below's
@@ -302,7 +294,7 @@ def estimate_exits(
     """Simulate ``n_paths`` trajectories and collect their exit records.
 
     Besides first passage at (m, n), records the axis-A exit index at every
-    level in ``levels`` (see ``EmpiricalExitSummary.exit_index_a``).  The
+    level in ``levels`` (``EmpiricalExitSummary.study_mu``).  The
     levels, m included, are drawn in increasing order on one fresh stream
     per path (a nested chain; a level <= 0 reads index 0), from the same
     generator after the (m, n) record, which is therefore the same with or

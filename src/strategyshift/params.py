@@ -63,18 +63,6 @@ class MarkDistribution(Validated, namedtuple("MarkDistribution", "family value p
             raise ParameterError("geometric mark parameter p must be in (0, 1]")
         return super().__new__(cls, family, value, p)
 
-    @classmethod
-    def unit(cls) -> "MarkDistribution":
-        return cls(family="unit")
-
-    @classmethod
-    def fixed(cls, value: int) -> "MarkDistribution":
-        return cls(family="fixed", value=value)
-
-    @classmethod
-    def geometric(cls, p: float) -> "MarkDistribution":
-        return cls(family="geometric", p=p)
-
     def mean(self) -> float:
         return 1.0 / self.p if self.family == "geometric" else float(self.value)
 
@@ -93,14 +81,6 @@ class IntervalDistribution(Validated, namedtuple("IntervalDistribution", "family
         if not mean > 0.0:
             raise ParameterError("interval mean must be positive")
         return super().__new__(cls, family, mean)
-
-    @classmethod
-    def exponential(cls, mean: float) -> "IntervalDistribution":
-        return cls("exponential", mean)
-
-    @classmethod
-    def deterministic(cls, mean: float) -> "IntervalDistribution":
-        return cls("deterministic", mean)
 
     def lst(self, theta: float) -> float:
         """Laplace-Stieltjes transform E[exp(-theta * Delta)] at theta >= 0."""
@@ -125,16 +105,6 @@ class ModelParams(Validated, namedtuple(
             raise ParameterError("intensities must be nonnegative")
         return super().__new__(cls, lambda_a, lambda_b, obs_initial, obs_interval,
                                mark_a, mark_b)
-
-    @property
-    def delta0_mean(self) -> float:
-        """Mean of the first observation interval."""
-        return self.obs_initial.mean
-
-    @property
-    def delta_mean(self) -> float:
-        """Mean of the subsequent observation intervals."""
-        return self.obs_interval.mean
 
     def is_memoryless(self) -> bool:
         """True when both observation distributions are exponential."""

@@ -76,7 +76,7 @@ def _exit_mean_assertable(params: ModelParams, level: int) -> bool:
     return (
         level == 1
         and params.is_memoryless()
-        and params.delta0_mean == params.delta_mean
+        and params.obs_initial.mean == params.obs_interval.mean
     )
 
 
@@ -86,10 +86,10 @@ def conformance_rows(summary: EmpiricalExitSummary) -> List[ConformanceRow]:
 
     ``summary`` must have recorded the axis-A exit index at STUDY_LEVELS
     (``estimate_exits(..., levels=STUDY_LEVELS)``).  Each study row reads
-    one level of the summary's nested chain, whose levels share one stream
-    per path.  The closed-form exit-index mean carries no threshold
-    dependence, so those rows document its growing deviation from
-    simulation.
+    one level of the summary's nested chain, ``summary.study_mu[level]``,
+    whose levels share one stream per path.  The closed-form exit-index mean
+    carries no threshold dependence, so those rows document its growing
+    deviation from simulation.
     """
     params, m, n = summary.params, summary.thresholds.m, summary.thresholds.n
     a, b = summary.a, summary.b
@@ -121,14 +121,14 @@ def conformance_rows(summary: EmpiricalExitSummary) -> List[ConformanceRow]:
                           "exit-index PGF, memoryless closed form, axis A",
                           note or lemma_pgf(z, m, params, params.lambda_a), pgf))
 
-    neutral = TransformContext.neutral()
+    neutral = TransformContext()
     rows.append(judge("joint_functional",
                       "operator-calculus joint functional at neutral arguments",
                       phi_functional(m, n, neutral, params),
                       empirical_functional(summary, neutral)))
 
     for level in STUDY_LEVELS:
-        index = summary.exit_index_a(level)
+        index = summary.study_mu[level]
         rows.append(judge(f"mean_exit_index_a[m={level}]",
                           "closed-form exit-index mean, threshold-dependence study",
                           means_a[0], exit_mean_se(index, index, f"mu at level {level}")))

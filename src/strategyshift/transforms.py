@@ -38,10 +38,6 @@ class TransformContext(Validated, namedtuple(
             raise DomainError("exponential transform arguments must be >= 0")
         return super().__new__(cls, z, g, theta0, theta1, vartheta0, vartheta1)
 
-    @classmethod
-    def neutral(cls) -> "TransformContext":
-        return cls()
-
 
 def gamma_series(
     order: int,

@@ -14,8 +14,8 @@ def reference_params():
     return ModelParams(
         lambda_a=1.0,
         lambda_b=1.0,
-        obs_initial=IntervalDistribution.exponential(1.0),
-        obs_interval=IntervalDistribution.exponential(1.0),
+        obs_initial=IntervalDistribution("exponential", 1.0),
+        obs_interval=IntervalDistribution("exponential", 1.0),
     )
 
 

@@ -22,7 +22,7 @@ from strategyshift.report import conformance_rows
 from strategyshift.series import d_extract
 from strategyshift.transforms import TransformContext, gamma_series
 
-EXP1 = IntervalDistribution.exponential(1.0)
+EXP1 = IntervalDistribution("exponential", 1.0)
 REFERENCE = ModelParams(1.0, 1.0, EXP1, EXP1)
 UNIT = Thresholds(1, 1)
 
@@ -56,7 +56,7 @@ def test_criterion_1_operator_roundtrip():
 def test_criterion_2_transform_identity():
     rng = np.random.default_rng(2)
     start = time.perf_counter()
-    mark = MarkDistribution.unit()
+    mark = MarkDistribution()
     ok = True
     n = 100_000
     # The series of 1 / (2 + theta - x) has coefficients (2 + theta)^-(k+1):
@@ -120,10 +120,10 @@ def test_criterion_5_functional_pipeline():
     for m in (1, 2, 3):
         for n in (1, 2, 3):
             ok &= np.isfinite(
-                phi_functional(m, n, TransformContext.neutral(), REFERENCE)
+                phi_functional(m, n, TransformContext(), REFERENCE)
             )
     degenerate = ModelParams(0.0, 1.0, EXP1, EXP1)
-    ok &= phi_functional(2, 2, TransformContext.neutral(), degenerate) == 0.0
+    ok &= phi_functional(2, 2, TransformContext(), degenerate) == 0.0
 
     ctx = TransformContext(z=0.5, g=0.8, theta1=0.1)
     for m in (1, 2, 3):

@@ -18,8 +18,8 @@ from strategyshift.transforms import TransformContext, gamma_series
 def _exp_params(lambda_a=1.0, lambda_b=1.0, d0=1.0, d=1.0):
     return ModelParams(
         lambda_a, lambda_b,
-        IntervalDistribution.exponential(d0),
-        IntervalDistribution.exponential(d),
+        IntervalDistribution("exponential", d0),
+        IntervalDistribution("exponential", d),
     )
 
 
@@ -27,14 +27,14 @@ def _exp_params(lambda_a=1.0, lambda_b=1.0, d0=1.0, d=1.0):
 #: interval families and every mark family but unit reach the series kernel.
 DETERMINISTIC_PARAMS = ModelParams(
     1.3, 0.7,
-    IntervalDistribution.deterministic(2.0),
-    IntervalDistribution.deterministic(0.5),
-    mark_a=MarkDistribution.geometric(0.4),
-    mark_b=MarkDistribution.fixed(2),
+    IntervalDistribution("deterministic", 2.0),
+    IntervalDistribution("deterministic", 0.5),
+    mark_a=MarkDistribution("geometric", p=0.4),
+    mark_b=MarkDistribution("fixed", 2),
 )
 
 CONTEXTS = (
-    TransformContext.neutral(),
+    TransformContext(),
     TransformContext(z=0.5, g=0.7, theta1=0.2, vartheta0=0.1),
     TransformContext(z=0.3, g=0.9, theta0=0.4, vartheta1=0.6),
 )
@@ -52,7 +52,7 @@ class TestPhiFunctional:
     def test_zero_intensity_gives_zero(self):
         params = _exp_params(lambda_a=0.0)
         for m, n in [(0, 0), (1, 1), (2, 3)]:
-            assert phi_functional(m, n, TransformContext.neutral(), params) == 0.0
+            assert phi_functional(m, n, TransformContext(), params) == 0.0
 
     def test_separability(self, reference_params):
         ctx = TransformContext(z=0.5, g=0.7, theta1=0.2, vartheta0=0.1)
@@ -69,7 +69,7 @@ class TestPhiFunctional:
     def test_finite_on_reference_grid(self, reference_params):
         for m in (1, 2, 3):
             for n in (1, 2, 3):
-                value = phi_functional(m, n, TransformContext.neutral(), reference_params)
+                value = phi_functional(m, n, TransformContext(), reference_params)
                 assert np.isfinite(value)
 
     @pytest.mark.parametrize("params", [None, DETERMINISTIC_PARAMS],
@@ -122,14 +122,14 @@ class TestPhiFunctional:
 
     def test_negative_threshold_rejected(self, reference_params):
         with pytest.raises(DomainError):
-            phi_functional(-1, 0, TransformContext.neutral(), reference_params)
+            phi_functional(-1, 0, TransformContext(), reference_params)
 
 
 class TestMarginalPgf:
     # The operator route's single-argument PGF/LST is phi_functional at a
     # context with one non-neutral slot.
     def test_neutral_specialization(self, reference_params):
-        neutral = phi_functional(1, 1, TransformContext.neutral(), reference_params)
+        neutral = phi_functional(1, 1, TransformContext(), reference_params)
         assert phi_functional(1, 1, TransformContext(z=1.0), reference_params) == (
             pytest.approx(neutral, abs=1e-12))
         assert phi_functional(1, 1, TransformContext(theta1=0.0), reference_params) == (
@@ -173,8 +173,8 @@ class TestLemmaConstants:
     def test_requires_memoryless(self):
         params = ModelParams(
             1.0, 1.0,
-            IntervalDistribution.deterministic(2.0),
-            IntervalDistribution.deterministic(1.0),
+            IntervalDistribution("deterministic", 2.0),
+            IntervalDistribution("deterministic", 1.0),
         )
         with pytest.raises(DomainError):
             lemma_pgf(0.5, 1, params, 1.0)
@@ -182,8 +182,8 @@ class TestLemmaConstants:
     def test_note_labels(self):
         deterministic = ModelParams(
             1.0, 1.0,
-            IntervalDistribution.deterministic(2.0),
-            IntervalDistribution.deterministic(1.0),
+            IntervalDistribution("deterministic", 2.0),
+            IntervalDistribution("deterministic", 1.0),
         )
         assert lemma_note(deterministic) == (
             "requires memoryless observation intervals")
@@ -194,8 +194,8 @@ class TestLemmaConstants:
         # checked in order: memoryless, then d0 = d, then zero intensity
         singular_static = ModelParams(
             0.0, 0.0,
-            IntervalDistribution.deterministic(1.0),
-            IntervalDistribution.deterministic(1.0),
+            IntervalDistribution("deterministic", 1.0),
+            IntervalDistribution("deterministic", 1.0),
         )
         assert lemma_note(singular_static) == (
             "requires memoryless observation intervals")
@@ -209,8 +209,8 @@ class TestLemmaPgf:
 
     def test_endpoints_kill_third_term(self, params):
         # at z in {0, 1} the (1 - z) z tail vanishes, leaving the bracket part
-        base = 1.0 + params.delta0_mean * params.lambda_a
-        ratio = params.delta0_mean * params.lambda_a / base
+        base = 1.0 + params.obs_initial.mean * params.lambda_a
+        ratio = params.obs_initial.mean * params.lambda_a / base
         bracket = sum(ratio**j for j in range(2))
         assert lemma_pgf(0.0, 1, params, params.lambda_a) == pytest.approx(
             bracket / base)
@@ -265,7 +265,7 @@ class TestClosedFormMeans:
             for d in (0.5, 1.0, 3.0):
                 params = _exp_params(lambda_a=la, lambda_b=la, d0=1.7, d=d)
                 e_mu, t_a, _ = axis_means(params, la)
-                assert abs((t_a - params.delta0_mean) - d * (e_mu - 1.0)) <= 1e-12
+                assert abs((t_a - params.obs_initial.mean) - d * (e_mu - 1.0)) <= 1e-12
 
     def test_monotone_in_intensity_and_interval(self):
         las = [0.25, 0.5, 1.0, 2.0, 4.0]

@@ -72,12 +72,6 @@ def config_file(tmp_path, monkeypatch):
 
 
 class TestConfig:
-    def test_roundtrip_is_idempotent(self):
-        cfg = config_mod.from_dict(REFERENCE_DOC)
-        once = config_mod.dumps(cfg)
-        twice = config_mod.dumps(config_mod.from_dict(json.loads(once)))
-        assert once == twice
-
     def test_unknown_block_rejected(self):
         doc = dict(REFERENCE_DOC, extra={})
         with pytest.raises(ConfigError):
@@ -540,7 +534,7 @@ class TestExitCodes:
     def test_zero_mark_b_at_zero_threshold(self, tmp_path, monkeypatch):
         # Zero drift, not zero intensity alone, keeps an axis still: fixed
         # marks of 0 give the operator route the same values as lambda_b = 0,
-        # while the printed means stay literal (1 / (delta_mean * lambda)).
+        # while the printed means stay literal (1 / (d * lambda)).
         def run(name, process):
             out = tmp_path / name
             monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(out))
@@ -790,11 +784,11 @@ class TestArtifacts:
         assert len(study) == len(report.STUDY_LEVELS)
         expected = {}
         for level in report.STUDY_LEVELS:
-            idx = summaries[0].exit_index_a(level)
+            idx = summaries[0].study_mu[level]
             expected[f"mean_exit_index_a[m={level}]"] = oracle.exit_mean_se(
                 idx, idx, "mu")
         expected["joint_functional"] = oracle.empirical_functional(
-            summaries[0], TransformContext.neutral())
+            summaries[0], TransformContext())
         # the estimates as the artifact writer rounds them
         cli._write_json(tmp_path / "expected.json", expected)
         expected = json.loads((tmp_path / "expected.json").read_text())
@@ -873,11 +867,6 @@ class TestArtifacts:
         with pytest.raises(ValueError):
             cli._write_json(target, [row._asdict()])
         assert not target.exists()
-        cfg = config_mod.from_dict(REFERENCE_DOC)
-        doc = cfg.to_dict()
-        doc["matrix"]["scale_factor"] = nan
-        with pytest.raises(ValueError):
-            config_mod.dumps(cfg._replace(doc=doc))
 
     @staticmethod
     def _clear_series_caches():

@@ -1,5 +1,6 @@
 import csv
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -87,16 +88,16 @@ class TestEstimateExits:
     def test_zero_intensity_censors_out(self, unit_thresholds):
         params = ModelParams(
             0.0, 1.0,
-            IntervalDistribution.exponential(1.0),
-            IntervalDistribution.exponential(1.0),
+            IntervalDistribution("exponential", 1.0),
+            IntervalDistribution("exponential", 1.0),
         )
         with pytest.raises(NoExitError):
             estimate_exits(params, unit_thresholds, 100, 3, horizon=50)
 
     @pytest.mark.parametrize("lambda_a, mark_a, m, levels", [
-        (0.0, MarkDistribution.unit(), 1, ()),
-        (1.0, MarkDistribution.fixed(0), 1, ()),
-        (0.0, MarkDistribution.unit(), 0, (2,)),
+        (0.0, MarkDistribution(), 1, ()),
+        (1.0, MarkDistribution("fixed", 0), 1, ()),
+        (0.0, MarkDistribution(), 0, (2,)),
     ])
     def test_zero_drift_fails_before_drawing(self, monkeypatch, lambda_a, mark_a,
                                              m, levels):
@@ -105,7 +106,7 @@ class TestEstimateExits:
                 raise AssertionError(f"a zero-drift run used the generator: {name}")
 
         monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
-        exp1 = IntervalDistribution.exponential(1.0)
+        exp1 = IntervalDistribution("exponential", 1.0)
         static_a = ModelParams(lambda_a, 1.0, exp1, exp1, mark_a=mark_a)
         with pytest.raises(NoExitError):
             estimate_exits(static_a, Thresholds(m=m, n=1), 20_000, 3, levels=levels)
@@ -117,8 +118,8 @@ class TestEstimateExits:
         # level 0 is reached at the first observation, drift or not
         params = ModelParams(
             0.0, 1.0,
-            IntervalDistribution.exponential(1.0),
-            IntervalDistribution.exponential(1.0),
+            IntervalDistribution("exponential", 1.0),
+            IntervalDistribution("exponential", 1.0),
         )
         s = estimate_exits(params, Thresholds(m=0, n=1), 1000, 3)
         assert np.all(s.mu == 0)
@@ -164,17 +165,17 @@ class TestEstimateExits:
 
 GEOMETRIC_PARAMS = ModelParams(
     2.0, 1.0,
-    IntervalDistribution.exponential(2.0),
-    IntervalDistribution.exponential(1.0),
-    mark_a=MarkDistribution.geometric(0.5),
-    mark_b=MarkDistribution.geometric(0.3),
+    IntervalDistribution("exponential", 2.0),
+    IntervalDistribution("exponential", 1.0),
+    mark_a=MarkDistribution("geometric", p=0.5),
+    mark_b=MarkDistribution("geometric", p=0.3),
 )
 
 
 DETERMINISTIC_PARAMS = ModelParams(
     1.0, 1.3,
-    IntervalDistribution.deterministic(0.7),
-    IntervalDistribution.deterministic(0.3),
+    IntervalDistribution("deterministic", 0.7),
+    IntervalDistribution("deterministic", 0.3),
 )
 
 
@@ -192,7 +193,7 @@ class TestMultiLevelRecord:
         # Every recorded level, m = 1 included, is a level of the study's
         # nested chain, which is drawn apart from the (m, n) record.
         assert sorted(s.study_mu) == [1, 2, 3, 5]
-        assert not np.shares_memory(s.exit_index_a(1), s.a.index)
+        assert not np.shares_memory(s.study_mu[1], s.a.index)
         for record in (s.a, s.b):
             idx, tau_prev, crossing, tau = (record.index, record.prior,
                                             record.crossing, record.shift)
@@ -217,7 +218,7 @@ class TestMultiLevelRecord:
                                       getattr(getattr(multi, axis), name),
                                       equal_nan=True), (axis, name)
         assert sorted(multi.study_mu) == [2, 3, 5]
-        assert not np.array_equal(multi.exit_index_a(5), multi.mu)
+        assert not np.array_equal(multi.study_mu[5], multi.mu)
 
     def test_level_m_is_its_own_draw(self, params):
         # m = 3 among the study levels is a level of the nested chain, like
@@ -231,7 +232,7 @@ class TestMultiLevelRecord:
                 assert np.array_equal(getattr(getattr(plain, axis), name),
                                       getattr(getattr(multi, axis), name),
                                       equal_nan=True), (axis, name)
-        own = multi.exit_index_a(3)
+        own = multi.study_mu[3]
         assert own is multi.study_mu[3]
         assert np.mean(own != multi.mu) > 0.1
         (m1, se1), (m2, se2) = (exit_mean_se(i, i, "mu") for i in (own, multi.mu))
@@ -253,42 +254,38 @@ class TestMultiLevelRecord:
         levels = (1, 2, 3, 5, 8)
         s = estimate_exits(params, Thresholds(m=2, n=1), 20_000, 59, levels=levels)
         for low, high in zip(levels, levels[1:]):
-            below, above = s.exit_index_a(low), s.exit_index_a(high)
+            below, above = s.study_mu[low], s.study_mu[high]
             exited = (below >= 0) & (above >= 0)
             assert np.all(above[exited] >= below[exited]), (low, high)
             assert np.all(above[below < 0] < 0), (low, high)
             assert np.any(above > below), (low, high)
 
-    @pytest.mark.parametrize("interval", [IntervalDistribution.exponential,
-                                          IntervalDistribution.deterministic])
+    @pytest.mark.parametrize("interval", [partial(IntervalDistribution, "exponential"),
+                                          partial(IntervalDistribution, "deterministic")],
+                             ids=["exponential", "deterministic"])
     def test_levels_sharing_an_arrival_share_an_index(self, interval):
         # A fixed mark of 3 reaches levels 2 and 3 at its first arrival and
         # level 4 at its second.
         params = ModelParams(1.0, 1.0, interval(1.0), interval(0.5),
-                             mark_a=MarkDistribution.fixed(3))
+                             mark_a=MarkDistribution("fixed", 3))
         s = estimate_exits(params, Thresholds(m=1, n=1), 5000, 61, levels=(2, 3, 4))
-        assert np.array_equal(s.exit_index_a(2), s.exit_index_a(3))
-        assert np.all(s.exit_index_a(4) >= s.exit_index_a(3))
-        assert not np.array_equal(s.exit_index_a(4), s.exit_index_a(3))
+        assert np.array_equal(s.study_mu[2], s.study_mu[3])
+        assert np.all(s.study_mu[4] >= s.study_mu[3])
+        assert not np.array_equal(s.study_mu[4], s.study_mu[3])
 
     def test_levels_at_or_below_zero_read_index_zero(self, params, unit_thresholds):
         s = estimate_exits(params, unit_thresholds, 2000, 67, levels=(-3, 0, 2))
         for level in (-3, 0):
-            assert np.array_equal(s.exit_index_a(level), np.zeros(2000, dtype=np.int64))
+            assert np.array_equal(s.study_mu[level], np.zeros(2000, dtype=np.int64))
         # They draw nothing: level 2 reads as it does when recorded alone.
         alone = estimate_exits(params, unit_thresholds, 2000, 67, levels=(2,))
-        assert np.array_equal(s.exit_index_a(2), alone.exit_index_a(2))
+        assert np.array_equal(s.study_mu[2], alone.study_mu[2])
 
     def test_censoring_cap_applies_to_every_level(self, reference_params, unit_thresholds):
         estimate_exits(reference_params, unit_thresholds, 2000, 3, horizon=20)
         with pytest.raises(HorizonError):
             estimate_exits(reference_params, unit_thresholds, 2000, 3, horizon=20,
                            levels=(50,))
-
-    def test_unrecorded_level_raises(self, reference_params, unit_thresholds):
-        s = estimate_exits(reference_params, unit_thresholds, 100, 3, levels=(2,))
-        with pytest.raises(NoDataError):
-            s.exit_index_a(3)
 
 
 class RecordingGenerator:
@@ -327,15 +324,15 @@ class TestDrawSequence:
     EPOCHS = ["exponential", "exponential", "poisson"]
 
     @pytest.mark.parametrize("params, thresholds, expected", [
-        (ModelParams(1.0, 1.0, IntervalDistribution.exponential(1.0),
-                     IntervalDistribution.exponential(1.0)),
+        (ModelParams(1.0, 1.0, IntervalDistribution("exponential", 1.0),
+                     IntervalDistribution("exponential", 1.0)),
          Thresholds(1, 1),
          ["exponential", "gamma", "gamma", *EPOCHS, *EPOCHS]
          + ["gamma", "poisson"] * 3),
-        (ModelParams(1.0, 1.0, IntervalDistribution.exponential(1.0),
-                     IntervalDistribution.exponential(1.0),
-                     mark_a=MarkDistribution.geometric(0.3),
-                     mark_b=MarkDistribution.fixed(4)),
+        (ModelParams(1.0, 1.0, IntervalDistribution("exponential", 1.0),
+                     IntervalDistribution("exponential", 1.0),
+                     mark_a=MarkDistribution("geometric", p=0.3),
+                     mark_b=MarkDistribution("fixed", 4)),
          Thresholds(5, 7),
          ["exponential", "binomial", "gamma", "gamma", *EPOCHS, *EPOCHS]
          + ["binomial", "gamma", "poisson"] * 3),
@@ -348,12 +345,12 @@ class TestDrawSequence:
 
     @pytest.mark.parametrize("params, horizon", [
         # t0 overflows to inf on some paths, so inf - inf arises.
-        (ModelParams(1.0, 1.0, IntervalDistribution.exponential(1.7e308),
-                     IntervalDistribution.exponential(1.0)), DEFAULT_HORIZON),
-        (ModelParams(1.0, 1.0, IntervalDistribution.exponential(1.0),
-                     IntervalDistribution.exponential(1e300)), DEFAULT_HORIZON),
-        (ModelParams(1.0, 1e-3, IntervalDistribution.exponential(1.0),
-                     IntervalDistribution.exponential(1.0)), 10 ** 9),
+        (ModelParams(1.0, 1.0, IntervalDistribution("exponential", 1.7e308),
+                     IntervalDistribution("exponential", 1.0)), DEFAULT_HORIZON),
+        (ModelParams(1.0, 1.0, IntervalDistribution("exponential", 1.0),
+                     IntervalDistribution("exponential", 1e300)), DEFAULT_HORIZON),
+        (ModelParams(1.0, 1e-3, IntervalDistribution("exponential", 1.0),
+                     IntervalDistribution("exponential", 1.0)), 10 ** 9),
     ], ids=["initial-mean-1.7e308", "interval-mean-1e300", "lambda-b-1e-3"])
     def test_poisson_means_stay_in_their_domain(self, draws, params, horizon):
         # numpy refuses a NaN, negative or over-2**63 Poisson mean.
@@ -403,13 +400,13 @@ class TestEmpiricalFunctional:
     def test_zero_intensity_horizon_error(self, unit_thresholds):
         params = ModelParams(
             0.0, 1.0,
-            IntervalDistribution.exponential(1.0),
-            IntervalDistribution.exponential(1.0),
+            IntervalDistribution("exponential", 1.0),
+            IntervalDistribution("exponential", 1.0),
         )
         with pytest.raises(NoExitError):
             empirical_functional(estimate_exits(params, unit_thresholds, 200, 1,
                                                 horizon=50),
-                                 TransformContext.neutral())
+                                 TransformContext())
 
     def test_matches_window_enumeration_oracle(self, reference_params, unit_thresholds):
         # Independent oracle for the neutral-argument functional at m = n = 1:
@@ -453,7 +450,7 @@ class TestEmpiricalFunctional:
 
         estimate, se = empirical_functional(
             estimate_exits(reference_params, unit_thresholds, 100_000, 17),
-            TransformContext.neutral(),
+            TransformContext(),
         )
         assert abs(estimate - oracle_value) <= 3 * se + tail
 
@@ -470,15 +467,15 @@ class TestLevelAtExit:
         # e^-1/2: e^-1 (1 + 0.5 e^-1/2 / (1 - e^-1/2)).
         params = ModelParams(
             1.0, 1.0,
-            IntervalDistribution.deterministic(1.0),
-            IntervalDistribution.deterministic(0.5),
-            mark_a=MarkDistribution.fixed(0),
+            IntervalDistribution("deterministic", 1.0),
+            IntervalDistribution("deterministic", 0.5),
+            mark_a=MarkDistribution("fixed", 0),
         )
         half = np.exp(-0.5)
         exact = np.exp(-1.0) * (1.0 + 0.5 * half / (1.0 - half))
         estimate, se = empirical_functional(
             estimate_exits(params, Thresholds(m=0, n=1), 200_000, 19),
-            TransformContext.neutral(),
+            TransformContext(),
         )
         assert exact == pytest.approx(0.651421, abs=1e-6)
         assert abs(estimate - exact) <= 3 * se
@@ -486,14 +483,14 @@ class TestLevelAtExit:
     def test_fixed_mark_off_the_threshold_reads_zero(self, reference_params):
         # A fixed mark of 2 only visits even levels, so it passes 3 without
         # ever resting on it.
-        params = reference_params._replace(mark_a=MarkDistribution.fixed(2))
+        params = reference_params._replace(mark_a=MarkDistribution("fixed", 2))
         summary = estimate_exits(params, Thresholds(m=3, n=1), 2000, 5)
-        assert empirical_functional(summary, TransformContext.neutral()) == (0.0, 0.0)
+        assert empirical_functional(summary, TransformContext()) == (0.0, 0.0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("intensity, mark", [
-        (0.0, MarkDistribution.unit()),
-        (1e300, MarkDistribution.fixed(0)),
+        (0.0, MarkDistribution()),
+        (1e300, MarkDistribution("fixed", 0)),
     ])
     def test_zero_drift_never_forms_zero_times_infinity(self, intensity, mark):
         # A zero-drift axis at level 0 stays there, however far out its
@@ -504,7 +501,7 @@ class TestLevelAtExit:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_exponent_reads_zero(self):
-        stays = _level_stays(1e300, MarkDistribution.unit(), 1,
+        stays = _level_stays(1e300, MarkDistribution(), 1,
                              np.array([0.0, 0.0]), np.array([0.0, 1e10]))
         assert np.array_equal(stays, [1.0, 0.0])
 

@@ -18,7 +18,7 @@ from strategyshift.params import (
 
 class TestSamplePath:
     def test_zero_intensity_gives_all_zero_levels(self):
-        exp1 = IntervalDistribution.exponential(1.0)
+        exp1 = IntervalDistribution("exponential", 1.0)
         path = sample_path(ModelParams(0.0, 0.0, exp1, exp1), seed=3, max_observations=50)
         assert np.all(path.increments_a == 0)
         assert np.all(path.cumulative_b == 0)
@@ -55,14 +55,14 @@ class TestSamplePath:
         # lambda = 2, exponential interval mean 0.5: per-interval mean 1.0
         rng = np.random.default_rng(5)
         lengths = rng.exponential(0.5, 100_000)
-        inc = compound_increments(rng, 2.0, MarkDistribution.unit(), lengths).astype(float)
+        inc = compound_increments(rng, 2.0, MarkDistribution(), lengths).astype(float)
         se = inc.std(ddof=1) / np.sqrt(inc.size)
         assert abs(inc.mean() - 1.0) <= 3 * se
 
     def test_geometric_marks_mean(self):
         rng = np.random.default_rng(9)
         lengths = rng.exponential(1.0, 100_000)
-        mark = MarkDistribution.geometric(0.4)
+        mark = MarkDistribution("geometric", p=0.4)
         inc = compound_increments(rng, 1.0, mark, lengths).astype(float)
         se = inc.std(ddof=1) / np.sqrt(inc.size)
         assert abs(inc.mean() - 1.0 / 0.4) <= 3 * se
@@ -120,5 +120,5 @@ class TestIncrementMoments:
         # exponential interval has Var(Delta) = mean^2.
         p = reference_params
         cov = (p.lambda_a * p.mark_a.mean() * p.lambda_b * p.mark_b.mean()
-               * p.delta_mean**2)
+               * p.obs_interval.mean**2)
         assert abs(sample_cov - cov) <= 3 * se

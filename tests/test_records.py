@@ -14,19 +14,19 @@ from strategyshift.params import (IntervalDistribution, MarkDistribution, ModelP
 from strategyshift.report import ConformanceRow
 from strategyshift.transforms import TransformContext
 
-EXP1 = IntervalDistribution.exponential(1.0)
-PARAMS = ModelParams(1.0, 2.0, EXP1, IntervalDistribution.deterministic(0.5),
-                     MarkDistribution.geometric(0.3), MarkDistribution.fixed(4))
+EXP1 = IntervalDistribution("exponential", 1.0)
+PARAMS = ModelParams(1.0, 2.0, EXP1, IntervalDistribution("deterministic", 0.5),
+                     MarkDistribution("geometric", p=0.3), MarkDistribution("fixed", 4))
 
 #: A valid record, a change to one of its checked fields that makes it
 #: invalid, and the error that change raises.
 INVALID = {
-    "mark-family": (MarkDistribution.unit(), {"family": "poisson"},
+    "mark-family": (MarkDistribution(), {"family": "poisson"},
                     UnsupportedConfigurationError),
-    "fixed-negative": (MarkDistribution.fixed(2), {"value": -1}, ParameterError),
-    "fixed-fractional": (MarkDistribution.fixed(2), {"value": 1.5}, ParameterError),
-    "geometric-p-0": (MarkDistribution.geometric(0.5), {"p": 0.0}, ParameterError),
-    "geometric-p-above-1": (MarkDistribution.geometric(0.5), {"p": 1.5}, ParameterError),
+    "fixed-negative": (MarkDistribution("fixed", 2), {"value": -1}, ParameterError),
+    "fixed-fractional": (MarkDistribution("fixed", 2), {"value": 1.5}, ParameterError),
+    "geometric-p-0": (MarkDistribution("geometric", p=0.5), {"p": 0.0}, ParameterError),
+    "geometric-p-above-1": (MarkDistribution("geometric", p=0.5), {"p": 1.5}, ParameterError),
     "interval-family": (EXP1, {"family": "gamma"}, UnsupportedConfigurationError),
     "interval-mean-0": (EXP1, {"mean": 0.0}, ParameterError),
     "negative-lambda-a": (PARAMS, {"lambda_a": -1.0}, ParameterError),
@@ -55,13 +55,13 @@ def test_every_construction_path_validates(record, change, error):
 def test_replace_normalises_as_the_constructor_does():
     replaced = Thresholds(1, 2)._replace(m=2.0)
     assert replaced == Thresholds(2, 2) and type(replaced.m) is int
-    assert MarkDistribution.unit()._replace(value=3).value == 1
+    assert MarkDistribution()._replace(value=3).value == 1
     with pytest.raises(ValueError):
         Thresholds(1, 2)._replace(k=3)
 
 
 RECORDS = {
-    "mark": MarkDistribution.geometric(0.3),
+    "mark": MarkDistribution("geometric", p=0.3),
     "interval": EXP1,
     "params": PARAMS,
     "thresholds": Thresholds(3, 0),

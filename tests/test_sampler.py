@@ -6,6 +6,7 @@ both axes' increments over one interval come from the same interval length,
 which is the only dependence between them.
 """
 
+from functools import partial
 from math import comb, exp, factorial
 
 import numpy as np
@@ -148,23 +149,23 @@ def assert_pmf_matches(pmf, *indices, min_cells=10):
     assert big.sum() >= min_cells
 
 
-EXP = IntervalDistribution.exponential
-DET = IntervalDistribution.deterministic
-UNIT = MarkDistribution.unit()
+EXP = partial(IntervalDistribution, "exponential")
+DET = partial(IntervalDistribution, "deterministic")
+UNIT = MarkDistribution()
 
 #: (params, m, n): exponential and deterministic intervals, d0 != d, and
 #: unit, fixed and geometric marks on each axis.
 CASES = {
     "exp-unit-geometric": (ModelParams(1.0, 0.7, EXP(2.0), EXP(1.0),
-                                       UNIT, MarkDistribution.geometric(0.4)), 3, 2),
+                                       UNIT, MarkDistribution("geometric", p=0.4)), 3, 2),
     "det-fixed-unit": (ModelParams(2.0, 1.5, DET(1.5), DET(0.5),
-                                   MarkDistribution.fixed(2), UNIT), 5, 4),
+                                   MarkDistribution("fixed", 2), UNIT), 5, 4),
     "exp-geometric-fixed": (ModelParams(0.8, 1.2, EXP(0.5), EXP(1.5),
-                                        MarkDistribution.geometric(0.6),
-                                        MarkDistribution.fixed(3)), 5, 5),
+                                        MarkDistribution("geometric", p=0.6),
+                                        MarkDistribution("fixed", 3)), 5, 5),
     "det-geometric-geometric": (ModelParams(1.0, 1.0, DET(1.0), DET(2.0),
-                                            MarkDistribution.geometric(0.5),
-                                            MarkDistribution.geometric(0.3)), 4, 1),
+                                            MarkDistribution("geometric", p=0.5),
+                                            MarkDistribution("geometric", p=0.3)), 4, 1),
 }
 
 
@@ -203,7 +204,7 @@ def test_law_of_each_study_level(case, m, low, high):
     pmf = joint_exit_pmf(initial, later)
     s = estimate_exits(params, Thresholds(m=m, n=n), N_PATHS, 73, levels=(low, high))
     for level, marginal in ((low, pmf.sum(axis=1)), (high, pmf.sum(axis=0))):
-        assert_pmf_matches(marginal, s.exit_index_a(level), min_cells=5)
+        assert_pmf_matches(marginal, s.study_mu[level], min_cells=5)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -217,7 +218,7 @@ def test_joint_law_of_two_study_levels(case):
     later = one_axis_law(params, params.obs_interval, low, high)
     s = estimate_exits(params, Thresholds(m=1, n=n), N_PATHS, 89, levels=(low, high))
     assert_pmf_matches(joint_exit_pmf(initial, later),
-                       s.exit_index_a(low), s.exit_index_a(high))
+                       s.study_mu[low], s.study_mu[high])
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -226,7 +227,7 @@ def test_wald_identity(case):
     # E[tau_mu] = d0 + d E[mu].
     params, m, n = CASES[case]
     s = estimate_exits(params, Thresholds(m=m, n=n), N_PATHS, 79)
-    d0, d = params.delta0_mean, params.delta_mean
+    d0, d = params.obs_initial.mean, params.obs_interval.mean
     for index, tau in ((s.a.index, s.a.shift), (s.b.index, s.b.shift)):
         residual = tau - d * index
         se = residual.std(ddof=1) / np.sqrt(residual.size)
@@ -252,14 +253,14 @@ def test_record_matches_literal_paths(case):
     # At neutral arguments the functional averages the level indicators.
     pairs.append(("level indicators",
                   [r.level_at_mu == m and r.level_at_nu == n for r in records],
-                  empirical_functional(s, TransformContext.neutral())))
+                  empirical_functional(s, TransformContext())))
     for name, literal, (mean, se) in pairs:
         literal = np.array(literal, dtype=float)
         se = np.hypot(literal.std(ddof=1) / np.sqrt(literal.size), se)
         assert abs(literal.mean() - mean) <= SE_MULTIPLE * max(se, 1e-12), name
 
 
-@pytest.mark.parametrize("interval", [EXP, DET])
+@pytest.mark.parametrize("interval", [EXP, DET], ids=["exponential", "deterministic"])
 @pytest.mark.parametrize("axis", ["a", "b"])
 @pytest.mark.parametrize("m, levels", [(1, (2, 3, 5)), (5, (2, 3))])
 def test_vanishing_intensity_is_censored(interval, axis, m, levels):

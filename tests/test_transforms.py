@@ -11,17 +11,17 @@ from strategyshift.params import IntervalDistribution, MarkDistribution, ModelPa
 from strategyshift.series import d_extract
 from strategyshift.transforms import TransformContext, gamma_series
 
-EXP1 = IntervalDistribution.exponential(1.0)
-UNIT = MarkDistribution.unit()
+EXP1 = IntervalDistribution("exponential", 1.0)
+UNIT = MarkDistribution()
 
 
 class TestLst:
     def test_value_at_zero(self):
-        assert IntervalDistribution.exponential(1.0).lst(0.0) == 1.0
-        assert IntervalDistribution.deterministic(2.0).lst(0.0) == 1.0
+        assert IntervalDistribution("exponential", 1.0).lst(0.0) == 1.0
+        assert IntervalDistribution("deterministic", 2.0).lst(0.0) == 1.0
 
     def test_exponential_closed_form(self):
-        assert IntervalDistribution.exponential(1.0).lst(1.0) == 0.5
+        assert IntervalDistribution("exponential", 1.0).lst(1.0) == 0.5
 
     def test_exponential_matches_quadrature(self):
         # independent check: integrate exp(-t/mean)/mean * exp(-theta t)
@@ -29,7 +29,7 @@ class TestLst:
         mean, theta = 0.7, 1.3
         numeric, _ = quad(lambda t: np.exp(-t / mean) / mean * np.exp(-theta * t),
                           0, np.inf)
-        assert IntervalDistribution.exponential(mean).lst(theta) == pytest.approx(
+        assert IntervalDistribution("exponential", mean).lst(theta) == pytest.approx(
             numeric, abs=1e-10)
 
     def test_unknown_family(self):
@@ -48,12 +48,12 @@ class TestLst:
 
 @pytest.mark.parametrize("build, error", [
     (lambda: MarkDistribution("poisson"), UnsupportedConfigurationError),
-    (lambda: MarkDistribution.fixed(-1), ParameterError),
-    (lambda: MarkDistribution.fixed(1.5), ParameterError),
-    (lambda: MarkDistribution.geometric(0.0), ParameterError),
-    (lambda: MarkDistribution.geometric(1.5), ParameterError),
-    (lambda: IntervalDistribution.exponential(0.0), ParameterError),
-    (lambda: IntervalDistribution.deterministic(-1.0), ParameterError),
+    (lambda: MarkDistribution("fixed", -1), ParameterError),
+    (lambda: MarkDistribution("fixed", 1.5), ParameterError),
+    (lambda: MarkDistribution("geometric", p=0.0), ParameterError),
+    (lambda: MarkDistribution("geometric", p=1.5), ParameterError),
+    (lambda: IntervalDistribution("exponential", 0.0), ParameterError),
+    (lambda: IntervalDistribution("deterministic", -1.0), ParameterError),
     (lambda: EXP1.lst(-0.1), DomainError),
     (lambda: ModelParams(-1.0, 1.0, EXP1, EXP1), ParameterError),
     (lambda: ModelParams(1.0, -1.0, EXP1, EXP1), ParameterError),
@@ -105,14 +105,14 @@ class TestGammaSeries:
         assert approx == pytest.approx(gamma_marginal(z, 0.3, 1.0, UNIT, EXP1), abs=1e-10)
 
     def test_deterministic_family(self):
-        det = IntervalDistribution.deterministic(0.8)
+        det = IntervalDistribution("deterministic", 0.8)
         s = gamma_series(60, 0.2, 1.5, UNIT, det)
         z = 0.4
         approx = np.polynomial.polynomial.polyval(z, s.coeffs)
         assert approx == pytest.approx(gamma_marginal(z, 0.2, 1.5, UNIT, det), abs=1e-10)
 
     def test_geometric_marks(self):
-        mark = MarkDistribution.geometric(0.6)
+        mark = MarkDistribution("geometric", p=0.6)
         s = gamma_series(80, 0.0, 1.0, mark, EXP1)
         z = 0.3
         approx = np.polynomial.polynomial.polyval(z, s.coeffs)
@@ -125,7 +125,7 @@ class TestGammaSeries:
         assert (unit.value, unit.mean()) == (1, 1.0)
         np.testing.assert_array_equal(
             gamma_series(order, 0.2, 1.5, unit, EXP1).coeffs,
-            gamma_series(order, 0.2, 1.5, MarkDistribution.fixed(1), EXP1).coeffs)
+            gamma_series(order, 0.2, 1.5, MarkDistribution("fixed", 1), EXP1).coeffs)
 
     def test_negative_theta_is_a_domain_error(self):
         with pytest.raises(DomainError, match="theta"):
@@ -133,7 +133,7 @@ class TestGammaSeries:
 
     def test_deterministic_law_with_underflowing_mass_at_zero(self):
         # Poisson(900) counts: P(0) = exp(-900) underflows, the law does not.
-        det = IntervalDistribution.deterministic(3.0)
+        det = IntervalDistribution("deterministic", 3.0)
         s = gamma_series(1500, 0.0, 300.0, UNIT, det)
         assert s.coeffs.sum() == pytest.approx(1.0, abs=1e-12)
         assert s.coeffs.argmax() in (899, 900)
@@ -148,7 +148,7 @@ class TestGammaSeries:
         doc = {"process": {"lambda_a": 1.0, "mark_a": {"family": "geometric", "p": 0.5}},
                "observation": {"family": family, "initial_mean": 3.0, "interval_mean": 1.0},
                "thresholds": {"m": m}}
-        mark = MarkDistribution.geometric(0.5)
+        mark = MarkDistribution("geometric", p=0.5)
         g0 = gamma_series(m - 1, 0.0, 1.0, mark, IntervalDistribution(family, 3.0))
         g = gamma_series(m - 1, 0.0, 1.0, mark, IntervalDistribution(family, 1.0))
         got = d_extract(g0 * (1.0 - g).reciprocal(), m - 1)
@@ -167,7 +167,7 @@ def _exact_law():
 
 class TestTransformContext:
     def test_neutral(self):
-        ctx = TransformContext.neutral()
+        ctx = TransformContext()
         assert ctx.z == ctx.g == 1.0
         assert ctx.theta0 == ctx.theta1 == ctx.vartheta0 == ctx.vartheta1 == 0.0
 
