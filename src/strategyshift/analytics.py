@@ -51,7 +51,9 @@ def axis_factor(
     phi, G, G0 are the marginal-transform series at theta1, theta0 + theta1,
     and the initial-interval analog.  Zero drift (intensity times mean mark)
     collapses the numerator to zero; that case is short-circuited to avoid
-    inverting 1 - w at w = 1.
+    inverting 1 - w at w = 1.  Otherwise the mark PGF has no constant term,
+    so those of delta(theta1) - phi and 1 - w*G are ``lst_drop`` values, not
+    differences near 1 that round a tiny drift away.
     Each distinct factor is built once per process; the returned
     coefficients are shared and read-only.
     """
@@ -69,12 +71,15 @@ def _axis_factor(
     if intensity * mark.mean() == 0.0:
         factor = TruncatedSeries.constant(0.0, order)
     else:
-        delta_t1 = obs_interval.lst(theta1)
         phi = gamma_series(order, theta1, intensity, mark, obs_interval)
         big = gamma_series(order, theta0 + theta1, intensity, mark, obs_interval)
         big0 = gamma_series(order, theta0 + theta1, intensity, mark, obs_initial)
-        numerator = (delta_t1 - phi) * (weight - weight * big0 * big + big0)
+        drop = -phi
+        drop.coeffs[0] = obs_interval.lst_drop(theta1, intensity)
+        numerator = drop * (weight - weight * big0 * big + big0)
         denominator = 1.0 - weight * big
+        denominator.coeffs[0] = (1.0 - weight) + weight * obs_interval.lst_drop(
+            0.0, theta0 + theta1 + intensity)
         factor = numerator * denominator.reciprocal()
     factor.coeffs.setflags(write=False)
     return factor

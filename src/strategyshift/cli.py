@@ -97,14 +97,12 @@ def cmd_simulate(args) -> int:
                             (f"tau_{name}_prev", record.prior)):
             payload[f"mean_{key}"], payload[f"se_{key}"] = exit_mean_se(
                 record.index, values, key)
-        if "csv" in cfg.formats:
-            # Probabilities are over all paths, so censored mass shows as a
-            # total below 1.
-            counts = np.bincount(exited, minlength=1)
-            _write_csv(out / f"histogram_{name}.csv", ("index", "count", "probability"),
-                       ((i, c, c / summary.n_paths) for i, c in enumerate(counts)))
-    if "json" in cfg.formats:
-        _write_json(out / "summary.json", payload)
+        # Probabilities are over all paths, so censored mass shows as a total
+        # below 1.
+        counts = np.bincount(exited, minlength=1)
+        _write_csv(out / f"histogram_{name}.csv", ("index", "count", "probability"),
+                   ((i, c, c / summary.n_paths) for i, c in enumerate(counts)))
+    _write_json(out / "summary.json", payload)
     print(f"simulate: {summary.n_paths} paths -> {out}")
     return EXIT_OK
 
@@ -154,7 +152,7 @@ def cmd_classify(args) -> int:
     if args.share is not None:
         if args.growth is None:
             raise DomainError("--share requires --growth")
-        level_a, level_b = bcg_scale(args.share, cfg.scale_factor), args.growth
+        level_a, level_b = bcg_scale(args.share), args.growth
     elif args.a is not None and args.b is not None:
         level_a, level_b = args.a, args.b
     else:
@@ -174,11 +172,9 @@ def cmd_conformance(args) -> int:
         levels=STUDY_LEVELS,
     )
     rows = conformance_rows(summary)
-    if "csv" in cfg.formats:
-        _write_csv(out / "conformance.csv", ConformanceRow._fields, rows)
-    if "json" in cfg.formats:
-        # As dicts: _write_json writes any tuple, a row too, as a list.
-        _write_json(out / "conformance.json", [row._asdict() for row in rows])
+    _write_csv(out / "conformance.csv", ConformanceRow._fields, rows)
+    # As dicts: _write_json writes any tuple, a row too, as a list.
+    _write_json(out / "conformance.json", [row._asdict() for row in rows])
     n_dev = sum(1 for r in rows if r.verdict == "deviation")
     print(f"conformance: {len(rows)} rows, {n_dev} deviation(s) -> {out}")
     return EXIT_CONFORMANCE_DEVIATION if n_dev else EXIT_OK

@@ -2,7 +2,7 @@
 
 Blocks: process (intensities and marks), observation (interval family and
 means), thresholds, matrix (labels and threshold geometry), simulation
-(path count, seed, horizon), output (directory and formats).
+(path count, seed, horizon), output (directory).
 
 ``SCHEMA`` declares every field once: its kind, its default and its bounds.
 One walker reads a document against it.  Unknown keys are rejected, so a
@@ -20,8 +20,7 @@ import operator
 from collections import namedtuple
 
 from .errors import ConfigError
-from .matrix import (BCG_A_HIGH, BCG_A_LOW, BCG_B, BCG_LABELS, DEFAULT_SCALE_FACTOR,
-                     GENERIC_LABELS, StrategyMatrix)
+from .matrix import BCG_A_HIGH, BCG_A_LOW, BCG_B, BCG_LABELS, GENERIC_LABELS, StrategyMatrix
 from .params import (INTERVAL_FAMILIES, MARK_FAMILIES, IntervalDistribution,
                      MarkDistribution, ModelParams, Thresholds)
 
@@ -95,7 +94,6 @@ SCHEMA = {
         "a_threshold_low": Entry("number", BCG_A_LOW),
         "a_threshold_high": Entry("number", BCG_A_HIGH),
         "b_threshold": Entry("number", BCG_B),
-        "scale_factor": Entry("number", DEFAULT_SCALE_FACTOR, gt=0),
     },
     "simulation": {
         "paths": Entry("integer", ge=1, le=MAX_PATHS),
@@ -104,7 +102,6 @@ SCHEMA = {
     },
     "output": {
         "directory": Entry("string", "out"),
-        "formats": Entry("strings", ["csv", "json"], choices=("csv", "json")),
     },
 }
 
@@ -182,8 +179,8 @@ def _value(raw, entry: Entry, field: str):
     return int(raw) if isinstance(raw, int) else int(value)
 
 
-class RunConfig(namedtuple("RunConfig", "params thresholds matrix scale_factor n_paths "
-                                        "seed horizon output_dir formats")):
+class RunConfig(namedtuple("RunConfig",
+                           "params thresholds matrix n_paths seed horizon output_dir")):
     """Validated run configuration."""
 
     __slots__ = ()
@@ -209,7 +206,7 @@ def from_dict(doc) -> RunConfig:
         raise ConfigError("matrix.labels must list four region names", field="matrix.labels")
     cuts = ((mat["m"], mat["m"], mat["n"]) if mat["mode"] == "uniform" else
             (mat["a_threshold_low"], mat["a_threshold_high"], mat["b_threshold"]))
-    sim, out = doc["simulation"], doc["output"]
+    sim = doc["simulation"]
     return RunConfig(
         params=ModelParams(
             lambda_a=proc["lambda_a"],
@@ -221,12 +218,10 @@ def from_dict(doc) -> RunConfig:
         ),
         thresholds=Thresholds(**doc["thresholds"]),
         matrix=StrategyMatrix(tuple(labels), *cuts),
-        scale_factor=mat["scale_factor"],
         n_paths=sim["paths"],
         seed=sim["seed"],
         horizon=sim["horizon"],
-        output_dir=out["directory"],
-        formats=tuple(out["formats"]),
+        output_dir=doc["output"]["directory"],
     )
 
 

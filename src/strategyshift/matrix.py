@@ -23,8 +23,8 @@ BCG_A_HIGH = 17.6
 BCG_B = 10.0
 
 #: Multiplier of log10(relative share) mapping share 1.0 to 0 and share 1.5
-#: to ~17.6 on the A-axis.
-DEFAULT_SCALE_FACTOR = 100.0
+#: to ~17.6 on the A-axis; another share scale is a matter of the cut points.
+SCALE_FACTOR = 100.0
 
 
 class StrategyMatrix(namedtuple(
@@ -58,8 +58,8 @@ def classify(level_a: float, level_b: float, matrix: StrategyMatrix) -> str:
     return matrix.label_for(a_high, b_high)
 
 
-def bcg_scale(relative_share: float, factor: float = DEFAULT_SCALE_FACTOR) -> float:
-    """Map relative market share onto the matrix A-axis: factor * log10(share)."""
+def bcg_scale(relative_share: float) -> float:
+    """Map relative market share onto the matrix A-axis: 100 * log10(share)."""
     if relative_share <= 0.0:
         raise DomainError("relative market share must be positive")
-    return factor * math.log10(relative_share)
+    return SCALE_FACTOR * math.log10(relative_share)

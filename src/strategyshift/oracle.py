@@ -130,13 +130,13 @@ def _arrivals(rng, mark, low, high, size):
     return (-low // mark.value) - (-high // mark.value)  # ceil(high/v) - ceil(low/v)
 
 
-def _crossing(rng, intensity, mark, level, size):
-    """Time on ``size`` paths of the arrival that first brings a fresh
-    compound Poisson stream to ``level`` or above; a level <= 0 is there at
-    time 0."""
-    if level <= 0:
+def _crossing(rng, intensity, mark, low, high, size):
+    """Time on ``size`` paths for a compound Poisson stream to climb from its
+    first total at or above ``low`` to its first at or above ``high`` (0 <=
+    low < high; low = 0 starts a fresh stream); a high <= 0 takes no time."""
+    if high <= 0:
         return np.zeros(size)
-    return rng.gamma(_arrivals(rng, mark, 0, level, size), 1.0 / intensity, size)
+    return rng.gamma(_arrivals(rng, mark, low, high, size), 1.0 / intensity, size)
 
 
 def _level_stays(intensity, mark, level, crossing, shift):
@@ -225,8 +225,7 @@ def _study(rng, params, t0, cap, levels):
         if level <= 0:
             study[level] = np.zeros(t0.size, dtype=np.int64)
             continue
-        crossed = crossed + rng.gamma(_arrivals(rng, mark, below, level, t0.size),
-                                      1.0 / intensity, t0.size)
+        crossed = crossed + _crossing(rng, intensity, mark, below, level, t0.size)
         below = level
         if interval.family == "exponential":
             # The epochs in (t0, T) grow by those between the level below's
@@ -257,8 +256,8 @@ def _simulate(
         t0 = rng.exponential(params.obs_initial.mean, n_paths)
     else:
         t0 = np.full(n_paths, params.obs_initial.mean)
-    time_a = _crossing(rng, params.lambda_a, params.mark_a, thresholds.m, n_paths)
-    time_b = _crossing(rng, params.lambda_b, params.mark_b, thresholds.n, n_paths)
+    time_a = _crossing(rng, params.lambda_a, params.mark_a, 0, thresholds.m, n_paths)
+    time_b = _crossing(rng, params.lambda_b, params.mark_b, 0, thresholds.n, n_paths)
 
     # Both axes read the same epochs: place the earlier crossing first.
     a_first = time_a <= time_b

@@ -90,6 +90,14 @@ class IntervalDistribution(Validated, namedtuple("IntervalDistribution", "family
             return 1.0 / (1.0 + self.mean * theta)
         return math.exp(-theta * self.mean)
 
+    def lst_drop(self, theta: float, step: float) -> float:
+        """lst(theta) - lst(theta + step) at theta, step >= 0, formed without
+        subtracting the two, so a tiny step keeps its digits."""
+        if self.family == "exponential":
+            d = self.mean
+            return d * step / ((1.0 + d * theta) * (1.0 + d * (theta + step)))
+        return -math.exp(-theta * self.mean) * math.expm1(-step * self.mean)
+
 
 class ModelParams(Validated, namedtuple(
         "ModelParams", "lambda_a lambda_b obs_initial obs_interval mark_a mark_b")):

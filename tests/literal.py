@@ -14,6 +14,8 @@
 - ``phi_series`` is the joint functional's bivariate series kernel, and
   ``d_extract_2d`` its two-dimensional extraction: the grid route that
   ``phi_functional``'s product of two univariate extractions replaces.
+- ``exact_phi_1_1`` is the operator route's exit-index PGF at m = n = 1 in
+  exact rational arithmetic, free of the rounding ``phi_functional`` has.
 - ``uniform_matrix`` and ``bcg_matrix`` build the two kinds of matrix
   directly; ``config.from_dict`` builds a run's matrix from its document.
 - ``bcg_classify`` is the growth-share quadrant of a (relative share,
@@ -22,6 +24,7 @@
   every field it declares.
 """
 
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,8 +33,7 @@ from strategyshift import config
 from strategyshift.analytics import axis_factor
 from strategyshift.errors import DomainError, OrderError, ParameterError
 from strategyshift.matrix import (BCG_A_HIGH, BCG_A_LOW, BCG_B, BCG_LABELS,
-                                  DEFAULT_SCALE_FACTOR, GENERIC_LABELS, StrategyMatrix,
-                                  bcg_scale, classify)
+                                  GENERIC_LABELS, StrategyMatrix, bcg_scale, classify)
 from strategyshift.params import MarkDistribution
 from strategyshift.series import TruncatedSeries
 
@@ -199,6 +201,28 @@ def phi_series(m, n, ctx, params) -> BivariateSeries:
     return BivariateSeries.separable(fx, fy)
 
 
+def exact_phi_1_1(params, z):
+    """``phi_functional(1, 1, TransformContext(z=z), params)`` as a Fraction,
+    for exponential intervals and unit marks: each axis factor to order 1,
+    built as ``analytics.axis_factor`` builds it, then summed."""
+    def mul(p, q):
+        return p[0] * q[0], p[0] * q[1] + p[1] * q[0]
+
+    def extract(w, intensity):
+        def gamma(mean):  # 1 / (1 + d lambda (1 - x)) to order 1
+            c = Fraction(mean) * Fraction(intensity)
+            return 1 / (1 + c), c / (1 + c) ** 2
+
+        big, big0 = gamma(params.obs_interval.mean), gamma(params.obs_initial.mean)
+        both = mul(big0, big)
+        den = (1 - w * big[0], -w * big[1])
+        f = mul(mul((1 - big[0], -big[1]), (w - w * both[0] + big0[0], big0[1] - w * both[1])),
+                (1 / den[0], -den[1] / den[0] ** 2))
+        return f[0] + f[1]
+
+    return extract(Fraction(z), params.lambda_a) * extract(Fraction(1), params.lambda_b)
+
+
 def uniform_matrix(m, n, labels=GENERIC_LABELS) -> StrategyMatrix:
     """A matrix cut at ``m`` on the A axis in both rows and at ``n`` on B."""
     return StrategyMatrix(labels=tuple(labels), a_threshold_low=m,
@@ -211,9 +235,9 @@ def bcg_matrix() -> StrategyMatrix:
                           a_threshold_high=BCG_A_HIGH, b_threshold=BCG_B)
 
 
-def bcg_classify(relative_share, growth_pct, factor=DEFAULT_SCALE_FACTOR) -> str:
+def bcg_classify(relative_share, growth_pct) -> str:
     """Growth-share quadrant of a (relative share, growth %) position."""
-    return classify(bcg_scale(relative_share, factor), growth_pct, bcg_matrix())
+    return classify(bcg_scale(relative_share), growth_pct, bcg_matrix())
 
 
 def series_exp(a):

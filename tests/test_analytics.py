@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from literal import d_extract_2d, phi_series
+from literal import d_extract_2d, exact_phi_1_1, phi_series
 from strategyshift.analytics import (
+    DEFAULT_Z_GRID,
     axis_factor,
     axis_means,
     lemma_note,
@@ -111,6 +114,15 @@ class TestPhiFunctional:
         # a repeated request returns the cached series, unchanged
         assert gamma_series(5, 0.0, p.lambda_a, p.mark_a, p.obs_interval) is g
         assert _factor(5, CONTEXTS[1], p, "a") is f
+
+    @pytest.mark.parametrize("lambda_a", [1e-15, 1e-16])
+    def test_tiny_drift_matches_exact_evaluation(self, lambda_a):
+        # The constant terms of delta - phi and 1 - w G were once formed as
+        # differences near 1: 11% off at 1e-15, and 0 (exit 4) at 1e-16.
+        params = _exp_params(lambda_a=lambda_a)
+        for z in DEFAULT_Z_GRID:
+            got = phi_functional(1, 1, TransformContext(z=z), params)
+            assert abs(Fraction(got) - exact_phi_1_1(params, z)) <= 1e-30
 
     def test_negative_order_rejected(self, reference_params):
         p = reference_params

@@ -45,6 +45,15 @@ class TestLst:
             assert all(0.0 < v <= 1.0 for v in values)
             assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_drop_is_the_difference_it_replaces(self):
+        for family, mean in (("exponential", 0.5), ("deterministic", 2.0)):
+            interval = IntervalDistribution(family, mean)
+            for theta, step in ((0.0, 1.0), (0.3, 0.7), (2.0, 1e-3)):
+                assert interval.lst_drop(theta, step) == pytest.approx(
+                    interval.lst(theta) - interval.lst(theta + step), rel=1e-12)
+            # a step the difference rounds away keeps its first-order value
+            assert interval.lst_drop(0.0, 1e-20) == pytest.approx(mean * 1e-20, rel=1e-15)
+
 
 @pytest.mark.parametrize("build, error", [
     (lambda: MarkDistribution("poisson"), UnsupportedConfigurationError),
