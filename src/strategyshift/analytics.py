@@ -12,8 +12,8 @@ harness can confront each one:
     exit-index PGF, evaluated term by term exactly as printed;
     ``lemma_note`` names why it is undefined for a configuration.
   * ``axis_means`` — the closed-form means of one axis's exit index, shift
-    epoch and prior epoch; ``means_or_note`` reads them where the axis can
-    exit.
+    epoch and prior epoch, or a note in place of each where the axis never
+    exits.
 
 The printed closed forms are known to be suspect in places (duplicated
 bracket sums, threshold-independent means); they are evaluated faithfully
@@ -26,7 +26,7 @@ import math
 from functools import lru_cache
 from typing import Optional, Tuple, Union
 
-from .errors import DomainError, NoExitError
+from .errors import DomainError
 from .params import ModelParams
 from .series import TruncatedSeries, d_extract
 from .transforms import TransformContext, gamma_series
@@ -125,7 +125,8 @@ def lemma_pgf(z: float, level: int, params: ModelParams, intensity: float) -> fl
     given intensity (memoryless observation), evaluated term by term exactly
     as printed; the two kappa-weighted brackets are identical as printed and
     are kept that way.  kappa = 1 / (lambda * (d0 - d)), with d0 and d the
-    initial and later interval means.
+    initial and later interval means.  A value that is not finite, as when
+    kappa overflows and its two brackets give inf - inf, is a DomainError.
     """
     note = lemma_note(params)
     if note is not None:
@@ -140,25 +141,29 @@ def lemma_pgf(z: float, level: int, params: ModelParams, intensity: float) -> fl
     bracket = sum(ratio**j for j in range(level + 1))
     tail_base = base - z
     tail = sum((d0_lam / tail_base) ** k for k in range(level + 1))
-    return (
+    value = (
         z
         + ((1.0 - kappa) / base) * bracket
         + (kappa / base) * bracket
         - ((1.0 - z) * z / tail_base) * tail
     )
+    if not math.isfinite(value):
+        raise DomainError("closed-form exit-index PGF is not finite")
+    return value
 
 
-def axis_means(params: ModelParams, intensity: float) -> Tuple[float, float, float]:
+def axis_means(params: ModelParams, intensity: float) -> Tuple[Union[float, str], ...]:
     """Closed-form means on one axis with the given intensity.
 
     Returns (E[exit index], E[shift epoch], E[prior epoch]) with
     E[exit index] = 1 / (d * lambda), E[shift epoch] = d0 + 1/lambda - d and
     prior = E[shift epoch] - d, d0 and d the initial and later interval
-    means.  A zero-intensity axis never exits; a product d * lambda that
-    underflows to 0, or a mean that overflows, is a DomainError.
+    means.  A zero-intensity axis never exits: the note "no shift predicted"
+    stands in for each mean.  A product d * lambda that underflows to 0, or
+    a mean that overflows, is a DomainError.
     """
     if intensity <= 0.0:
-        raise NoExitError("closed-form means need a positive intensity")
+        return ("no shift predicted",) * 3
     d0, d = params.obs_initial.mean, params.obs_interval.mean
     rate = d * intensity
     if rate == 0.0:
@@ -169,11 +174,3 @@ def axis_means(params: ModelParams, intensity: float) -> Tuple[float, float, flo
         raise DomainError("closed-form means overflow")
     return means
 
-
-def means_or_note(params: ModelParams, intensity: float) -> Tuple[Union[float, str], ...]:
-    """``axis_means`` of one axis, or the note "no shift predicted" in place
-    of each mean when the axis has zero intensity and so never exits."""
-    try:
-        return axis_means(params, intensity)
-    except NoExitError:
-        return ("no shift predicted",) * 3

@@ -109,7 +109,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = config_mod.load(args.config)
-    from .analytics import (DEFAULT_Z_GRID, lemma_note, lemma_pgf, means_or_note,
+    from .analytics import (DEFAULT_Z_GRID, axis_means, lemma_note, lemma_pgf,
                             phi_functional)
     from .transforms import TransformContext
     out = _output_dir(cfg)
@@ -118,7 +118,7 @@ def cmd_analyze(args) -> int:
     axes = (("a", m, params.lambda_a), ("b", n, params.lambda_b))
     report = {"means": {
         axis: dict(zip(("exit_index_mean", "shift_time_mean", "prior_time_mean"),
-                       means_or_note(params, lam)))
+                       axis_means(params, lam)))
         for axis, _, lam in axes
     }}
 

@@ -1,36 +1,18 @@
-"""Package errors: ``cli.main`` exits 3 on a ConfigError, 4 on any other."""
+"""Package errors, one class per exit code: ``cli.main`` exits 3 on a
+ConfigError and 4 on a DomainError (any other StrategyShiftError)."""
 
 
 class StrategyShiftError(Exception):
     """Base class for all package errors."""
 
 
-class ParameterError(StrategyShiftError):
-    """Invalid model parameters (nonpositive means, negative intensities, ...)."""
-
-
-class OrderError(StrategyShiftError):
-    """A series coefficient beyond the retained truncation order was requested."""
-
-
 class DomainError(StrategyShiftError):
-    """An argument lies outside the mathematical domain of the operation."""
-
-
-class NoExitError(StrategyShiftError):
-    """A threshold can never be exceeded (zero intensity on that axis)."""
-
-
-class HorizonError(StrategyShiftError):
-    """Too many simulated paths hit the observation cap before exceedance."""
-
-
-class NoDataError(StrategyShiftError):
-    """An empirical estimate was requested from an all-censored sample."""
+    """Parameters, arguments, a sample or a result outside the domain of an
+    operation, invalid model parameters and non-finite values included."""
 
 
 class ConfigError(StrategyShiftError):
-    """A run configuration failed validation.
+    """A run configuration failed validation (an unsupported family included).
 
     ``field`` names the offending entry when known.
     """
@@ -38,7 +20,3 @@ class ConfigError(StrategyShiftError):
     def __init__(self, message, field=None):
         super().__init__(message)
         self.field = field
-
-
-class UnsupportedConfigurationError(ConfigError):
-    """A mark or interval family outside the supported set was requested."""

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Sequence, Tuple
 import numpy as np
 
 from .config import DEFAULT_HORIZON
-from .errors import DomainError, HorizonError, NoDataError, NoExitError, ParameterError
+from .errors import DomainError
 from .params import ModelParams, Thresholds
 
 if TYPE_CHECKING:
@@ -60,7 +60,7 @@ def sample_mean_se(samples: np.ndarray, what: str) -> Tuple[float, float]:
     DomainError when either is not finite, as when huge epochs' squares
     overflow."""
     if samples.size == 0:
-        raise NoDataError(f"all paths censored; no samples of {what}")
+        raise DomainError(f"all paths censored; no samples of {what}")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         mean = samples.mean()
         se = samples.std(ddof=1) / np.sqrt(samples.size) if samples.size > 1 else 0.0
@@ -300,13 +300,13 @@ def estimate_exits(
     without levels.  An index above ``horizon`` counts as censored.
 
     Deterministic for fixed (params, thresholds, n_paths, seed, levels).
-    Fails with NoExitError, before any draw, when an axis with zero drift
-    has a positive threshold or recorded level, and with HorizonError when
+    Fails with a DomainError, before any draw, when an axis with zero drift
+    has a positive threshold or recorded level, and with one after it when
     more than MAX_CENSOR_FRACTION of paths are censored on either axis or at
     any recorded level.
     """
     if n_paths < 1:
-        raise ParameterError("n_paths must be >= 1")
+        raise DomainError("n_paths must be >= 1")
     # A level with zero drift never moves, so no positive threshold is ever
     # reached (its crossing time is infinite): fail before drawing.
     for axis, intensity, mark, level in (
@@ -314,7 +314,7 @@ def estimate_exits(
         ("B", params.lambda_b, params.mark_b, thresholds.n),
     ):
         if level > 0 and intensity * mark.mean() == 0.0:
-            raise NoExitError(
+            raise DomainError(
                 f"axis {axis} has zero drift (intensity times mean mark) and "
                 f"never reaches level {level:g}"
             )
@@ -322,7 +322,7 @@ def estimate_exits(
     worst = max(int(np.count_nonzero(index < 0)) for index in
                 (summary.a.index, summary.b.index, *summary.study_mu.values()))
     if worst > MAX_CENSOR_FRACTION * n_paths:
-        raise HorizonError(
+        raise DomainError(
             f"{worst}/{n_paths} paths hit the {horizon}-observation cap "
             "before exceedance; raise the horizon to keep estimates unbiased"
         )

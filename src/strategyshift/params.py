@@ -20,7 +20,7 @@ import math
 import operator
 from collections import namedtuple
 
-from .errors import DomainError, ParameterError, UnsupportedConfigurationError
+from .errors import ConfigError, DomainError
 
 MARK_FAMILIES = ("unit", "fixed", "geometric")
 INTERVAL_FAMILIES = ("exponential", "deterministic")
@@ -51,16 +51,16 @@ class MarkDistribution(Validated, namedtuple("MarkDistribution", "family value p
 
     def __new__(cls, family: str = "unit", value: int = 1, p: float = 0.5):
         if family not in MARK_FAMILIES:
-            raise UnsupportedConfigurationError(
+            raise ConfigError(
                 f"unsupported mark family {family!r}; "
                 f"expected one of {MARK_FAMILIES}"
             )
         if family == "unit":
             value = 1
         if family == "fixed" and (value < 0 or value != int(value)):
-            raise ParameterError("fixed mark value must be a nonnegative integer")
+            raise DomainError("fixed mark value must be a nonnegative integer")
         if family == "geometric" and not 0.0 < p <= 1.0:
-            raise ParameterError("geometric mark parameter p must be in (0, 1]")
+            raise DomainError("geometric mark parameter p must be in (0, 1]")
         return super().__new__(cls, family, value, p)
 
     def mean(self) -> float:
@@ -74,12 +74,12 @@ class IntervalDistribution(Validated, namedtuple("IntervalDistribution", "family
 
     def __new__(cls, family: str, mean: float):
         if family not in INTERVAL_FAMILIES:
-            raise UnsupportedConfigurationError(
+            raise ConfigError(
                 f"unsupported interval family {family!r}; "
                 f"expected one of {INTERVAL_FAMILIES}"
             )
         if not mean > 0.0:
-            raise ParameterError("interval mean must be positive")
+            raise DomainError("interval mean must be positive")
         return super().__new__(cls, family, mean)
 
     def lst(self, theta: float) -> float:
@@ -110,7 +110,7 @@ class ModelParams(Validated, namedtuple(
                 mark_a: MarkDistribution = MarkDistribution(),
                 mark_b: MarkDistribution = MarkDistribution()):
         if lambda_a < 0.0 or lambda_b < 0.0:
-            raise ParameterError("intensities must be nonnegative")
+            raise DomainError("intensities must be nonnegative")
         return super().__new__(cls, lambda_a, lambda_b, obs_initial, obs_interval,
                                mark_a, mark_b)
 
@@ -136,6 +136,6 @@ def _count(name: str, value) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not hasattr(value, "__index__") or value < 0:
-        raise ParameterError(
+        raise DomainError(
             f"threshold {name} must be a nonnegative integer, got {value!r}")
     return operator.index(value)

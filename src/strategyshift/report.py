@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import List, Tuple, Union
 
-from .analytics import (DEFAULT_Z_GRID, lemma_note, lemma_pgf, means_or_note,
+from .analytics import (DEFAULT_Z_GRID, axis_means, lemma_note, lemma_pgf,
                         phi_functional)
 from .oracle import EmpiricalExitSummary, empirical_functional, exit_mean_se
 from .params import ModelParams
@@ -93,8 +93,8 @@ def conformance_rows(summary: EmpiricalExitSummary) -> List[ConformanceRow]:
     """
     params, m, n = summary.params, summary.thresholds.m, summary.thresholds.n
     a, b = summary.a, summary.b
-    means_a = means_or_note(params, params.lambda_a)
-    means_b = means_or_note(params, params.lambda_b)
+    means_a = axis_means(params, params.lambda_a)
+    means_b = axis_means(params, params.lambda_b)
     # Each closed-form mean against its field of the axis record, A then B;
     # only the exit-index mean can be gated on.
     rows = [

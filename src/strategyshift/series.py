@@ -44,7 +44,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, OrderError
+from .errors import DomainError
 
 #: Terms in the shorter operand from which a product is formed by FFT.  Full
 #: products of two length-n vectors cost the same both ways near n = 512 on
@@ -204,12 +204,12 @@ def _product(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
 def d_extract(f: TruncatedSeries, k: int) -> float:
     """Coefficient k of F(x) / (1 - x): the k-th partial coefficient sum.
 
-    Returns 0 for negative k; raises OrderError past the retained order.
+    Returns 0 for negative k; raises DomainError past the retained order.
     """
     if k < 0:
         return 0.0
     if k > f.order:
-        raise OrderError(
+        raise DomainError(
             f"coefficient {k} requested from a series of order {f.order}"
         )
     return math.fsum(f.coeffs[: k + 1])

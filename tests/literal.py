@@ -31,7 +31,7 @@ import numpy as np
 
 from strategyshift import config
 from strategyshift.analytics import axis_factor
-from strategyshift.errors import DomainError, OrderError, ParameterError
+from strategyshift.errors import DomainError
 from strategyshift.matrix import (BCG_A_HIGH, BCG_A_LOW, BCG_B, BCG_LABELS,
                                   GENERIC_LABELS, StrategyMatrix, bcg_scale, classify)
 from strategyshift.params import MarkDistribution
@@ -46,7 +46,7 @@ def compound_increments(
 ) -> np.ndarray:
     """Compound-Poisson totals for a batch of interval lengths.
 
-    Raises ParameterError when numpy refuses a draw: an expected arrival
+    Raises DomainError when numpy refuses a draw: an expected arrival
     count beyond the int64 range, or a geometric mark total too large.
     """
     with np.errstate(over="ignore"):  # numpy refuses an infinite mean below
@@ -62,7 +62,7 @@ def compound_increments(
             totals[nz] = counts[nz] + rng.negative_binomial(counts[nz], mark.p)
         return totals
     except ValueError as exc:
-        raise ParameterError(
+        raise DomainError(
             f"expected increment too large to simulate ({exc})"
         ) from exc
 
@@ -76,7 +76,7 @@ def sample_path(params, seed, max_observations):
     increments share the interval, the only dependence between the axes.
     """
     if max_observations < 1:
-        raise ParameterError("max_observations must be >= 1")
+        raise DomainError("max_observations must be >= 1")
     rng = np.random.default_rng(seed)
     intervals = np.empty(max_observations + 1)
     for part, dist in ((intervals[:1], params.obs_initial),
@@ -182,7 +182,7 @@ def d_extract_2d(f: BivariateSeries, mn) -> float:
         return 0.0
     jmax, kmax = f.orders
     if m > jmax or n > kmax:
-        raise OrderError(
+        raise DomainError(
             f"coefficient {(m, n)} requested from a grid of orders {(jmax, kmax)}"
         )
     return float(np.sum(f.grid[: m + 1, : n + 1]))

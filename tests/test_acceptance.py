@@ -205,13 +205,13 @@ def test_criterion_8_determinism_and_exit_codes(tmp_path, monkeypatch):
     ok &= cli.main(["simulate", str(bad)]) == 3
     ok &= cli.main(["classify", str(cfg), "--share", "-2", "--growth", "1"]) == 4
 
-    import strategyshift.analytics as analytics
-    real = analytics.axis_means
+    import strategyshift.report as report
+    real = report.axis_means
 
     def wrong(params, intensity):
         return (50.0, *real(params, intensity)[1:])
 
-    monkeypatch.setattr(analytics, "axis_means", wrong)
+    monkeypatch.setattr(report, "axis_means", wrong)
     ok &= cli.main(["conformance", str(cfg)]) == 5
     _verdict("criterion 8: determinism, formats, exit-code contract", ok)
 

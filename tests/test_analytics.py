@@ -12,7 +12,7 @@ from strategyshift.analytics import (
     lemma_pgf,
     phi_functional,
 )
-from strategyshift.errors import DomainError, NoExitError
+from strategyshift.errors import DomainError
 from strategyshift.params import IntervalDistribution, MarkDistribution, ModelParams
 from strategyshift.series import d_extract
 from strategyshift.transforms import TransformContext, gamma_series
@@ -257,19 +257,16 @@ class TestClosedFormMeans:
         assert ta == 2.0
         assert prior_a == 1.0
 
-    def test_zero_intensity_rejected(self):
-        with pytest.raises(NoExitError):
-            _index_mean(_exp_params(lambda_a=0.0))
-        with pytest.raises(NoExitError):
-            _index_mean(_exp_params(lambda_b=0.0), axis="b")
+    def test_zero_intensity_gives_the_note(self):
+        assert _index_mean(_exp_params(lambda_a=0.0)) == "no shift predicted"
+        assert _index_mean(_exp_params(lambda_b=0.0), axis="b") == "no shift predicted"
 
     def test_axis_means_feed_both_axes(self):
         params = _exp_params(lambda_a=0.5, lambda_b=2.0, d0=1.7, d=0.8)
         a, b = axis_means(params, 0.5), axis_means(params, 2.0)
         assert a == (1.0 / (0.8 * 0.5), 1.7 + 2.0 - 0.8, 1.7 + 2.0 - 0.8 - 0.8)
         assert b == (1.0 / (0.8 * 2.0), 1.7 + 0.5 - 0.8, 1.7 + 0.5 - 0.8 - 0.8)
-        with pytest.raises(NoExitError):
-            axis_means(params, 0.0)
+        assert axis_means(params, 0.0) == ("no shift predicted",) * 3
 
     def test_mean_consistency_identity(self):
         # shift mean minus initial mean equals interval mean times (index mean - 1)

@@ -10,9 +10,7 @@ import pytest
 from literal import config_leaves
 from strategyshift import cli
 from strategyshift import config as config_mod
-from strategyshift.errors import (ConfigError, DomainError, HorizonError, NoDataError,
-                                  NoExitError, OrderError, ParameterError,
-                                  StrategyShiftError, UnsupportedConfigurationError)
+from strategyshift.errors import ConfigError, DomainError, StrategyShiftError
 
 REFERENCE_DOC = {
     "process": {"lambda_a": 1.0, "lambda_b": 1.0},
@@ -393,15 +391,16 @@ class TestExitCodes:
         assert cli.main(["conformance", str(config_file)]) == 0
 
     def test_conformance_deviation(self, config_file, monkeypatch):
-        # force an assertably wrong closed form to exercise exit code 5
-        import strategyshift.analytics as analytics
+        # force an assertably wrong closed form to exercise exit code 5;
+        # report binds axis_means at import, so it is patched there
+        import strategyshift.report as report
 
-        real = analytics.axis_means
+        real = report.axis_means
 
         def wrong(params, intensity):
             return (50.0, *real(params, intensity)[1:])
 
-        monkeypatch.setattr(analytics, "axis_means", wrong)
+        monkeypatch.setattr(report, "axis_means", wrong)
         assert cli.main(["conformance", str(config_file)]) == 5
 
     @pytest.mark.parametrize("field, value", [
@@ -1173,11 +1172,7 @@ FAILURES = [
     (ConfigError("bad", field="thresholds.m"), 3,
      "error: invalid config (field: thresholds.m): bad\n"),
     (ConfigError("not JSON"), 3, "error: invalid config: not JSON\n"),
-    (UnsupportedConfigurationError("no such family"), 3,
-     "error: invalid config: no such family\n"),
-    *[(error("why"), 4, "error: why\n") for error in (
-        ParameterError, OrderError, DomainError, NoExitError, HorizonError,
-        NoDataError, StrategyShiftError)],
+    *[(error("why"), 4, "error: why\n") for error in (DomainError, StrategyShiftError)],
 ]
 
 
@@ -1190,6 +1185,25 @@ def test_main_maps_every_error_class_to_its_exit_code(config_file, monkeypatch,
         monkeypatch.setattr(cli, "cmd_simulate", fail)
         assert (cli.main(["simulate", str(config_file)]), capsys.readouterr()) == (
             code, ("", stderr)), error
+
+
+def test_every_raise_names_the_class_of_its_exit_code():
+    # One error class per exit code: a class main cannot tell apart from
+    # another would be a name without a behaviour.
+    import strategyshift.errors as errors
+
+    assert {name for name, value in vars(errors).items() if isinstance(value, type)
+            and value.__module__ == errors.__name__} == {
+        "StrategyShiftError", "DomainError", "ConfigError"}
+    assert isinstance(config_mod._missing("process", "lambda_a"), ConfigError)
+    raised = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                assert isinstance(node.exc, ast.Call), f"{path.name}:{node.lineno}"
+                raised.add((path.name, node.exc.func.id))
+    assert {name for _, name in raised} - {"ConfigError", "DomainError"} == {"_missing"}
+    assert {file for file, name in raised if name == "_missing"} == {"config.py"}
 
 
 #: (config file content, STRATEGYSHIFT_OUTPUT_DIR, exit code) of each input

@@ -7,7 +7,7 @@ import pytest
 
 from literal import exit_indices, sample_path
 from strategyshift.config import DEFAULT_HORIZON
-from strategyshift.errors import HorizonError, NoDataError, NoExitError, ParameterError
+from strategyshift.errors import DomainError
 from strategyshift.oracle import (
     AxisExits,
     _level_stays,
@@ -51,9 +51,9 @@ class TestThresholds:
     @pytest.mark.parametrize("value", [2.5, True, False, float("nan"), float("inf"),
                                        "3", -1])
     def test_non_integer_or_negative_threshold_refused(self, value):
-        with pytest.raises(ParameterError):
+        with pytest.raises(DomainError, match="threshold m"):
             Thresholds(value, 1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(DomainError, match="threshold n"):
             Thresholds(1, value)
 
     def test_integral_thresholds_stored_as_ints(self):
@@ -64,7 +64,7 @@ class TestThresholds:
 
 class TestEstimateExits:
     def test_zero_paths_rejected(self, reference_params, unit_thresholds):
-        with pytest.raises(ParameterError):
+        with pytest.raises(DomainError, match="n_paths"):
             estimate_exits(reference_params, unit_thresholds, 0, 1)
 
     def test_determinism(self, reference_params, unit_thresholds):
@@ -91,7 +91,7 @@ class TestEstimateExits:
             IntervalDistribution("exponential", 1.0),
             IntervalDistribution("exponential", 1.0),
         )
-        with pytest.raises(NoExitError):
+        with pytest.raises(DomainError, match="axis A has zero drift"):
             estimate_exits(params, unit_thresholds, 100, 3, horizon=50)
 
     @pytest.mark.parametrize("lambda_a, mark_a, m, levels", [
@@ -108,10 +108,10 @@ class TestEstimateExits:
         monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
         exp1 = IntervalDistribution("exponential", 1.0)
         static_a = ModelParams(lambda_a, 1.0, exp1, exp1, mark_a=mark_a)
-        with pytest.raises(NoExitError):
+        with pytest.raises(DomainError, match="axis A has zero drift"):
             estimate_exits(static_a, Thresholds(m=m, n=1), 20_000, 3, levels=levels)
         static_b = ModelParams(1.0, lambda_a, exp1, exp1, mark_b=mark_a)
-        with pytest.raises(NoExitError):
+        with pytest.raises(DomainError, match="axis B has zero drift"):
             estimate_exits(static_b, Thresholds(m=1, n=1), 20_000, 3)
 
     def test_zero_drift_at_zero_threshold_simulates(self):
@@ -283,7 +283,7 @@ class TestMultiLevelRecord:
 
     def test_censoring_cap_applies_to_every_level(self, reference_params, unit_thresholds):
         estimate_exits(reference_params, unit_thresholds, 2000, 3, horizon=20)
-        with pytest.raises(HorizonError):
+        with pytest.raises(DomainError, match="observation cap"):
             estimate_exits(reference_params, unit_thresholds, 2000, 3, horizon=20,
                            levels=(50,))
 
@@ -392,7 +392,7 @@ class TestEmpiricalPgf:
 
     def test_all_censored_raises(self, summary):
         frozen = summary._replace(a=summary.a._replace(index=np.full(summary.n_paths, -1)))
-        with pytest.raises(NoDataError):
+        with pytest.raises(DomainError, match="all paths censored"):
             pgf(frozen.mu, 0.5)
 
 
@@ -403,7 +403,7 @@ class TestEmpiricalFunctional:
             IntervalDistribution("exponential", 1.0),
             IntervalDistribution("exponential", 1.0),
         )
-        with pytest.raises(NoExitError):
+        with pytest.raises(DomainError, match="zero drift"):
             empirical_functional(estimate_exits(params, unit_thresholds, 200, 1,
                                                 horizon=50),
                                  TransformContext())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from literal import compound_increments, exit_indices, sample_path
-from strategyshift.errors import ParameterError
+from strategyshift.errors import DomainError
 from strategyshift.params import (
     IntervalDistribution,
     MarkDistribution,
@@ -48,7 +48,7 @@ class TestSamplePath:
             assert np.all(np.diff(path.cumulative_a) >= 0)
 
     def test_rejects_zero_observations(self, reference_params):
-        with pytest.raises(ParameterError):
+        with pytest.raises(DomainError, match="max_observations"):
             sample_path(reference_params, seed=1, max_observations=0)
 
     def test_mean_increment_matches_compound_poisson(self):

@@ -112,6 +112,7 @@ def _strict(token):
 @example(_overflowing("exponential", interval_mean=1e-300, lambda_a=1e-300))
 @example(_overflowing("exponential", initial_mean=1e155, interval_mean=1e155,
                       lambda_a=1e-150, lambda_b=1e-150))
+@example(_overflowing("exponential", initial_mean=1.0000000000000002, lambda_a=1e-300))
 @example(_reference(matrix={"labels": 5}))
 @example(_reference(output={"formats": 5}))
 def test_every_document_ends_in_a_documented_exit_code(doc):

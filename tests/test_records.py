@@ -8,7 +8,7 @@ import pytest
 
 from literal import bcg_matrix
 from strategyshift import config
-from strategyshift.errors import DomainError, ParameterError, UnsupportedConfigurationError
+from strategyshift.errors import ConfigError, DomainError
 from strategyshift.params import (IntervalDistribution, MarkDistribution, ModelParams,
                                   Thresholds)
 from strategyshift.report import ConformanceRow
@@ -19,36 +19,43 @@ PARAMS = ModelParams(1.0, 2.0, EXP1, IntervalDistribution("deterministic", 0.5),
                      MarkDistribution("geometric", p=0.3), MarkDistribution("fixed", 4))
 
 #: A valid record, a change to one of its checked fields that makes it
-#: invalid, and the error that change raises.
+#: invalid, the error that change raises and a fragment of its message.
 INVALID = {
     "mark-family": (MarkDistribution(), {"family": "poisson"},
-                    UnsupportedConfigurationError),
-    "fixed-negative": (MarkDistribution("fixed", 2), {"value": -1}, ParameterError),
-    "fixed-fractional": (MarkDistribution("fixed", 2), {"value": 1.5}, ParameterError),
-    "geometric-p-0": (MarkDistribution("geometric", p=0.5), {"p": 0.0}, ParameterError),
-    "geometric-p-above-1": (MarkDistribution("geometric", p=0.5), {"p": 1.5}, ParameterError),
-    "interval-family": (EXP1, {"family": "gamma"}, UnsupportedConfigurationError),
-    "interval-mean-0": (EXP1, {"mean": 0.0}, ParameterError),
-    "negative-lambda-a": (PARAMS, {"lambda_a": -1.0}, ParameterError),
-    "negative-lambda-b": (PARAMS, {"lambda_b": -1.0}, ParameterError),
-    "fractional-m": (Thresholds(1, 2), {"m": 1.5}, ParameterError),
-    "negative-n": (Thresholds(1, 2), {"n": -1}, ParameterError),
-    "boolean-m": (Thresholds(1, 2), {"m": True}, ParameterError),
-    "z-above-1": (TransformContext(), {"z": 1.2}, DomainError),
-    "g-negative": (TransformContext(), {"g": -0.1}, DomainError),
-    "theta1-negative": (TransformContext(), {"theta1": -0.1}, DomainError),
-    "vartheta0-negative": (TransformContext(), {"vartheta0": -0.1}, DomainError),
+                    ConfigError, "unsupported mark family"),
+    "fixed-negative": (MarkDistribution("fixed", 2), {"value": -1},
+                       DomainError, "fixed mark value"),
+    "fixed-fractional": (MarkDistribution("fixed", 2), {"value": 1.5},
+                         DomainError, "fixed mark value"),
+    "geometric-p-0": (MarkDistribution("geometric", p=0.5), {"p": 0.0},
+                      DomainError, "geometric mark parameter"),
+    "geometric-p-above-1": (MarkDistribution("geometric", p=0.5), {"p": 1.5},
+                            DomainError, "geometric mark parameter"),
+    "interval-family": (EXP1, {"family": "gamma"}, ConfigError,
+                        "unsupported interval family"),
+    "interval-mean-0": (EXP1, {"mean": 0.0}, DomainError, "interval mean must be positive"),
+    "negative-lambda-a": (PARAMS, {"lambda_a": -1.0}, DomainError, "intensities"),
+    "negative-lambda-b": (PARAMS, {"lambda_b": -1.0}, DomainError, "intensities"),
+    "fractional-m": (Thresholds(1, 2), {"m": 1.5}, DomainError, "threshold m"),
+    "negative-n": (Thresholds(1, 2), {"n": -1}, DomainError, "threshold n"),
+    "boolean-m": (Thresholds(1, 2), {"m": True}, DomainError, "threshold m"),
+    "z-above-1": (TransformContext(), {"z": 1.2}, DomainError, "z and g"),
+    "g-negative": (TransformContext(), {"g": -0.1}, DomainError, "z and g"),
+    "theta1-negative": (TransformContext(), {"theta1": -0.1}, DomainError,
+                        "exponential transform arguments"),
+    "vartheta0-negative": (TransformContext(), {"vartheta0": -0.1}, DomainError,
+                           "exponential transform arguments"),
 }
 
 
-@pytest.mark.parametrize("record, change, error", INVALID.values(), ids=INVALID)
-def test_every_construction_path_validates(record, change, error):
+@pytest.mark.parametrize("record, change, error, match", INVALID.values(), ids=INVALID)
+def test_every_construction_path_validates(record, change, error, match):
     fields = {**record._asdict(), **change}
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         type(record)(**fields)
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         type(record)._make(fields.values())
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         record._replace(**change)
 
 

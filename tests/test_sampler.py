@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from literal import exit_indices, sample_path
-from strategyshift.errors import HorizonError
+from strategyshift.errors import DomainError
 from strategyshift.oracle import empirical_functional, estimate_exits, sample_mean_se
 from strategyshift.params import (
     IntervalDistribution,
@@ -268,6 +268,6 @@ def test_vanishing_intensity_is_censored(interval, axis, m, levels):
     # integer or ask numpy for a Poisson draw with an enormous mean.
     tiny, one = (1e-300, 1.0) if axis == "a" else (1.0, 1e-300)
     params = ModelParams(tiny, one, interval(1.0), interval(2.0))
-    with pytest.raises(HorizonError):
+    with pytest.raises(DomainError, match="observation cap"):
         estimate_exits(params, Thresholds(m=m, n=2), 1000, 5, horizon=50,
                        levels=levels)

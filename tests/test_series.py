@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from literal import BivariateSeries, d_apply, d_apply_2d, d_extract_2d, series_exp
-from strategyshift.errors import DomainError, OrderError
+from strategyshift.errors import DomainError
 from strategyshift import series
 from strategyshift.series import FFT_CROSSOVER, TruncatedSeries, d_extract
 
@@ -260,7 +260,7 @@ class TestOperatorPair:
         assert d_extract(TruncatedSeries([1.0]), -2) == 0.0
 
     def test_extract_past_order_raises(self):
-        with pytest.raises(OrderError):
+        with pytest.raises(DomainError, match="coefficient 5"):
             d_extract(TruncatedSeries([1.0, 1.0]), 5)
 
     def test_roundtrip_identity(self):
@@ -327,5 +327,5 @@ class TestBivariate:
 
     def test_extract_past_orders_raises(self, rng):
         f = BivariateSeries(rng.normal(size=(3, 3)))
-        with pytest.raises(OrderError):
+        with pytest.raises(DomainError, match="coefficient"):
             d_extract_2d(f, (5, 1))

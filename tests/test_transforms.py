@@ -6,7 +6,7 @@ import pytest
 
 from literal import gamma_marginal
 from strategyshift.config import MAX_THRESHOLD
-from strategyshift.errors import DomainError, ParameterError, UnsupportedConfigurationError
+from strategyshift.errors import ConfigError, DomainError
 from strategyshift.params import IntervalDistribution, MarkDistribution, ModelParams
 from strategyshift.series import d_extract
 from strategyshift.transforms import TransformContext, gamma_series
@@ -33,7 +33,7 @@ class TestLst:
             numeric, abs=1e-10)
 
     def test_unknown_family(self):
-        with pytest.raises(UnsupportedConfigurationError):
+        with pytest.raises(ConfigError, match="unsupported interval family"):
             IntervalDistribution("gamma", 1.0)
 
     def test_monotone_decreasing_and_bounded(self):
@@ -55,22 +55,22 @@ class TestLst:
             assert interval.lst_drop(0.0, 1e-20) == pytest.approx(mean * 1e-20, rel=1e-15)
 
 
-@pytest.mark.parametrize("build, error", [
-    (lambda: MarkDistribution("poisson"), UnsupportedConfigurationError),
-    (lambda: MarkDistribution("fixed", -1), ParameterError),
-    (lambda: MarkDistribution("fixed", 1.5), ParameterError),
-    (lambda: MarkDistribution("geometric", p=0.0), ParameterError),
-    (lambda: MarkDistribution("geometric", p=1.5), ParameterError),
-    (lambda: IntervalDistribution("exponential", 0.0), ParameterError),
-    (lambda: IntervalDistribution("deterministic", -1.0), ParameterError),
-    (lambda: EXP1.lst(-0.1), DomainError),
-    (lambda: ModelParams(-1.0, 1.0, EXP1, EXP1), ParameterError),
-    (lambda: ModelParams(1.0, -1.0, EXP1, EXP1), ParameterError),
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: MarkDistribution("poisson"), ConfigError, "unsupported mark family"),
+    (lambda: MarkDistribution("fixed", -1), DomainError, "fixed mark value"),
+    (lambda: MarkDistribution("fixed", 1.5), DomainError, "fixed mark value"),
+    (lambda: MarkDistribution("geometric", p=0.0), DomainError, "geometric mark parameter"),
+    (lambda: MarkDistribution("geometric", p=1.5), DomainError, "geometric mark parameter"),
+    (lambda: IntervalDistribution("exponential", 0.0), DomainError, "interval mean"),
+    (lambda: IntervalDistribution("deterministic", -1.0), DomainError, "interval mean"),
+    (lambda: EXP1.lst(-0.1), DomainError, "LST argument"),
+    (lambda: ModelParams(-1.0, 1.0, EXP1, EXP1), DomainError, "intensities"),
+    (lambda: ModelParams(1.0, -1.0, EXP1, EXP1), DomainError, "intensities"),
 ], ids=["mark-family", "fixed-negative", "fixed-fractional", "geometric-p-0",
         "geometric-p-above-1", "interval-mean-0", "interval-mean-negative",
         "lst-negative-theta", "negative-lambda-a", "negative-lambda-b"])
-def test_parameter_validation(build, error):
-    with pytest.raises(error):
+def test_parameter_validation(build, error, match):
+    with pytest.raises(error, match=match):
         build()
 
 
