@@ -91,10 +91,9 @@ def phi_functional(
     """Operator-calculus value of the joint first-exceedance functional.
 
     The kernel is separable, so its two-dimensional extraction at (m, n) is
-    the product of the two univariate extractions; no grid is built.
+    the product of the two univariate extractions; no grid is built.  A
+    negative m or n is ``axis_factor``'s DomainError.
     """
-    if m < 0 or n < 0:
-        raise DomainError("thresholds m, n must be nonnegative integers")
     # Truncated products, reciprocals and exponentials are exact on every
     # retained coefficient, so extraction at (m, n) needs orders m and n only.
     fx = axis_factor(

@@ -33,7 +33,7 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import config as config_mod
-from .errors import ConfigError, DomainError, StrategyShiftError
+from .errors import ConfigError, StrategyShiftError
 from .matrix import bcg_scale, classify
 
 EXIT_OK = 0
@@ -146,18 +146,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_classify(args) -> int:
     cfg = config_mod.load(args.config)
-    share_form = args.share is not None or args.growth is not None
-    if share_form and (args.a is not None or args.b is not None):
-        raise DomainError("give --share/--growth or --a/--b, not both")
-    if args.share is not None:
-        if args.growth is None:
-            raise DomainError("--share requires --growth")
-        level_a, level_b = bcg_scale(args.share), args.growth
-    elif args.a is not None and args.b is not None:
-        level_a, level_b = args.a, args.b
-    else:
-        raise DomainError("provide --share/--growth or --a/--b")
-    print(classify(level_a, level_b, cfg.matrix))
+    level_a = args.a if args.share is None else bcg_scale(args.share)
+    print(classify(level_a, args.b, cfg.matrix))
     return EXIT_OK
 
 
@@ -198,10 +188,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="print the strategy-matrix region")
     p.add_argument("config")
-    p.add_argument("--share", type=float, help="relative market share (> 0)")
-    p.add_argument("--growth", type=float, help="market growth rate in percent")
-    p.add_argument("--a", type=float, help="raw A-axis level")
-    p.add_argument("--b", type=float, help="raw B-axis level")
+    # One flag per axis: argparse refuses a missing or doubled axis.
+    axis = p.add_mutually_exclusive_group(required=True)
+    axis.add_argument("--a", type=float, help="raw A-axis level")
+    axis.add_argument("--share", type=float,
+                      help="relative market share (> 0), scaled to 100 log10(share)")
+    axis = p.add_mutually_exclusive_group(required=True)
+    axis.add_argument("--b", type=float, help="raw B-axis level")
+    axis.add_argument("--growth", type=float, dest="b", metavar="GROWTH",
+                      help="market growth rate in percent (the raw B level)")
     # argparse's own pattern misses -1e3 and -inf and reads them as flags;
     # these options take numbers, so any negative float literal is a value.
     p._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)

@@ -28,8 +28,7 @@ SCALE_FACTOR = 100.0
 
 
 class StrategyMatrix(namedtuple(
-        "StrategyMatrix", "labels a_threshold_low a_threshold_high b_threshold",
-        defaults=(GENERIC_LABELS, 0.0, 0.0, 0.0))):
+        "StrategyMatrix", "labels a_threshold_low a_threshold_high b_threshold")):
     """Labeled 2x2 threshold matrix over the two decision-parameter levels.
 
     ``labels`` are the region names in quadrant order (low/low, high/low,
@@ -40,13 +39,9 @@ class StrategyMatrix(namedtuple(
 
     __slots__ = ()
 
-    def a_threshold(self, b_high: bool) -> float:
-        return self.a_threshold_high if b_high else self.a_threshold_low
 
-    def label_for(self, a_high: bool, b_high: bool) -> str:
-        idx = {(False, False): 0, (True, False): 1,
-               (True, True): 2, (False, True): 3}[(a_high, b_high)]
-        return self.labels[idx]
+#: Index into ``labels`` of the quadrant (A above its cut, B above its cut).
+_QUADRANT = {(False, False): 0, (True, False): 1, (True, True): 2, (False, True): 3}
 
 
 def classify(level_a: float, level_b: float, matrix: StrategyMatrix) -> str:
@@ -54,8 +49,8 @@ def classify(level_a: float, level_b: float, matrix: StrategyMatrix) -> str:
     if not (math.isfinite(level_a) and math.isfinite(level_b)):
         raise DomainError("matrix coordinates must be finite")
     b_high = level_b > matrix.b_threshold
-    a_high = level_a > matrix.a_threshold(b_high)
-    return matrix.label_for(a_high, b_high)
+    a_high = level_a > (matrix.a_threshold_high if b_high else matrix.a_threshold_low)
+    return matrix.labels[_QUADRANT[a_high, b_high]]
 
 
 def bcg_scale(relative_share: float) -> float:

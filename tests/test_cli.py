@@ -358,19 +358,41 @@ class TestExitCodes:
         assert cli.main(["classify", str(config_file), "--share", "-1",
                          "--growth", "5"]) == 4
 
-    @pytest.mark.parametrize("flags", [
-        ["--a", "nan", "--b", "nan"],
-        ["--share", "nan", "--growth", "12"],
-        ["--share", "inf", "--growth", "5"],
-        ["--share", "1.5", "--growth=-inf"],
-        ["--share", "1.5", "--growth", "12", "--a", "-100", "--b", "-100"],
-        ["--growth", "12", "--a", "1", "--b", "1"],
-    ])
-    def test_classify_rejects_non_finite_and_mixed(self, config_file, capsys, flags):
-        assert cli.main(["classify", str(config_file), *flags]) == 4
+    @pytest.mark.parametrize("flags, code", [
+        (["--a", "nan", "--b", "nan"], 4),
+        (["--share", "nan", "--growth", "12"], 4),
+        (["--share", "inf", "--growth", "5"], 4),
+        (["--share", "1.5", "--growth=-inf"], 4),
+        # Two flags on one axis: argparse's usage error.
+        (["--share", "1.5", "--growth", "12", "--a", "-100", "--b", "-100"], 2),
+        (["--growth", "12", "--a", "1", "--b", "1"], 2),
+    ], ids=[f"flags{i}" for i in range(6)])
+    def test_classify_rejects_non_finite_and_mixed(self, config_file, capsys,
+                                                   flags, code):
+        assert cli.main(["classify", str(config_file), *flags]) == code
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        if code == 2:
+            assert err.startswith("usage: strategyshift classify")
+            assert err.splitlines()[-1].startswith("strategyshift classify: error: ")
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--share", "2"], 2),
+        (["--growth", "5"], 2),
+        ([], 2),
+        (["--a", "1", "--share", "2", "--b", "0"], 2),
+        (["--share", "2", "--b", "15"], 3),
+        (["--a", "5", "--growth", "15"], 3),
+    ])
+    def test_classify_axis_flags_are_checked_before_the_config(self, tmp_path,
+                                                              flags, code):
+        # A missing or doubled axis exits 2 without reading the config; with
+        # one flag per axis, in either form, the invalid config is read (3).
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_doc_with("thresholds.m", 1.5)))
+        assert cli.main(["classify", str(bad), *flags]) == code
 
     @pytest.mark.parametrize("flags, rc, out", [
         (["--share", "1.5", "--growth", "-1e3"], 0, "Cows\n"),
@@ -1104,7 +1126,9 @@ def _check_without(blocked, tmp_path, capsys):
     cases = [["classify", str(reference), "--share", str(share),
               "--growth", str(growth)] for share, growth in points]
     for command in ("simulate", "analyze", "classify", "conformance"):
-        cases += [[command, str(tmp_path / "missing.json")], [command, str(bad)]]
+        flags = ["--a", "1", "--b", "1"] if command == "classify" else []
+        cases += [[command, str(tmp_path / "missing.json"), *flags],
+                  [command, str(bad), *flags]]
 
     src = str(Path(strategyshift.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -13,8 +13,9 @@ directory, an existing regular file, a path under one): each failure is
 one ``error:`` line.
 
 ``classify`` arguments, in any combination of flags and values (NaN, +-inf,
-0, negatives, a missing partner, both forms at once), end in one of the
-config's matrix labels with exit 0 or in one ``error:`` line with exit 4.
+0, negatives, a missing or doubled axis, the two forms mixed), end in one of
+the config's matrix labels with exit 0, in argparse's usage error with exit 2
+when an axis has no flag or two, or in one ``error:`` line with exit 4.
 """
 
 import io
@@ -210,8 +211,8 @@ def classify_configs(tmp_path_factory):
 @given(matrix=st.sampled_from(sorted(CLASSIFY_MATRICES)),
        share=st.none() | COORDINATES, growth=st.none() | COORDINATES,
        a=st.none() | COORDINATES, b=st.none() | COORDINATES)
-def test_classify_arguments_end_in_a_label_or_exit_4(classify_configs, matrix,
-                                                     share, growth, a, b):
+def test_classify_arguments_end_in_a_label_or_exit_2_or_4(classify_configs, matrix,
+                                                          share, growth, a, b):
     path, labels = classify_configs[matrix]
     given_flags = {"share": share, "growth": growth, "a": a, "b": b}
     flags = [f"--{name}={value!r}" for name, value in given_flags.items()
@@ -220,18 +221,18 @@ def test_classify_arguments_end_in_a_label_or_exit_4(classify_configs, matrix,
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(["classify", path, *flags])
 
-    share_form = share is not None or growth is not None
-    if share_form and (a is not None or b is not None):
-        valid = False
-    elif share_form:
-        valid = (share is not None and growth is not None
-                 and 0.0 < share < math.inf and math.isfinite(growth))
+    if (share is None) == (a is None) or (growth is None) == (b is None):
+        expected = 2  # an axis with no flag or with two
     else:
-        valid = (a is not None and b is not None
-                 and math.isfinite(a) and math.isfinite(b))
-    assert code == (0 if valid else 4)
+        a_valid = math.isfinite(a) if share is None else 0.0 < share < math.inf
+        b_valid = math.isfinite(b if growth is None else growth)
+        expected = 0 if a_valid and b_valid else 4
+    assert code == expected
     if code == 0:
         assert out.getvalue().strip() in labels and err.getvalue() == ""
+    elif code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("usage: strategyshift classify")
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -172,6 +172,22 @@ class TestNewtonKernels:
         TruncatedSeries(compound_exponent(3.0, "unit", order)).exp()
         assert 0 < len(calls) <= 100
 
+    def test_exp_stops_squaring_once_it_underflows(self, monkeypatch):
+        # At c = 1e300 the argument is halved 998 times, but the Poisson(c)
+        # pmf through order 200 is zero after about a dozen squarings; each
+        # further square would be one more product of zeros.
+        calls = []
+        product = series._product
+
+        def counting(*args):
+            calls.append(1)
+            return product(*args)
+
+        monkeypatch.setattr(series, "_product", counting)
+        got = TruncatedSeries(compound_exponent(1e300, "unit", 200)).exp()
+        assert not got.coeffs.any()
+        assert 0 < len(calls) <= 100
+
 
 class TestProduct:
     # The product helper against the full np.convolve product, on both
