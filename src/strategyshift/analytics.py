@@ -3,11 +3,14 @@
 Each printed closed form is one function, kept separate so the Monte Carlo
 harness can confront each one:
 
+  * ``gamma_series`` — one axis's marginal transform E[x^a exp(-theta
+    Delta)], a the compound increment over one observation interval Delta,
+    as a truncated series in x; the other series are built from it.
   * ``phi_functional`` — the operator-calculus evaluation of the joint
-    first-exceedance functional, built from truncated series; the kernel is
-    separable, so its two-dimensional extraction is a product of univariate
-    ones.  A single-argument context (``TransformContext(z=...)``) gives the
-    operator route's exit-index PGF.
+    first-exceedance functional at a ``TransformContext``, built from
+    truncated series; the kernel is separable, so its two-dimensional
+    extraction is a product of univariate ones.  A single-argument context
+    (``TransformContext(z=...)``) gives the operator route's exit-index PGF.
   * ``lemma_pgf`` — the memoryless-observation closed form for one axis's
     exit-index PGF, evaluated term by term exactly as printed;
     ``lemma_note`` names why it is undefined for a configuration.
@@ -23,28 +26,86 @@ and judged by the conformance harness, not patched here.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 from typing import Optional, Tuple, Union
 
+import numpy as np
+
 from .errors import DomainError
-from .params import ModelParams
+from .params import IntervalDistribution, MarkDistribution, ModelParams, Validated
 from .series import TruncatedSeries, d_extract
-from .transforms import TransformContext, gamma_series
 
 #: Exit-index PGF arguments that ``analyze`` and the conformance table read.
 DEFAULT_Z_GRID = (0.25, 0.5, 0.75)
 
 
-def axis_factor(
-    order: int,
-    weight: float,
-    theta0: float,
-    theta1: float,
-    intensity: float,
-    mark,
-    obs_initial,
-    obs_interval,
-) -> TruncatedSeries:
+class TransformContext(Validated, namedtuple(
+        "TransformContext", "z g theta0 theta1 vartheta0 vartheta1")):
+    """Scalar transform arguments of the joint first-exceedance functional.
+
+    z and g weight the two exit indices; theta0/theta1 the prior and actual
+    shift epochs of axis A; vartheta0/vartheta1 those of axis B.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, z: float = 1.0, g: float = 1.0, theta0: float = 0.0,
+                theta1: float = 0.0, vartheta0: float = 0.0, vartheta1: float = 0.0):
+        if not (0.0 <= z <= 1.0 and 0.0 <= g <= 1.0):
+            raise DomainError("z and g must lie in [0, 1]")
+        if min(theta0, theta1, vartheta0, vartheta1) < 0.0:
+            raise DomainError("exponential transform arguments must be >= 0")
+        return super().__new__(cls, z, g, theta0, theta1, vartheta0, vartheta1)
+
+
+@lru_cache(maxsize=256)
+def gamma_series(order: int, theta: float, intensity: float, mark: MarkDistribution,
+                 interval: IntervalDistribution) -> TruncatedSeries:
+    """The marginal transform of one axis with a formal series variable x
+    in the z slot.
+
+    Conditioning on the interval, it is the interval LST at
+    theta + lambda * (1 - h(x)), h the mark PGF, expanded as a truncated
+    power series in x.  An interval mean times intensity that overflows
+    leaves a non-finite series argument, which is refused.  Each distinct
+    series is built once per process; the returned coefficients are shared
+    and read-only.
+    """
+    if order < 0:
+        raise DomainError("series order must be nonnegative")
+    if theta < 0.0:
+        raise DomainError("theta must be nonnegative")
+    h = TruncatedSeries(_pgf_coefficients(mark, order))
+    with np.errstate(over="ignore"):
+        arg = interval.mean * (theta + intensity * (1.0 - h))
+    if not np.isfinite(arg.coeffs).all():
+        raise DomainError("interval mean times intensity overflows the series argument")
+    if interval.family == "exponential":
+        series = (1.0 + arg).reciprocal()
+    else:
+        series = (-arg).exp()
+    series.coeffs.setflags(write=False)
+    return series
+
+
+def _pgf_coefficients(mark: MarkDistribution, order: int) -> np.ndarray:
+    """Power-series coefficients of the mark PGF up to ``order``."""
+    c = np.zeros(order + 1)
+    if mark.family == "geometric":
+        q = 1.0 - mark.p
+        k = np.arange(1, order + 1)
+        c[1:] = mark.p * q ** (k - 1)
+    elif mark.value <= order:
+        c[mark.value] = 1.0
+    return c
+
+
+@lru_cache(maxsize=256)
+def axis_factor(order: int, weight: float, theta0: float, theta1: float,
+                intensity: float, mark: MarkDistribution,
+                obs_initial: IntervalDistribution,
+                obs_interval: IntervalDistribution) -> TruncatedSeries:
     """One univariate factor of the joint functional's series kernel.
 
     Built as (delta(theta1) - phi) * (w - w*G0*G + G0) / (1 - w*G) where
@@ -59,15 +120,6 @@ def axis_factor(
     """
     if order < 0:
         raise DomainError("series order must be nonnegative")
-    return _axis_factor(
-        order, weight, theta0, theta1, intensity, mark, obs_initial, obs_interval
-    )
-
-
-@lru_cache(maxsize=256)
-def _axis_factor(
-    order, weight, theta0, theta1, intensity, mark, obs_initial, obs_interval
-) -> TruncatedSeries:
     if intensity * mark.mean() == 0.0:
         factor = TruncatedSeries.constant(0.0, order)
     else:

@@ -109,9 +109,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = config_mod.load(args.config)
-    from .analytics import (DEFAULT_Z_GRID, axis_means, lemma_note, lemma_pgf,
-                            phi_functional)
-    from .transforms import TransformContext
+    from .analytics import (DEFAULT_Z_GRID, TransformContext, axis_means,
+                            lemma_note, lemma_pgf, phi_functional)
     out = _output_dir(cfg)
     params = cfg.params
     m, n = cfg.thresholds.m, cfg.thresholds.n

@@ -48,7 +48,7 @@ from .errors import DomainError
 from .params import ModelParams, Thresholds
 
 if TYPE_CHECKING:
-    from .transforms import TransformContext
+    from .analytics import TransformContext
 
 #: Paths that never exceed within the horizon are censored, and a run fails
 #: when censoring exceeds this fraction on any recorded level.
@@ -101,8 +101,9 @@ class EmpiricalExitSummary(namedtuple(
     where censored).  The levels, m included, are one nested chain per path,
     drawn apart from ``a``: each array has its level's exact law, and on a
     path no exited index falls as the level rises.  ``mu`` and ``nu`` are
-    ``a.index`` and ``b.index`` under the names that only
-    ``perfbench/traced.py`` reads.
+    ``a.index`` and ``b.index`` under the paper's names.  The tracer's
+    ``estimate_exits`` hook in ``perfbench/traced.py`` reads them too, but
+    never runs: the CLI loads this module after the tracer has installed.
     """
 
     __slots__ = ()

@@ -7,7 +7,7 @@ follow a different distribution (and mean) than the subsequent ones.
 
 These types only validate and describe; they need no numpy, so config
 loading stays numpy-free.  Drawing from them lives in ``oracle`` and their
-series expansions in ``transforms``.
+series expansions in ``analytics``.
 
 Every record type in the package is a ``collections.namedtuple`` subclass:
 cheap to build, and loading no further module at start-up (README,

@@ -15,11 +15,10 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import List, Tuple, Union
 
-from .analytics import (DEFAULT_Z_GRID, axis_means, lemma_note, lemma_pgf,
-                        phi_functional)
+from .analytics import (DEFAULT_Z_GRID, TransformContext, axis_means, lemma_note,
+                        lemma_pgf, phi_functional)
 from .oracle import EmpiricalExitSummary, empirical_functional, exit_mean_se
 from .params import ModelParams
-from .transforms import TransformContext
 
 #: Axis-A levels of the threshold-dependence study.
 STUDY_LEVELS = (2, 3, 5)

@@ -9,7 +9,8 @@ import pytest
 import conftest
 from literal import bcg_matrix, d_apply, d_apply_2d, d_extract_2d, phi_series
 from strategyshift import cli
-from strategyshift.analytics import axis_factor, phi_functional
+from strategyshift.analytics import (TransformContext, axis_factor, gamma_series,
+                                     phi_functional)
 from strategyshift.matrix import bcg_scale, classify
 from strategyshift.oracle import estimate_exits, exit_mean_se
 from strategyshift.params import (
@@ -20,7 +21,6 @@ from strategyshift.params import (
 )
 from strategyshift.report import conformance_rows
 from strategyshift.series import d_extract
-from strategyshift.transforms import TransformContext, gamma_series
 
 EXP1 = IntervalDistribution("exponential", 1.0)
 REFERENCE = ModelParams(1.0, 1.0, EXP1, EXP1)

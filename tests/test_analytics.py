@@ -6,8 +6,10 @@ import pytest
 from literal import d_extract_2d, exact_phi_1_1, phi_series
 from strategyshift.analytics import (
     DEFAULT_Z_GRID,
+    TransformContext,
     axis_factor,
     axis_means,
+    gamma_series,
     lemma_note,
     lemma_pgf,
     phi_functional,
@@ -15,7 +17,6 @@ from strategyshift.analytics import (
 from strategyshift.errors import DomainError
 from strategyshift.params import IntervalDistribution, MarkDistribution, ModelParams
 from strategyshift.series import d_extract
-from strategyshift.transforms import TransformContext, gamma_series
 
 
 def _exp_params(lambda_a=1.0, lambda_b=1.0, d0=1.0, d=1.0):

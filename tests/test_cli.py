@@ -800,7 +800,7 @@ class TestArtifacts:
 
     def test_conformance_simulates_once(self, config_file, tmp_path, monkeypatch):
         from strategyshift import oracle, report
-        from strategyshift.transforms import TransformContext
+        from strategyshift.analytics import TransformContext
 
         summaries = []
         real = oracle.estimate_exits
@@ -908,10 +908,10 @@ class TestArtifacts:
 
     @staticmethod
     def _clear_series_caches():
-        from strategyshift import analytics, transforms
+        from strategyshift import analytics
 
-        transforms._gamma_series.cache_clear()
-        analytics._axis_factor.cache_clear()
+        analytics.gamma_series.cache_clear()
+        analytics.axis_factor.cache_clear()
 
     def test_analyze_expands_each_series_once(self, tmp_path, monkeypatch):
         from strategyshift.series import TruncatedSeries
@@ -1032,9 +1032,9 @@ def test_analyze_never_loads_the_simulator(tmp_path):
 
 
 def test_simulate_never_loads_the_series_code(tmp_path):
-    # simulate draws exit records only; the power series and transforms are
-    # for the closed forms of analyze and conformance.
-    modules = ["strategyshift.series", "strategyshift.transforms"]
+    # simulate draws exit records only; the power series and the closed forms
+    # built on them are for analyze and conformance.
+    modules = ["strategyshift.series", "strategyshift.analytics"]
     assert _loaded_after("simulate", modules, tmp_path) == [0, []]
 
 
@@ -1164,7 +1164,8 @@ def test_numpy_commands_never_load_dataclasses(tmp_path, command):
 @pytest.mark.parametrize("command", ["simulate", "analyze", "conformance"])
 def test_perfbench_tracer_runs_the_cli(tmp_path, command):
     # perfbench/traced.py binds package names (cli.main, cli._write_json, the
-    # TruncatedSeries kernels, summary.mu/nu); a rename here must not break it.
+    # TruncatedSeries kernels); a rename here must not break it.  Its
+    # summary.mu/nu hook never runs: oracle loads after the tracer installs.
     import os
     import subprocess
     import sys

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from literal import exit_indices, sample_path
+from strategyshift.analytics import TransformContext
 from strategyshift.config import DEFAULT_HORIZON
 from strategyshift.errors import DomainError
 from strategyshift.oracle import (
@@ -22,7 +23,6 @@ from strategyshift.params import (
     Thresholds,
 )
 from strategyshift.report import SE_MULTIPLE, STUDY_LEVELS, conformance_rows, judge
-from strategyshift.transforms import TransformContext
 
 
 def index_probabilities(index, n_paths):

@@ -8,11 +8,11 @@ import pytest
 
 from literal import bcg_matrix
 from strategyshift import config
+from strategyshift.analytics import TransformContext
 from strategyshift.errors import ConfigError, DomainError
 from strategyshift.params import (IntervalDistribution, MarkDistribution, ModelParams,
                                   Thresholds)
 from strategyshift.report import ConformanceRow
-from strategyshift.transforms import TransformContext
 
 EXP1 = IntervalDistribution("exponential", 1.0)
 PARAMS = ModelParams(1.0, 2.0, EXP1, IntervalDistribution("deterministic", 0.5),

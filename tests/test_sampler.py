@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from literal import exit_indices, sample_path
+from strategyshift.analytics import TransformContext
 from strategyshift.errors import DomainError
 from strategyshift.oracle import empirical_functional, estimate_exits, sample_mean_se
 from strategyshift.params import (
@@ -21,7 +22,6 @@ from strategyshift.params import (
     ModelParams,
     Thresholds,
 )
-from strategyshift.transforms import TransformContext
 
 N_PATHS = 200_000
 SE_MULTIPLE = 4.0

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,8 @@ from literal import gamma_marginal
 from strategyshift.config import MAX_THRESHOLD
 from strategyshift.errors import ConfigError, DomainError
 from strategyshift.params import IntervalDistribution, MarkDistribution, ModelParams
-from strategyshift.series import d_extract
-from strategyshift.transforms import TransformContext, gamma_series
+from strategyshift.series import FFT_CROSSOVER, d_extract
+from strategyshift.analytics import TransformContext, axis_factor, gamma_series
 
 EXP1 = IntervalDistribution("exponential", 1.0)
 UNIT = MarkDistribution()
@@ -139,6 +140,39 @@ class TestGammaSeries:
     def test_negative_theta_is_a_domain_error(self):
         with pytest.raises(DomainError, match="theta"):
             gamma_series(10, -0.1, 1.0, UNIT, EXP1)
+
+    @pytest.mark.parametrize("build, valid, refused", [
+        (gamma_series, (10, 0.3, 1.0, UNIT, EXP1), (-1, 0.3, 1.0, UNIT, EXP1)),
+        (gamma_series, (10, 0.3, 1.0, UNIT, EXP1), (10, -0.1, 1.0, UNIT, EXP1)),
+        (axis_factor, (10, 0.5, 0.0, 0.2, 1.0, UNIT, EXP1, EXP1),
+         (-1, 0.5, 0.0, 0.2, 1.0, UNIT, EXP1, EXP1)),
+    ], ids=["series-negative-order", "series-negative-theta", "factor-negative-order"])
+    def test_refused_call_leaves_the_cache_alone(self, build, valid, refused):
+        cached = build(*valid)
+        size = build.cache_info().currsize
+        with pytest.raises(DomainError):
+            build(*refused)
+        assert build.cache_info().currsize == size
+        assert build(*valid) is cached
+
+    @pytest.mark.parametrize("order", [60, 2000])
+    @pytest.mark.parametrize("family", ["exponential", "deterministic"])
+    def test_coefficients_are_a_sub_probability_law(self, family, order):
+        # Coefficient k is E[exp(-theta * Delta); increment = k]: never
+        # negative, and the partial sum through any order stays at or below
+        # the whole sum, the interval LST at theta.  Rounding may break
+        # either by 1e-13 (relative to the largest coefficient for the
+        # first); the worst seen is 1.9e-15 and 6.4e-15.  Order 2000 runs
+        # the FFT-backed kernels.
+        assert 60 < FFT_CROSSOVER < 2000
+        marks = (UNIT, MarkDistribution("fixed", 3), MarkDistribution("geometric", p=0.4))
+        for mean in (0.5, 3.0):
+            interval = IntervalDistribution(family, mean)
+            for mark, theta, intensity in itertools.product(marks, (0.0, 0.7), (1.0, 10.0)):
+                c = gamma_series(order, theta, intensity, mark, interval).coeffs
+                case = (mean, mark, theta, intensity)
+                assert c.min() >= -1e-13 * c.max(), case
+                assert c.sum() <= interval.lst(theta) + 1e-13, case
 
     def test_deterministic_law_with_underflowing_mass_at_zero(self):
         # Poisson(900) counts: P(0) = exp(-900) underflows, the law does not.
