@@ -98,10 +98,11 @@ def cmd_simulate(args) -> int:
             payload[f"mean_{key}"], payload[f"se_{key}"] = exit_mean_se(
                 record.index, values, key)
         # Probabilities are over all paths, so censored mass shows as a total
-        # below 1.
+        # below 1.  Cells go out as Python numbers, not numpy scalars.
         counts = np.bincount(exited, minlength=1)
         _write_csv(out / f"histogram_{name}.csv", ("index", "count", "probability"),
-                   ((i, c, c / summary.n_paths) for i, c in enumerate(counts)))
+                   zip(range(counts.size), counts.tolist(),
+                       (counts / summary.n_paths).tolist()))
     _write_json(out / "summary.json", payload)
     print(f"simulate: {summary.n_paths} paths -> {out}")
     return EXIT_OK

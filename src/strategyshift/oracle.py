@@ -39,6 +39,7 @@ every Monte Carlo mean over one axis's exited paths is ``exit_mean_se``.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
 from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
@@ -76,9 +77,12 @@ def exit_mean_se(index: np.ndarray, values, what: str) -> Tuple[float, float]:
 
     ``values`` is an array aligned with ``index``, or a function of the
     exited paths' indices.  The function never sees a censored index, so a
-    transform such as ``z ** k`` at z = 0 never divides by zero.
+    transform such as ``z ** k`` at z = 0 never divides by zero.  When no
+    path is censored, both are read whole, without a masked copy.
     """
     exited = index >= 0
+    if exited.all():
+        exited = slice(None)
     samples = values(index[exited]) if callable(values) else values[exited]
     return sample_mean_se(np.asarray(samples, dtype=float), what)
 
@@ -159,7 +163,11 @@ def _level_stays(intensity, mark, level, crossing, shift):
     if intensity * mark.mean() == 0.0:
         return np.full(shift.shape, lands)  # never 0 * an infinite gap
     with np.errstate(over="ignore"):  # an overflowing exponent is exp(-inf) = 0
-        return lands * np.exp(-intensity * (shift - crossing))
+        stays = np.subtract(shift, crossing)
+        stays *= -intensity
+        np.exp(stays, out=stays)
+    stays *= lands
+    return stays
 
 
 def _arithmetic_epochs(times, t0, d, cap):
@@ -175,8 +183,13 @@ def _arithmetic_epochs(times, t0, d, cap):
 def _epochs_within(rng, gap, d):
     """Epochs of a rate-1/d Poisson process in a window of length ``gap``,
     per path.  A gap that is not positive, or NaN (inf - inf), holds none;
-    a mean above _MAX_GAP_EPOCHS is drawn at that cap."""
-    return rng.poisson(np.minimum(np.fmax(gap, 0.0) / d, _MAX_GAP_EPOCHS))
+    a mean above _MAX_GAP_EPOCHS is drawn at that cap.
+
+    ``gap`` is a temporary of the caller's: it becomes the Poisson means in
+    place and is handed to the draw, so nothing may write it afterwards."""
+    np.fmax(gap, 0.0, out=gap)
+    gap /= d
+    return rng.poisson(np.minimum(gap, _MAX_GAP_EPOCHS, out=gap))
 
 
 def _poisson_epochs(rng, times, d, cap, index, prev, last):
@@ -192,19 +205,29 @@ def _poisson_epochs(rng, times, d, cap, index, prev, last):
     epoch lies in (x, q)); the epochs strictly between x and p number
     Poisson((p - x) / d); the first epoch at or after q is the new
     x = q + Exp(d).  A time at or before x lies in (p, x], so its epoch is x
-    too.  Every query draws the segment's variates on every path and keeps
-    them where the path is ahead.
+    too.  Every query draws the segment's variates on every path.  The new
+    triple is built in the buffers of the Poisson count and the two
+    exponential variates; masked copies then set p = x where the look-back
+    reaches past x, and keep the old triple on the paths not past x.
     """
     back = rng.exponential(d, times.size)
     forward = rng.exponential(d, times.size)
-    ahead = times > last
     with np.errstate(over="ignore", invalid="ignore"):  # overflows are capped
         gap = times - last
         inside = back < gap
-        count = _epochs_within(rng, gap - back, d) + 1 + inside
-        return (np.where(ahead, np.minimum(index + count, cap), index),
-                np.where(ahead, np.where(inside, times - back, last), prev),
-                np.where(ahead, times + forward, last))
+        count = _epochs_within(rng, np.subtract(gap, back, out=gap), d)
+        count += 1
+        count += inside
+        count += index
+        np.minimum(count, cap, out=count)
+        np.subtract(times, back, out=back)
+        np.add(times, forward, out=forward)
+    np.copyto(back, last, where=np.logical_not(inside, out=inside))
+    behind = np.logical_not(np.greater(times, last, out=inside), out=inside)
+    np.copyto(count, index, where=behind)
+    np.copyto(back, prev, where=behind)
+    np.copyto(forward, last, where=behind)
+    return count, back, forward
 
 
 def _study(rng, params, t0, cap, levels):
@@ -226,16 +249,23 @@ def _study(rng, params, t0, cap, levels):
         if level <= 0:
             study[level] = np.zeros(t0.size, dtype=np.int64)
             continue
-        crossed = crossed + _crossing(rng, intensity, mark, below, level, t0.size)
+        # Each accumulator takes its sum in the buffer of the new draw.
+        step = _crossing(rng, intensity, mark, below, level, t0.size)
+        crossed = np.add(crossed, step, out=step)
         below = level
         if interval.family == "exponential":
             # The epochs in (t0, T) grow by those between the level below's
-            # reach past t0 and this one's.
+            # reach past t0 and this one's; that window is written into the
+            # level below's reach, t0 aside.
             reach = np.maximum(crossed, t0)
             with np.errstate(over="ignore", invalid="ignore"):  # overflows are capped
-                count = np.minimum(count + _epochs_within(rng, reach - reached, d), cap)
+                window = np.subtract(reach, reached,
+                                     out=None if reached is t0 else reached)
+                drawn = _epochs_within(rng, window, d)
+                count = np.minimum(np.add(count, drawn, out=drawn), cap, out=drawn)
             reached = reach
-            index = (count + 1) * (crossed > t0)
+            index = count + 1
+            index *= crossed > t0
         else:
             index = _arithmetic_epochs(crossed, t0, d, cap)[0]
         index[index >= cap] = -1
@@ -243,16 +273,9 @@ def _study(rng, params, t0, cap, levels):
     return study
 
 
-def _simulate(
-    params: ModelParams,
-    thresholds: Thresholds,
-    n_paths: int,
-    seed: int,
-    horizon: int,
-    levels: Sequence[int],
-) -> EmpiricalExitSummary:
-    rng = np.random.default_rng(seed)
-    cap = horizon + 1  # an index above the horizon is censored
+def _records(rng, params, thresholds, n_paths, cap):
+    """Each path's first epoch t0, and the two axes' ``AxisExits`` at the
+    thresholds (m, n)."""
     if params.obs_initial.family == "exponential":
         t0 = rng.exponential(params.obs_initial.mean, n_paths)
     else:
@@ -269,18 +292,19 @@ def _simulate(
     else:
         first = _arithmetic_epochs(np.minimum(time_a, time_b), t0, d, cap)
         second = _arithmetic_epochs(np.maximum(time_a, time_b), t0, d, cap)
+    # Axis A takes each field from the query of its crossing; axis B then
+    # takes the other query's in the first query's buffer.
+    fields_a = [np.where(a_first, f, s) for f, s in zip(first, second)]
+    for f, s in zip(first, second):
+        np.copyto(f, s, where=a_first)
     exits = []
-    for in_first, crossed in ((a_first, time_a), (~a_first, time_b)):
-        index, prior, shift = (np.where(in_first, f, s) for f, s in zip(first, second))
+    for (index, prior, shift), crossed in ((fields_a, time_a), (first, time_b)):
         censored = index >= cap
-        index[censored] = -1
-        prior[censored] = crossed[censored] = shift[censored] = np.nan
+        if censored.any():
+            index[censored] = -1
+            prior[censored] = crossed[censored] = shift[censored] = np.nan
         exits.append(AxisExits(index, prior, crossed, shift))
-
-    # The study is drawn after the (m, n) record, so the record is the same
-    # with or without it.
-    study = _study(rng, params, t0, cap, levels)
-    return EmpiricalExitSummary(*exits, n_paths, params, thresholds, study)
+    return t0, exits
 
 
 def estimate_exits(
@@ -319,15 +343,19 @@ def estimate_exits(
                 f"axis {axis} has zero drift (intensity times mean mark) and "
                 f"never reaches level {level:g}"
             )
-    summary = _simulate(params, thresholds, n_paths, seed, horizon, levels)
-    worst = max(int(np.count_nonzero(index < 0)) for index in
-                (summary.a.index, summary.b.index, *summary.study_mu.values()))
+    rng = np.random.default_rng(seed)
+    cap = horizon + 1  # an index above the horizon is censored
+    t0, (a, b) = _records(rng, params, thresholds, n_paths, cap)
+    # The study reuses the pages of the record's temporaries, freed on return.
+    study = _study(rng, params, t0, cap, levels)
+    worst = max(int(np.count_nonzero(index < 0))
+                for index in (a.index, b.index, *study.values()))
     if worst > MAX_CENSOR_FRACTION * n_paths:
         raise DomainError(
             f"{worst}/{n_paths} paths hit the {horizon}-observation cap "
             "before exceedance; raise the horizon to keep estimates unbiased"
         )
-    return summary
+    return EmpiricalExitSummary(a, b, n_paths, params, thresholds, study)
 
 
 def empirical_functional(
@@ -340,23 +368,28 @@ def empirical_functional(
     indicators 1{level_at_mu <= m} 1{level_at_nu <= n}.  Each indicator
     enters as its conditional probability given the path's crossing time and
     shift epoch (``_level_stays``), which has the same mean and a smaller
-    variance than the indicator itself.
+    variance than the indicator itself.  A factor at its neutral argument
+    (z = 1, g = 1, or every theta 0) is exactly 1, so it is left out of the
+    product; an infinite epoch then weighs exp(0) = 1 at theta 0, not NaN.
     """
     a, b = summary.a, summary.b
     params, thresholds = summary.params, summary.thresholds
     ok = (a.index >= 0) & (b.index >= 0)
-    samples = (
-        ctx.z ** a.index[ok]
-        * ctx.g ** b.index[ok]
-        * np.exp(
+    if ok.all():
+        ok = slice(None)
+    factors = [base ** index[ok] for base, index in ((ctx.z, a.index), (ctx.g, b.index))
+               if base != 1.0]
+    if any((ctx.theta0, ctx.theta1, ctx.vartheta0, ctx.vartheta1)):
+        factors.append(np.exp(
             -ctx.theta0 * a.prior[ok]
             - ctx.theta1 * a.shift[ok]
             - ctx.vartheta0 * b.prior[ok]
             - ctx.vartheta1 * b.shift[ok]
-        )
-        * _level_stays(params.lambda_a, params.mark_a, thresholds.m,
-                       a.crossing[ok], a.shift[ok])
-        * _level_stays(params.lambda_b, params.mark_b, thresholds.n,
-                       b.crossing[ok], b.shift[ok])
+        ))
+    factors += (
+        _level_stays(params.lambda_a, params.mark_a, thresholds.m,
+                     a.crossing[ok], a.shift[ok]),
+        _level_stays(params.lambda_b, params.mark_b, thresholds.n,
+                     b.crossing[ok], b.shift[ok]),
     )
-    return sample_mean_se(samples, "the joint functional")
+    return sample_mean_se(reduce(np.multiply, factors), "the joint functional")

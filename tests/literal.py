@@ -22,6 +22,10 @@
   growth %) position, the composition ``classify --share`` performs.
 - ``config_leaves`` flattens the config table, so the config tests reach
   every field it declares.
+- ``poisson_epochs`` is the exponential-interval epoch query built from
+  ``np.where`` selections on fresh arrays, the form that
+  ``oracle._poisson_epochs`` replaces with in-place buffers and masked
+  copies; given the same generator state it must return the same bits.
 """
 
 from fractions import Fraction
@@ -34,6 +38,7 @@ from strategyshift.analytics import axis_factor
 from strategyshift.errors import DomainError
 from strategyshift.matrix import (BCG_A_HIGH, BCG_A_LOW, BCG_B, BCG_LABELS,
                                   GENERIC_LABELS, StrategyMatrix, bcg_scale, classify)
+from strategyshift.oracle import _MAX_GAP_EPOCHS
 from strategyshift.params import MarkDistribution
 from strategyshift.series import TruncatedSeries
 
@@ -260,3 +265,19 @@ def config_leaves(schema=config.SCHEMA, path=""):
             yield from config_leaves(entry, field)
         else:
             yield field, entry
+
+
+def poisson_epochs(rng, times, d, cap, index, prev, last):
+    """``oracle._poisson_epochs`` by whole-array selections: the same draws
+    in the same order, every intermediate a fresh array."""
+    back = rng.exponential(d, times.size)
+    forward = rng.exponential(d, times.size)
+    ahead = times > last
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = times - last
+        inside = back < gap
+        means = np.minimum(np.fmax(gap - back, 0.0) / d, _MAX_GAP_EPOCHS)
+        count = rng.poisson(means) + 1 + inside
+        return (np.where(ahead, np.minimum(index + count, cap), index),
+                np.where(ahead, np.where(inside, times - back, last), prev),
+                np.where(ahead, times + forward, last))

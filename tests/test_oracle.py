@@ -5,16 +5,18 @@ from functools import partial
 import numpy as np
 import pytest
 
-from literal import exit_indices, sample_path
+from literal import exit_indices, poisson_epochs, sample_path
 from strategyshift.analytics import TransformContext
 from strategyshift.config import DEFAULT_HORIZON
 from strategyshift.errors import DomainError
 from strategyshift.oracle import (
     AxisExits,
     _level_stays,
+    _poisson_epochs,
     empirical_functional,
     estimate_exits,
     exit_mean_se,
+    sample_mean_se,
 )
 from strategyshift.params import (
     IntervalDistribution,
@@ -362,6 +364,38 @@ class TestDrawSequence:
             assert np.all(np.isfinite(mean)) and np.all((mean >= 0) & (mean <= 1e18))
 
 
+class TestPoissonEpochs:
+    # The in-place query against the nested-np.where reference of
+    # tests/literal.py: from two generators on the same seed, the same bits
+    # (NaN included, hence the int64 view), and its inputs left as they were.
+    @pytest.mark.parametrize("d", [0.7, 1e308], ids=["finite", "overflowing"])
+    def test_matches_the_nested_where_reference(self, d):
+        setup = np.random.default_rng(5)
+        t0 = setup.exponential(2.0, 3000)
+        t0[::50] = np.inf
+        first = setup.exponential(3.0, t0.size)
+        first[::70] = np.inf  # inf - inf on every 350th path
+        second = first + setup.exponential(3.0, t0.size)
+        cap = 4
+        rng_ref, rng_new = np.random.default_rng(9), np.random.default_rng(9)
+        ref = new = (0, 0.0, t0)  # the first query's scalar state
+        for times in (first, second):
+            state = (times, *new)
+            copies = [np.copy(x) for x in state]
+            with np.errstate(invalid="ignore"):
+                assert np.isnan(times - new[2]).any()
+            assert (times <= new[2]).any()  # behind the last epoch
+            ref = poisson_epochs(rng_ref, times, d, cap, *ref)
+            new = _poisson_epochs(rng_new, times, d, cap, *new)
+            for copy, x in zip(copies, state):
+                assert np.array_equal(copy.view(np.int64), np.asarray(x).view(np.int64))
+            for expected, got in zip(ref, new):
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+            assert (new[0] == cap).any()
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
 class TestEmpiricalPgf:
     @pytest.fixture
     def summary(self, reference_params, unit_thresholds):
@@ -407,6 +441,19 @@ class TestEmpiricalFunctional:
             empirical_functional(estimate_exits(params, unit_thresholds, 200, 1,
                                                 horizon=50),
                                  TransformContext())
+
+    def test_neutral_factors_are_left_out(self, reference_params, unit_thresholds):
+        # At neutral arguments the sample is the two level-stay weights'
+        # product alone, so an infinite epoch weighs exp(0) = 1, not
+        # exp(-0 * inf) = NaN.
+        summary = estimate_exits(reference_params, unit_thresholds, 500, 4)
+        a = summary.a._replace(prior=summary.a.prior.copy())
+        a.prior[0] = np.inf
+        summary = summary._replace(a=a)
+        weights = [_level_stays(1.0, MarkDistribution(), 1, record.crossing, record.shift)
+                   for record in (summary.a, summary.b)]
+        expected = sample_mean_se(weights[0] * weights[1], "")
+        assert empirical_functional(summary, TransformContext()) == expected
 
     def test_matches_window_enumeration_oracle(self, reference_params, unit_thresholds):
         # Independent oracle for the neutral-argument functional at m = n = 1:

@@ -9,11 +9,14 @@ refuse fails here first.  perfbench/ is imported, never modified.
 """
 
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from strategyshift import cli
+from strategyshift import cli, config
+from strategyshift.oracle import estimate_exits
+from strategyshift.report import STUDY_LEVELS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -43,3 +46,19 @@ def test_workload_outputs_pass_the_benchmark_checks(run, workload, tmp_path,
     # Every command exits 0 and every check passes: none failed, not even
     # with the conformance fault run.py still forgives on high-order.
     assert (bench.attempted, bench.failed, bench.errors) == (4, 0, [])
+
+
+def test_deep_threshold_sampler_working_set(run):
+    # The sampler builds its record and study in place: at its peak the
+    # deep-threshold sample (100k paths) holds at most 20 path-arrays of 8
+    # bytes a path, of which the summary keeps 11.  Fresh arrays cost a page
+    # fault per 4 KiB on first touch, so a larger peak is slower too.
+    cfg = config.from_dict(run.deep_threshold_doc(3))
+    tracemalloc.start()
+    try:
+        estimate_exits(cfg.params, cfg.thresholds, cfg.n_paths, cfg.seed, cfg.horizon,
+                       levels=STUDY_LEVELS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 8 * cfg.n_paths
