@@ -9,7 +9,11 @@ and the observation epochs around them instead of stepping through every
 observation.  A level first reaches its threshold L at an arrival J of its
 Poisson stream (J = L for unit marks, ceil(L / v) for a fixed mark v,
 1 + Binomial(L - 1, p) for geometric(p) marks), so at the continuous time
-T ~ Gamma(J, 1 / lambda).  The exit index is the first observation epoch at
+T ~ Gamma(J, 1 / lambda).  A Binomial(n, p) count that numpy would draw by
+BTPE (n min(p, 1 - p) > 30) comes instead from a Walker alias table over
+0..n, one uniform a draw, when there are at least ALIAS_CROSSOVER draws per
+table entry to pay for its set-up (``_binomial``); every other count is
+``rng.binomial``'s.  The exit index is the first observation epoch at
 or after T and the prior epoch is the one before it: plain arithmetic for
 deterministic intervals (``_arithmetic_epochs``), a few memoryless draws
 around T for exponential ones (``_poisson_epochs``, asked once for the
@@ -116,6 +120,13 @@ class EmpiricalExitSummary(namedtuple(
     nu = property(lambda self: self.b.index, doc="Axis-B exit indices.")
 
 
+#: Draws per table entry from which a binomial count that numpy would draw
+#: by BTPE comes from an alias table (``_binomial``).  On a 2-vCPU Xeon VM
+#: (numpy 2.4) the table's set-up cost ~0.3-0.4 us an entry and its draws
+#: saved 18-70 ns each; the worst case of the grid in BENCH_29.json broke
+#: even at 15 draws an entry, and this is twice that, rounded up.
+ALIAS_CROSSOVER = 32
+
 #: A gap whose expected epoch count exceeds this is drawn at this mean (numpy
 #: refuses Poisson means near 2**63).  Such a gap holds more epochs than any
 #: horizon, so every index at or past it is censored either way.
@@ -131,8 +142,61 @@ def _arrivals(rng, mark, low, high, size):
         # successes of Bernoulli(p) trials over the levels 1, 2, ...; each
         # visited total below ``high`` is left by one arrival.
         start = int(low == 0)
-        return start + rng.binomial(high - low - start, mark.p, size)
+        return start + _binomial(rng, high - low - start, mark.p, size)
     return (-low // mark.value) - (-high // mark.value)  # ceil(high/v) - ceil(low/v)
+
+
+def _alias_table(n, p):
+    """Walker's alias table of Binomial(n, p) on 0..n (0 < p <= 1), built by
+    Vose's method: column k keeps k with probability ``prob[k]`` and gives
+    ``alias[k]`` otherwise, each column chosen with probability 1 / (n + 1).
+
+    The weights are the pmf's successive ratios (n - k + 1) / k * p / q
+    multiplied out from the mode, so each is at most 1 and the ones that
+    carry the mass take few roundings.  A log-pmf from ``math.lgamma`` would
+    cancel: lgamma(20000) is ~178,000, whose rounding alone is ~3e-11.
+    """
+    if p == 1.0:  # all mass on n; the ratios would divide by q = 0
+        weights = np.zeros(n + 1)
+        weights[n] = 1.0
+    else:
+        k = np.arange(1, n + 1)
+        ratio = (n - k + 1) / k * (p / (1.0 - p))
+        mode = min(int((n + 1) * p), n)
+        weights = np.ones(n + 1)
+        np.cumprod(ratio[mode:], out=weights[mode + 1:])
+        weights[:mode] = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
+    scaled = (weights * ((n + 1) / weights.sum())).tolist()
+    prob, alias = [1.0] * (n + 1), list(range(n + 1))
+    small = [k for k, q in enumerate(scaled) if q < 1.0]
+    large = [k for k, q in enumerate(scaled) if q >= 1.0]
+    while small and large:
+        below, above = small.pop(), large.pop()
+        prob[below], alias[below] = scaled[below], above
+        scaled[above] = (scaled[above] + scaled[below]) - 1.0
+        (small if scaled[above] < 1.0 else large).append(above)
+    # A column left over in either list is full up to rounding: prob 1.
+    return np.array(prob), np.array(alias)
+
+
+def _binomial(rng, n, p, size):
+    """Binomial(n, p) counts on ``size`` paths.
+
+    numpy draws them by BTPE when n min(p, 1 - p) > 30, at ~30-80 ns a
+    draw, and by inversion below, whose cost falls with that mean.  Where
+    BTPE would run on at least ALIAS_CROSSOVER draws per table entry, the
+    counts come from an alias table (``_alias_table``) instead: one uniform
+    a draw, scaled by n + 1, whose integer part picks the column and whose
+    fraction is the column's coin.  Else ``rng.binomial`` draws them.
+    """
+    if n * min(p, 1.0 - p) <= 30.0 or size < ALIAS_CROSSOVER * (n + 1):
+        return rng.binomial(n, p, size)
+    prob, alias = _alias_table(n, p)
+    coin = rng.random(size)
+    coin *= n + 1  # stays below n + 1: (1 - 2**-53)(n + 1) rounds below it
+    column = coin.astype(np.int64)
+    coin -= column
+    return np.where(coin < prob.take(column), column, alias.take(column))
 
 
 def _crossing(rng, intensity, mark, low, high, size):
@@ -170,12 +234,18 @@ def _level_stays(intensity, mark, level, crossing, shift):
     return stays
 
 
-def _arithmetic_epochs(times, t0, d, cap):
-    """Index (at most ``cap``), previous epoch (0 before index 0) and epoch
-    of the first observation at or after ``times``, per path, among the
-    epochs t0 + k d, k = 0, 1, ..., of deterministic later intervals."""
+def _arithmetic_index(times, t0, d, cap):
+    """Index (at most ``cap``, as floats) of the first observation at or
+    after ``times``, per path, among the epochs t0 + k d, k = 0, 1, ..., of
+    deterministic later intervals."""
     with np.errstate(over="ignore"):  # an overflowing index is capped
-        index = np.clip(np.ceil((times - t0) / d), 0, cap)
+        return np.clip(np.ceil((times - t0) / d), 0, cap)
+
+
+def _arithmetic_epochs(times, t0, d, cap):
+    """Index (``_arithmetic_index``), previous epoch (0 before index 0) and
+    epoch of the first observation at or after ``times``, per path."""
+    index = _arithmetic_index(times, t0, d, cap)
     epoch = t0 + index * d
     return index.astype(np.int64), np.where(index > 0, epoch - d, 0.0), epoch
 
@@ -239,7 +309,7 @@ def _study(rng, params, t0, cap, levels):
     no index falls as the level rises.  On exponential later intervals the
     index is 0 where T <= t0, else 1 + N(t0, T), N counting the epochs of a
     fresh rate-1/d Poisson process; N grows by one Poisson draw per level
-    (``_epochs_within``).  On deterministic ones ``_arithmetic_epochs``
+    (``_epochs_within``).  On deterministic ones ``_arithmetic_index``
     gives it.
     """
     intensity, mark, interval = params.lambda_a, params.mark_a, params.obs_interval
@@ -267,7 +337,7 @@ def _study(rng, params, t0, cap, levels):
             index = count + 1
             index *= crossed > t0
         else:
-            index = _arithmetic_epochs(crossed, t0, d, cap)[0]
+            index = _arithmetic_index(crossed, t0, d, cap).astype(np.int64)
         index[index >= cap] = -1
         study[level] = index
     return study

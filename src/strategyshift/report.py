@@ -12,8 +12,12 @@ is the CLI's job.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
+from functools import partial
 from typing import List, Tuple, Union
+
+import numpy as np
 
 from .analytics import (DEFAULT_Z_GRID, TransformContext, axis_means, lemma_note,
                         lemma_pgf, phi_functional)
@@ -65,6 +69,20 @@ def judge(
     return ConformanceRow(quantity, paper_ref, analytic, est, se, rel, verdict)
 
 
+def _power_table(z: float, top: int) -> np.ndarray:
+    """``z ** k`` for k = 0..top and 0 < z < 1, stopped where the powers
+    have underflowed to 0.0, so that ``take(k, mode="clip")`` reads
+    ``z ** k`` for every integer k >= 0.
+
+    z ** k is 0.0 once it falls below 2**-1075, by k = 1076 ln 2 / -ln z
+    (2,594 entries at z = 0.75), so a huge ``top`` allocates no huge table
+    on DEFAULT_Z_GRID; a z near 1 would need a long one.  Each entry is the
+    same ``pow`` on the same integer as ``z ** k`` itself.
+    """
+    underflow = math.ceil(1076 * math.log(2.0) / -math.log(z)) + 1
+    return z ** np.arange(min(top + 1, underflow))
+
+
 def _exit_mean_assertable(params: ModelParams, level: int) -> bool:
     # The printed mean 1/(delta lambda) carries no threshold dependence.  At
     # level 1 any mark (each is at least 1) crosses at the first arrival, so
@@ -108,7 +126,10 @@ def conformance_rows(summary: EmpiricalExitSummary) -> List[ConformanceRow]:
         for axis, record, level, means in (("a", a, m, means_a), ("b", b, n, means_b))
     ]
 
-    pgfs = {z: exit_mean_se(a.index, lambda k: z ** k, "the exit index")
+    # Each PGF term z ** k is read from one table of powers, not a pow a path.
+    top = int(a.index.max())
+    pgfs = {z: exit_mean_se(a.index, partial(_power_table(z, top).take, mode="clip"),
+                            "the exit index")
             for z in DEFAULT_Z_GRID}
     for z, pgf in pgfs.items():
         rows.append(judge(f"index_pgf_operator_a[z={z:g}]",

@@ -1,18 +1,29 @@
 import csv
 import json
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from literal import exit_indices, poisson_epochs, sample_path
-from strategyshift.analytics import TransformContext
+from strategyshift.analytics import DEFAULT_Z_GRID, TransformContext
 from strategyshift.config import DEFAULT_HORIZON
 from strategyshift.errors import DomainError
 from strategyshift.oracle import (
+    ALIAS_CROSSOVER,
     AxisExits,
+    _alias_table,
+    _arithmetic_epochs,
+    _arithmetic_index,
+    _binomial,
+    _crossing,
     _level_stays,
     _poisson_epochs,
+    _study,
     empirical_functional,
     estimate_exits,
     exit_mean_se,
@@ -24,7 +35,8 @@ from strategyshift.params import (
     ModelParams,
     Thresholds,
 )
-from strategyshift.report import SE_MULTIPLE, STUDY_LEVELS, conformance_rows, judge
+from strategyshift.report import (SE_MULTIPLE, STUDY_LEVELS, _power_table,
+                                  conformance_rows, judge)
 
 
 def index_probabilities(index, n_paths):
@@ -322,28 +334,40 @@ class TestDrawSequence:
     # The order and kind of draws fixes every artifact for a seed, so a
     # change here changes simulate and conformance output.  Each record
     # draws only what it reads: no epoch draws on deterministic intervals,
-    # no binomial for unit or fixed marks.
+    # no binomial for unit or fixed marks.  A geometric count in numpy's
+    # BTPE branch on at least ALIAS_CROSSOVER draws per table entry is one
+    # uniform a path from an alias table; below that it is a binomial.
     EPOCHS = ["exponential", "exponential", "poisson"]
 
-    @pytest.mark.parametrize("params, thresholds, expected", [
+    @pytest.mark.parametrize("params, thresholds, n_paths, expected", [
         (ModelParams(1.0, 1.0, IntervalDistribution("exponential", 1.0),
                      IntervalDistribution("exponential", 1.0)),
-         Thresholds(1, 1),
+         Thresholds(1, 1), 1000,
          ["exponential", "gamma", "gamma", *EPOCHS, *EPOCHS]
          + ["gamma", "poisson"] * 3),
         (ModelParams(1.0, 1.0, IntervalDistribution("exponential", 1.0),
                      IntervalDistribution("exponential", 1.0),
                      mark_a=MarkDistribution("geometric", p=0.3),
                      mark_b=MarkDistribution("fixed", 4)),
-         Thresholds(5, 7),
+         Thresholds(5, 7), 1000,
          ["exponential", "binomial", "gamma", "gamma", *EPOCHS, *EPOCHS]
          + ["binomial", "gamma", "poisson"] * 3),
-        (DETERMINISTIC_PARAMS, Thresholds(2, 3), ["gamma"] * 5),
-    ], ids=["reference", "geometric-fixed", "deterministic"])
-    def test_draw_sequence_is_pinned(self, draws, params, thresholds, expected):
-        estimate_exits(params, thresholds, 1000, 1, levels=STUDY_LEVELS)
+        # Axis B's J - 1 is Binomial(99, 0.5): mean 49.5 and 5,000 >= 32 * 100
+        # draws, so it comes from the table; the study's counts (n <= 2) stay
+        # binomial.
+        (ModelParams(1.0, 1.0, IntervalDistribution("exponential", 1.0),
+                     IntervalDistribution("exponential", 1.0),
+                     mark_a=MarkDistribution("geometric", p=0.5),
+                     mark_b=MarkDistribution("geometric", p=0.5)),
+         Thresholds(1, 100), 5000,
+         ["exponential", "binomial", "gamma", "random", "gamma", *EPOCHS, *EPOCHS]
+         + ["binomial", "gamma", "poisson"] * 3),
+        (DETERMINISTIC_PARAMS, Thresholds(2, 3), 1000, ["gamma"] * 5),
+    ], ids=["reference", "geometric-fixed", "geometric-table", "deterministic"])
+    def test_draw_sequence_is_pinned(self, draws, params, thresholds, n_paths, expected):
+        estimate_exits(params, thresholds, n_paths, 1, levels=STUDY_LEVELS)
         assert [name for name, _, _ in draws] == expected
-        assert all(size == 1000 for _, _, size in draws)
+        assert all(size == n_paths for _, _, size in draws)
 
     @pytest.mark.parametrize("params, horizon", [
         # t0 overflows to inf on some paths, so inf - inf arises.
@@ -396,6 +420,129 @@ class TestPoissonEpochs:
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
+def table_law(prob, alias):
+    """The law an alias table draws: column k (chosen with probability
+    1 / (n + 1)) gives k with probability prob[k], else alias[k]."""
+    law = prob.copy()
+    np.add.at(law, alias, 1.0 - prob)
+    return law / prob.size
+
+
+def binomial_pmf(n, p):
+    """Binomial(n, p) pmf on 0..n, to 60 digits: q**n, then the ratios
+    pmf(k) / pmf(k - 1) = (n - k + 1) / k * p / q."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        p = Decimal(p)
+        if p == 1:
+            return [float(k == n) for k in range(n + 1)]
+        pmf = [(1 - p) ** n]
+        for k in range(1, n + 1):
+            pmf.append(pmf[-1] * (n - k + 1) / k * p / (1 - p))
+        return [float(x) for x in pmf]
+
+
+class TestAliasTable:
+    # The table must draw Binomial(n, p) itself: its implied law is within
+    # 1e-12 in total variation of the exact pmf.
+    @pytest.mark.parametrize("n, p", [
+        (0, 0.5), (1, 0.5), (1, 1.0), (2, 0.3), (7, 1.0), (7, 1e-300),
+        (99, 0.5), (99, 0.01), (200, 0.9),
+    ])
+    def test_law_is_exact_in_rationals(self, n, p):
+        prob, alias = _alias_table(n, p)
+        assert prob.shape == alias.shape == (n + 1,)
+        assert np.all((prob >= 0.0) & (prob <= 1.0))
+        law = [Fraction(0)] * (n + 1)
+        for k in range(n + 1):
+            law[k] += Fraction(float(prob[k])) / (n + 1)
+            law[int(alias[k])] += (1 - Fraction(float(prob[k]))) / (n + 1)
+        q = Fraction(p)
+        exact = [math.comb(n, k) * q ** k * (1 - q) ** (n - k) for k in range(n + 1)]
+        assert sum(law) == 1
+        assert float(sum(abs(a - b) for a, b in zip(law, exact)) / 2) <= 1e-12
+
+    @pytest.mark.parametrize("n, p", [
+        (1999, 0.5), (1999, 0.01), (19_999, 0.5), (19_999, 0.3), (19_999, 0.99),
+        (19_999, 1.0), (19_999, 1e-300),
+    ])
+    def test_law_is_exact_at_large_n(self, n, p):
+        law = table_law(*_alias_table(n, p))
+        assert math.fsum(abs(a - b) for a, b in zip(law, binomial_pmf(n, p))) / 2 <= 1e-12
+
+    @pytest.mark.parametrize("n, p", [(99, 0.5), (999, 0.9)])
+    def test_draws_fit_the_binomial(self, draws, n, p):
+        # One seeded chi-square test at 10**6 draws, the table's path
+        # (asserted through the recorded call); cells of expectation < 5
+        # are pooled into their neighbours.
+        size = 10 ** 6
+        counts = np.bincount(_binomial(np.random.default_rng(29), n, p, size),
+                             minlength=n + 1)
+        assert [name for name, _, _ in draws] == ["random"]
+        expected = size * np.array(binomial_pmf(n, p))
+        keep = expected >= 5.0
+        lo, hi = np.flatnonzero(keep)[[0, -1]]
+        observed = np.r_[counts[:lo + 1].sum(), counts[lo + 1:hi], counts[hi:].sum()]
+        wanted = np.r_[expected[:lo + 1].sum(), expected[lo + 1:hi], expected[hi:].sum()]
+        statistic = ((observed - wanted) ** 2 / wanted).sum()
+        assert stats.chi2.sf(statistic, observed.size - 1) > 1e-3
+
+    @pytest.mark.parametrize("n, p", [(99, 0.5), (1999, 0.7)])
+    def test_crossover_both_ways(self, draws, n, p):
+        # From ALIAS_CROSSOVER draws per entry the table draws one uniform
+        # a path; one draw fewer, rng.binomial draws the counts.
+        rng = np.random.default_rng(3)
+        size = ALIAS_CROSSOVER * (n + 1)
+        assert _binomial(rng, n, p, size).dtype == np.int64
+        _binomial(rng, n, p, size - 1)
+        assert [(name, drawn) for name, _, drawn in draws] == [
+            ("random", size), ("binomial", size - 1)]
+
+    @pytest.mark.parametrize("n, p", [(2, 0.5), (60, 0.5), (3000, 0.01), (300, 0.9),
+                                      (5, 1.0), (5, 1e-300)])
+    def test_inversion_branch_stays_binomial(self, draws, n, p):
+        # numpy draws n min(p, 1 - p) <= 30 by inversion, which the
+        # crossover leaves alone: the counts stay binomial at any size.
+        _binomial(np.random.default_rng(3), n, p, 10 ** 6)
+        assert [name for name, _, _ in draws] == ["binomial"]
+
+
+class TestArithmeticIndex:
+    # The study reads the index alone; it must be the epoch query's index,
+    # capped and overflowing cases included.
+    def test_index_is_the_epoch_query_index(self):
+        setup = np.random.default_rng(8)
+        t0 = setup.exponential(2.0, 2000)
+        times = t0 + setup.exponential(30.0, t0.size)
+        times[::7] = t0[::7] - 1.0  # before t0: index 0
+        times[::11] = 1e308  # (times - t0) / d overflows
+        times[::13] = np.inf
+        for d, cap in ((0.7, 41), (1e-300, 10 ** 9), (3.0, 1)):
+            expected = _arithmetic_epochs(times, t0, d, cap)[0]
+            got = _arithmetic_index(times, t0, d, cap).astype(np.int64)
+            assert np.array_equal(got, expected)
+            assert (expected == cap).any() and (expected == 0).any()
+
+    def test_study_index_is_the_epoch_query_index(self):
+        # The study's chain replayed on a generator of the same seed, each
+        # level's index taken from _arithmetic_epochs; a cap of 5 censors
+        # some paths at every level.
+        params = ModelParams(1.0, 1.0, IntervalDistribution("deterministic", 0.5),
+                             IntervalDistribution("deterministic", 0.7),
+                             mark_a=MarkDistribution("geometric", p=0.6))
+        t0, cap, levels = np.full(3000, 0.5), 5, (0, 2, 3, 5)
+        study = _study(np.random.default_rng(4), params, t0, cap, levels)
+        rng, crossed, below = np.random.default_rng(4), 0.0, 0
+        for level in levels[1:]:
+            crossed = crossed + _crossing(rng, 1.0, params.mark_a, below, level, t0.size)
+            below = level
+            index = _arithmetic_epochs(crossed, t0, 0.7, cap)[0]
+            assert (index == cap).any()
+            index[index >= cap] = -1
+            assert np.array_equal(study[level], index)
+        assert np.array_equal(study[0], np.zeros(t0.size, dtype=np.int64))
+
+
 class TestEmpiricalPgf:
     @pytest.fixture
     def summary(self, reference_params, unit_thresholds):
@@ -428,6 +575,17 @@ class TestEmpiricalPgf:
         frozen = summary._replace(a=summary.a._replace(index=np.full(summary.n_paths, -1)))
         with pytest.raises(DomainError, match="all paths censored"):
             pgf(frozen.mu, 0.5)
+
+    @pytest.mark.parametrize("z", [*DEFAULT_Z_GRID, 1e-300, 5e-324])
+    def test_power_table_reads_every_power(self, z):
+        # An index array reaching 10**9 reads z ** k from a table of at most
+        # 2,594 entries (z = 0.75), the same pow on the same integers.
+        k = np.r_[np.arange(3000), np.geomspace(3000, 10 ** 9, 2000).astype(np.int64),
+                  10 ** 9]
+        table = _power_table(z, int(k.max()))
+        assert table.size <= 2594 and table[-1] == 0.0
+        assert np.array_equal(table.take(k, mode="clip"), z ** k)
+        assert _power_table(z, 10).size == min(11, table.size)
 
 
 class TestEmpiricalFunctional:
