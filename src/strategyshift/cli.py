@@ -89,10 +89,10 @@ def cmd_simulate(args) -> int:
     summary = estimate_exits(
         cfg.params, cfg.thresholds, cfg.n_paths, cfg.seed, cfg.horizon
     )
-    payload = {"n_paths": summary.n_paths}
+    payload = {"n_paths": cfg.n_paths}
     for axis, name, record in (("a", "mu", summary.a), ("b", "nu", summary.b)):
         exited = record.index[record.index >= 0]
-        payload[f"censored_{axis}"] = summary.n_paths - exited.size
+        payload[f"censored_{axis}"] = cfg.n_paths - exited.size
         for key, values in ((name, record.index), (f"tau_{name}", record.shift),
                             (f"tau_{name}_prev", record.prior)):
             payload[f"mean_{key}"], payload[f"se_{key}"] = exit_mean_se(
@@ -102,9 +102,9 @@ def cmd_simulate(args) -> int:
         counts = np.bincount(exited, minlength=1)
         _write_csv(out / f"histogram_{name}.csv", ("index", "count", "probability"),
                    zip(range(counts.size), counts.tolist(),
-                       (counts / summary.n_paths).tolist()))
+                       (counts / cfg.n_paths).tolist()))
     _write_json(out / "summary.json", payload)
-    print(f"simulate: {summary.n_paths} paths -> {out}")
+    print(f"simulate: {cfg.n_paths} paths -> {out}")
     return EXIT_OK
 
 

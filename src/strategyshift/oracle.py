@@ -37,7 +37,8 @@ ones it is arithmetic.  So each level has its exact law, no index of a path
 falls as the level rises, and the chain is independent of the record.
 
 Each axis's record is one ``AxisExits``, censored where its index is -1, and
-every Monte Carlo mean over one axis's exited paths is ``exit_mean_se``.
+every Monte Carlo mean over one axis's exited paths is ``exit_mean_se`` of an
+array aligned with that record.
 """
 
 from __future__ import annotations
@@ -75,20 +76,14 @@ def sample_mean_se(samples: np.ndarray, what: str) -> Tuple[float, float]:
     return float(mean), float(se)
 
 
-def exit_mean_se(index: np.ndarray, values, what: str) -> Tuple[float, float]:
-    """Sample mean and standard error of a per-path value over the paths
-    that exited (``index >= 0``).
-
-    ``values`` is an array aligned with ``index``, or a function of the
-    exited paths' indices.  The function never sees a censored index, so a
-    transform such as ``z ** k`` at z = 0 never divides by zero.  When no
-    path is censored, both are read whole, without a masked copy.
-    """
+def exit_mean_se(index: np.ndarray, values: np.ndarray, what: str) -> Tuple[float, float]:
+    """Sample mean and standard error of ``values``, an array aligned with
+    ``index``, over the paths that exited (``index >= 0``).  When no path is
+    censored, ``values`` is read whole, without a masked copy."""
     exited = index >= 0
     if exited.all():
         exited = slice(None)
-    samples = values(index[exited]) if callable(values) else values[exited]
-    return sample_mean_se(np.asarray(samples, dtype=float), what)
+    return sample_mean_se(np.asarray(values[exited], dtype=float), what)
 
 
 class AxisExits(namedtuple("AxisExits", "index prior crossing shift")):
@@ -101,23 +96,19 @@ class AxisExits(namedtuple("AxisExits", "index prior crossing shift")):
 
 
 class EmpiricalExitSummary(namedtuple(
-        "EmpiricalExitSummary", "a b n_paths params thresholds study_mu")):
+        "EmpiricalExitSummary", "a b params thresholds study_mu")):
     """The exit records of a batch of simulated trajectories.
 
-    ``a`` and ``b`` are the two axes' records at the thresholds (m, n).
-    ``study_mu`` maps each axis-A study level to its exit-index array (-1
-    where censored).  The levels, m included, are one nested chain per path,
-    drawn apart from ``a``: each array has its level's exact law, and on a
-    path no exited index falls as the level rises.  ``mu`` and ``nu`` are
-    ``a.index`` and ``b.index`` under the paper's names.  The tracer's
-    ``estimate_exits`` hook in ``perfbench/traced.py`` reads them too, but
-    never runs: the CLI loads this module after the tracer has installed.
+    ``a`` and ``b`` are the two axes' records at the thresholds (m, n); the
+    paper's exit indices mu and nu are ``a.index`` and ``b.index``, and the
+    path count is their size.  ``study_mu`` maps each axis-A study level to
+    its exit-index array (-1 where censored).  The levels, m included, are
+    one nested chain per path, drawn apart from ``a``: each array has its
+    level's exact law, and on a path no exited index falls as the level
+    rises.
     """
 
     __slots__ = ()
-
-    mu = property(lambda self: self.a.index, doc="Axis-A exit indices.")
-    nu = property(lambda self: self.b.index, doc="Axis-B exit indices.")
 
 
 #: Draws per table entry from which a binomial count that numpy would draw
@@ -147,25 +138,22 @@ def _arrivals(rng, mark, low, high, size):
 
 
 def _alias_table(n, p):
-    """Walker's alias table of Binomial(n, p) on 0..n (0 < p <= 1), built by
-    Vose's method: column k keeps k with probability ``prob[k]`` and gives
-    ``alias[k]`` otherwise, each column chosen with probability 1 / (n + 1).
+    """Walker's alias table of Binomial(n, p) on 0..n, for the n min(p, 1 - p)
+    > 30 that ``_binomial`` asks of it, built by Vose's method: column k
+    keeps k with probability ``prob[k]`` and gives ``alias[k]`` otherwise,
+    each column chosen with probability 1 / (n + 1).
 
     The weights are the pmf's successive ratios (n - k + 1) / k * p / q
     multiplied out from the mode, so each is at most 1 and the ones that
     carry the mass take few roundings.  A log-pmf from ``math.lgamma`` would
     cancel: lgamma(20000) is ~178,000, whose rounding alone is ~3e-11.
     """
-    if p == 1.0:  # all mass on n; the ratios would divide by q = 0
-        weights = np.zeros(n + 1)
-        weights[n] = 1.0
-    else:
-        k = np.arange(1, n + 1)
-        ratio = (n - k + 1) / k * (p / (1.0 - p))
-        mode = min(int((n + 1) * p), n)
-        weights = np.ones(n + 1)
-        np.cumprod(ratio[mode:], out=weights[mode + 1:])
-        weights[:mode] = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
+    k = np.arange(1, n + 1)
+    ratio = (n - k + 1) / k * (p / (1.0 - p))
+    mode = int((n + 1) * p)
+    weights = np.ones(n + 1)
+    np.cumprod(ratio[mode:], out=weights[mode + 1:])
+    weights[:mode] = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
     scaled = (weights * ((n + 1) / weights.sum())).tolist()
     prob, alias = [1.0] * (n + 1), list(range(n + 1))
     small = [k for k, q in enumerate(scaled) if q < 1.0]
@@ -395,13 +383,21 @@ def estimate_exits(
     without levels.  An index above ``horizon`` counts as censored.
 
     Deterministic for fixed (params, thresholds, n_paths, seed, levels).
-    Fails with a DomainError, before any draw, when an axis with zero drift
+    Fails with a DomainError, before any draw, when a level is a bool or not
+    integral (an integral float reads as its int) or an axis with zero drift
     has a positive threshold or recorded level, and with one after it when
     more than MAX_CENSOR_FRACTION of paths are censored on either axis or at
     any recorded level.
     """
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
+    # A level counts mark units, as m and n do: numpy would truncate a
+    # fractional count of arrivals.
+    if any(isinstance(level, (bool, np.bool_))
+           or not (hasattr(level, "__index__") or float(level).is_integer())
+           for level in levels):
+        raise DomainError(f"study levels must be integers, got {tuple(levels)!r}")
+    levels = [int(level) for level in levels]
     # A level with zero drift never moves, so no positive threshold is ever
     # reached (its crossing time is infinite): fail before drawing.
     for axis, intensity, mark, level in (
@@ -425,7 +421,7 @@ def estimate_exits(
             f"{worst}/{n_paths} paths hit the {horizon}-observation cap "
             "before exceedance; raise the horizon to keep estimates unbiased"
         )
-    return EmpiricalExitSummary(a, b, n_paths, params, thresholds, study)
+    return EmpiricalExitSummary(a, b, params, thresholds, study)
 
 
 def empirical_functional(

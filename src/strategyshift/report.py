@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import partial
 from typing import List, Tuple, Union
 
 import numpy as np
@@ -126,9 +125,10 @@ def conformance_rows(summary: EmpiricalExitSummary) -> List[ConformanceRow]:
         for axis, record, level, means in (("a", a, m, means_a), ("b", b, n, means_b))
     ]
 
-    # Each PGF term z ** k is read from one table of powers, not a pow a path.
+    # Each PGF term z ** k is read from one table of powers, not a pow a path;
+    # a censored -1 clips to entry 0 and is dropped with its path.
     top = int(a.index.max())
-    pgfs = {z: exit_mean_se(a.index, partial(_power_table(z, top).take, mode="clip"),
+    pgfs = {z: exit_mean_se(a.index, _power_table(z, top).take(a.index, mode="clip"),
                             "the exit index")
             for z in DEFAULT_Z_GRID}
     for z, pgf in pgfs.items():

@@ -184,16 +184,13 @@ def _product(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
     per distinct operand and one inverse, over a power-of-two length that
     covers the whole product of the cut operands: a shorter cyclic length
     would fold its high coefficients onto the low ones.  Below that,
-    ``np.convolve`` forms the kept window alone when it lies where the
-    operands fully overlap, and the full product otherwise.
+    ``np.convolve`` forms the full product of the cut operands.
     """
     square = a is b
     a, b = a[:hi], b[:hi]
     skip = max(0, lo - len(b) + 1)
     a = a[skip:]
     if min(len(a), len(b)) < FFT_CROSSOVER:
-        if lo >= len(b) - 1 and len(a) == hi - skip:
-            return np.convolve(a, b, "valid")
         return np.convolve(a, b)[lo - skip : hi - skip]
     size = 1 << (len(a) + len(b) - 2).bit_length()
     fa = np.fft.rfft(a, size)

@@ -80,14 +80,14 @@ def test_criterion_3_exit_distribution():
     start = time.perf_counter()
     n = 100_000
     summary = estimate_exits(REFERENCE, UNIT, n, 7)
-    exited = summary.mu[summary.mu >= 0]
-    probs = np.bincount(exited) / summary.n_paths
+    exited = summary.a.index[summary.a.index >= 0]
+    probs = np.bincount(exited) / summary.a.index.size
     ok = True
     for j in range(7):
         expect = 0.5 ** (j + 1)
         se = np.sqrt(expect * (1.0 - expect) / n)
         ok &= abs(probs[j] - expect) <= 3 * se
-    mean, se = exit_mean_se(summary.mu, summary.mu, "mu")
+    mean, se = exit_mean_se(summary.a.index, summary.a.index, "mu")
     ok &= abs(mean - 1.0) <= 3 * se
     elapsed = time.perf_counter() - start
     _verdict(f"criterion 3: geometric exit-index distribution "
@@ -139,7 +139,8 @@ def test_criterion_5_functional_pipeline():
     summary = estimate_exits(REFERENCE, UNIT, 50_000, 23)
     for z in (0.25, 0.5, 0.75):
         analytic = phi_functional(1, 1, TransformContext(z=z), REFERENCE)
-        estimate, se = exit_mean_se(summary.mu, lambda k: z ** k, "the exit index")
+        estimate, se = exit_mean_se(summary.a.index, z ** np.maximum(summary.a.index, 0),
+                                    "the exit index")
         rel = abs(estimate - analytic) / analytic
         verdict = "match" if abs(estimate - analytic) <= 3 * se else "deviation"
         print(f"  index PGF z={z}: operator {analytic:.6f} vs MC "

@@ -1165,7 +1165,8 @@ def test_numpy_commands_never_load_dataclasses(tmp_path, command):
 def test_perfbench_tracer_runs_the_cli(tmp_path, command):
     # perfbench/traced.py binds package names (cli.main, cli._write_json, the
     # TruncatedSeries kernels); a rename here must not break it.  Its
-    # summary.mu/nu hook never runs: oracle loads after the tracer installs.
+    # estimate_exits hook never runs, since oracle loads after the tracer
+    # installs, so the summary fields it reads are not pinned here.
     import os
     import subprocess
     import sys

@@ -46,7 +46,7 @@ def index_probabilities(index, n_paths):
 
 def pgf(index, z):
     """Sample mean and SE of z^index over the exited paths."""
-    return exit_mean_se(index, lambda k: z ** k, "the exit index")
+    return exit_mean_se(index, z ** np.maximum(index, 0), "the exit index")
 
 
 def scan_exit_index(levels, threshold) -> int:
@@ -84,19 +84,19 @@ class TestEstimateExits:
     def test_determinism(self, reference_params, unit_thresholds):
         s1 = estimate_exits(reference_params, unit_thresholds, 5000, 99)
         s2 = estimate_exits(reference_params, unit_thresholds, 5000, 99)
-        assert np.array_equal(s1.mu, s2.mu)
+        assert np.array_equal(s1.a.index, s2.a.index)
         assert np.array_equal(s1.a.shift, s2.a.shift, equal_nan=True)
         assert np.array_equal(s1.b.prior, s2.b.prior, equal_nan=True)
 
     def test_geometric_exit_distribution(self, reference_params, unit_thresholds):
         n = 100_000
         s = estimate_exits(reference_params, unit_thresholds, n, 7)
-        probs = index_probabilities(s.mu, s.n_paths)
+        probs = index_probabilities(s.a.index, s.a.index.size)
         for j in range(7):
             expect = 0.5 ** (j + 1)
             se = np.sqrt(expect * (1 - expect) / n)
             assert abs(probs[j] - expect) <= 3 * se
-        mean, se = exit_mean_se(s.mu, s.mu, "mu")
+        mean, se = exit_mean_se(s.a.index, s.a.index, "mu")
         assert abs(mean - 1.0) <= 3 * se
 
     def test_zero_intensity_censors_out(self, unit_thresholds):
@@ -136,11 +136,11 @@ class TestEstimateExits:
             IntervalDistribution("exponential", 1.0),
         )
         s = estimate_exits(params, Thresholds(m=0, n=1), 1000, 3)
-        assert np.all(s.mu == 0)
+        assert np.all(s.a.index == 0)
 
     def test_se_shrinks_with_sample_size(self, reference_params, unit_thresholds):
-        small = estimate_exits(reference_params, unit_thresholds, 10_000, 5).mu
-        large = estimate_exits(reference_params, unit_thresholds, 40_000, 5).mu
+        small = estimate_exits(reference_params, unit_thresholds, 10_000, 5).a.index
+        large = estimate_exits(reference_params, unit_thresholds, 40_000, 5).a.index
         _, se_small = exit_mean_se(small, small, "mu")
         _, se_large = exit_mean_se(large, large, "mu")
         assert se_large < se_small
@@ -232,7 +232,7 @@ class TestMultiLevelRecord:
                                       getattr(getattr(multi, axis), name),
                                       equal_nan=True), (axis, name)
         assert sorted(multi.study_mu) == [2, 3, 5]
-        assert not np.array_equal(multi.study_mu[5], multi.mu)
+        assert not np.array_equal(multi.study_mu[5], multi.a.index)
 
     def test_level_m_is_its_own_draw(self, params):
         # m = 3 among the study levels is a level of the nested chain, like
@@ -248,8 +248,8 @@ class TestMultiLevelRecord:
                                       equal_nan=True), (axis, name)
         own = multi.study_mu[3]
         assert own is multi.study_mu[3]
-        assert np.mean(own != multi.mu) > 0.1
-        (m1, se1), (m2, se2) = (exit_mean_se(i, i, "mu") for i in (own, multi.mu))
+        assert np.mean(own != multi.a.index) > 0.1
+        (m1, se1), (m2, se2) = (exit_mean_se(i, i, "mu") for i in (own, multi.a.index))
         assert abs(m1 - m2) <= SE_MULTIPLE * np.hypot(se1, se2)
 
     def test_levels_above_m_leave_the_record_unchanged(self, params, unit_thresholds):
@@ -294,6 +294,32 @@ class TestMultiLevelRecord:
         # They draw nothing: level 2 reads as it does when recorded alone.
         alone = estimate_exits(params, unit_thresholds, 2000, 67, levels=(2,))
         assert np.array_equal(s.study_mu[2], alone.study_mu[2])
+
+    @pytest.mark.parametrize("mark", [MarkDistribution(), MarkDistribution("fixed", 2),
+                                      MarkDistribution("geometric", p=0.5)],
+                             ids=["unit", "fixed", "geometric"])
+    def test_levels_must_be_integers(self, monkeypatch, mark):
+        # numpy would truncate a float binomial count: on geometric marks a
+        # level of 2.5 would corrupt every level above it, and on unit marks
+        # it would read as level 3.  A bool or non-integral level is refused
+        # before any draw; an integral float reads as its int.
+        det = IntervalDistribution("deterministic", 1.0)
+        params, thresholds = ModelParams(1.0, 1.0, det, det, mark_a=mark), Thresholds(1, 1)
+
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"a refused level used the generator: {name}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
+            for levels in ((2, 2.5, 3), (True,), (np.float64(0.5),), (math.nan,)):
+                with pytest.raises(DomainError, match="study levels must be integers"):
+                    estimate_exits(params, thresholds, 2000, 5, levels=levels)
+        whole = estimate_exits(params, thresholds, 2000, 5, levels=(2.0, np.int64(3)))
+        plain = estimate_exits(params, thresholds, 2000, 5, levels=(2, 3))
+        assert [type(level) for level in whole.study_mu] == [int, int]
+        for level in (2, 3):
+            assert np.array_equal(whole.study_mu[level], plain.study_mu[level])
 
     def test_censoring_cap_applies_to_every_level(self, reference_params, unit_thresholds):
         estimate_exits(reference_params, unit_thresholds, 2000, 3, horizon=20)
@@ -434,8 +460,6 @@ def binomial_pmf(n, p):
     with localcontext() as ctx:
         ctx.prec = 60
         p = Decimal(p)
-        if p == 1:
-            return [float(k == n) for k in range(n + 1)]
         pmf = [(1 - p) ** n]
         for k in range(1, n + 1):
             pmf.append(pmf[-1] * (n - k + 1) / k * p / (1 - p))
@@ -446,7 +470,7 @@ class TestAliasTable:
     # The table must draw Binomial(n, p) itself: its implied law is within
     # 1e-12 in total variation of the exact pmf.
     @pytest.mark.parametrize("n, p", [
-        (0, 0.5), (1, 0.5), (1, 1.0), (2, 0.3), (7, 1.0), (7, 1e-300),
+        (0, 0.5), (1, 0.5), (2, 0.3), (7, 1e-300),
         (99, 0.5), (99, 0.01), (200, 0.9),
     ])
     def test_law_is_exact_in_rationals(self, n, p):
@@ -464,7 +488,7 @@ class TestAliasTable:
 
     @pytest.mark.parametrize("n, p", [
         (1999, 0.5), (1999, 0.01), (19_999, 0.5), (19_999, 0.3), (19_999, 0.99),
-        (19_999, 1.0), (19_999, 1e-300),
+        (19_999, 1e-300),
     ])
     def test_law_is_exact_at_large_n(self, n, p):
         law = table_law(*_alias_table(n, p))
@@ -549,32 +573,30 @@ class TestEmpiricalPgf:
         return estimate_exits(reference_params, unit_thresholds, 20_000, 21)
 
     def test_normalized_at_one(self, summary):
-        estimate, se = pgf(summary.mu, 1.0)
+        estimate, se = pgf(summary.a.index, 1.0)
         assert estimate == 1.0
         assert se == 0.0
 
     def test_at_zero_equals_initial_exceedance_probability(self, summary):
-        estimate, _ = pgf(summary.mu, 0.0)
-        probs = index_probabilities(summary.mu, summary.n_paths)
-        n_censored = np.count_nonzero(summary.mu < 0)
-        assert estimate == pytest.approx(probs[0] * summary.n_paths
-                                         / (summary.n_paths - n_censored))
+        estimate, _ = pgf(summary.a.index, 0.0)
+        probs = index_probabilities(summary.a.index, summary.a.index.size)
+        n_censored = np.count_nonzero(summary.a.index < 0)
+        assert estimate == pytest.approx(probs[0] * summary.a.index.size
+                                         / (summary.a.index.size - n_censored))
 
     def test_censored_index_is_never_transformed(self):
-        # 0.0 ** -1 would divide by zero (an error under this suite's
-        # warning filter); the censored path is dropped first.
+        # The censored path's value is dropped: the mean is over the two
+        # exited paths, 0.0 ** 0 and 0.0 ** 2.
         estimate, _ = pgf(np.array([-1, 0, 2]), 0.0)
         assert estimate == 0.5
 
     def test_degenerate_sample(self, summary):
-        frozen = summary._replace(a=summary.a._replace(index=np.full(summary.n_paths, 3)))
-        estimate, _ = pgf(frozen.mu, 0.5)
+        estimate, _ = pgf(np.full(summary.a.index.size, 3), 0.5)
         assert estimate == 0.125
 
     def test_all_censored_raises(self, summary):
-        frozen = summary._replace(a=summary.a._replace(index=np.full(summary.n_paths, -1)))
         with pytest.raises(DomainError, match="all paths censored"):
-            pgf(frozen.mu, 0.5)
+            pgf(np.full(summary.a.index.size, -1), 0.5)
 
     @pytest.mark.parametrize("z", [*DEFAULT_Z_GRID, 1e-300, 5e-324])
     def test_power_table_reads_every_power(self, z):

@@ -187,8 +187,8 @@ def test_joint_exit_index_law(case):
     initial = two_axis_law(params, params.obs_initial, m, n)
     later = two_axis_law(params, params.obs_interval, m, n)
     s = estimate_exits(params, Thresholds(m=m, n=n), N_PATHS, 71)
-    assert np.all(s.mu >= 0) and np.all(s.nu >= 0)
-    assert_pmf_matches(joint_exit_pmf(initial, later), s.mu, s.nu)
+    assert np.all(s.a.index >= 0) and np.all(s.b.index >= 0)
+    assert_pmf_matches(joint_exit_pmf(initial, later), s.a.index, s.b.index)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
