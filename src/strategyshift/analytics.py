@@ -33,7 +33,8 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError
-from .params import IntervalDistribution, MarkDistribution, ModelParams, Validated
+from .params import (IntervalDistribution, MarkDistribution, ModelParams, Validated,
+                     zero_drift)
 from .series import TruncatedSeries, d_extract
 
 #: Exit-index PGF arguments that ``analyze`` and the conformance table read.
@@ -72,10 +73,6 @@ def gamma_series(order: int, theta: float, intensity: float, mark: MarkDistribut
     series is built once per process; the returned coefficients are shared
     and read-only.
     """
-    if order < 0:
-        raise DomainError("series order must be nonnegative")
-    if theta < 0.0:
-        raise DomainError("theta must be nonnegative")
     h = TruncatedSeries(_pgf_coefficients(mark, order))
     with np.errstate(over="ignore"):
         arg = interval.mean * (theta + intensity * (1.0 - h))
@@ -110,17 +107,18 @@ def axis_factor(order: int, weight: float, theta0: float, theta1: float,
 
     Built as (delta(theta1) - phi) * (w - w*G0*G + G0) / (1 - w*G) where
     phi, G, G0 are the marginal-transform series at theta1, theta0 + theta1,
-    and the initial-interval analog.  Zero drift (intensity times mean mark)
+    and the initial-interval analog.  A negative order (a threshold) is
+    refused here, the package's one such guard.  Zero drift (``zero_drift``)
     collapses the numerator to zero; that case is short-circuited to avoid
     inverting 1 - w at w = 1.  Otherwise the mark PGF has no constant term,
-    so those of delta(theta1) - phi and 1 - w*G are ``lst_drop`` values, not
-    differences near 1 that round a tiny drift away.
-    Each distinct factor is built once per process; the returned
-    coefficients are shared and read-only.
+    so those of delta(theta1) - phi and 1 - w*G are ``lst_drop`` values, set
+    over the constant terms the series arithmetic forms: not differences
+    near 1 that round a tiny drift away.  Each distinct factor is built once
+    per process; the returned coefficients are shared and read-only.
     """
     if order < 0:
         raise DomainError("series order must be nonnegative")
-    if intensity * mark.mean() == 0.0:
+    if zero_drift(intensity, mark):
         factor = TruncatedSeries.constant(0.0, order)
     else:
         phi = gamma_series(order, theta1, intensity, mark, obs_interval)
@@ -129,7 +127,7 @@ def axis_factor(order: int, weight: float, theta0: float, theta1: float,
         drop = -phi
         drop.coeffs[0] = obs_interval.lst_drop(theta1, intensity)
         numerator = drop * (weight - weight * big0 * big + big0)
-        denominator = 1.0 - weight * big
+        denominator = -weight * big
         denominator.coeffs[0] = (1.0 - weight) + weight * obs_interval.lst_drop(
             0.0, theta0 + theta1 + intensity)
         factor = numerator * denominator.reciprocal()
@@ -144,7 +142,7 @@ def phi_functional(
 
     The kernel is separable, so its two-dimensional extraction at (m, n) is
     the product of the two univariate extractions; no grid is built.  A
-    negative m or n is ``axis_factor``'s DomainError.
+    negative m or n is refused by ``axis_factor``, before ``d_extract``.
     """
     # Truncated products, reciprocals and exponentials are exact on every
     # retained coefficient, so extraction at (m, n) needs orders m and n only.

@@ -51,7 +51,7 @@ import numpy as np
 
 from .config import DEFAULT_HORIZON
 from .errors import DomainError
-from .params import ModelParams, Thresholds
+from .params import ModelParams, Thresholds, mark_units, zero_drift
 
 if TYPE_CHECKING:
     from .analytics import TransformContext
@@ -212,7 +212,7 @@ def _level_stays(intensity, mark, level, crossing, shift):
         lands = mark.p
     else:
         lands = float(level % mark.value == 0)
-    if intensity * mark.mean() == 0.0:
+    if zero_drift(intensity, mark):
         return np.full(shift.shape, lands)  # never 0 * an infinite gap
     with np.errstate(over="ignore"):  # an overflowing exponent is exp(-inf) = 0
         stays = np.subtract(shift, crossing)
@@ -292,21 +292,18 @@ def _study(rng, params, t0, cap, levels):
     """Axis-A exit indices at each of ``levels`` (-1 where censored), read
     off one fresh compound Poisson stream per path after its t0.
 
-    The levels are drawn in increasing order: each positive level's crossing
-    adds the Gamma time of the arrivals between it and the level below, so
-    no index falls as the level rises.  On exponential later intervals the
-    index is 0 where T <= t0, else 1 + N(t0, T), N counting the epochs of a
-    fresh rate-1/d Poisson process; N grows by one Poisson draw per level
-    (``_epochs_within``).  On deterministic ones ``_arithmetic_index``
-    gives it.
+    The levels are drawn in increasing order: each level's crossing adds the
+    Gamma time of the arrivals between it and the level below (level 0 adds
+    none), so no index falls as the level rises.  On exponential later
+    intervals the index is 0 where T <= t0, else 1 + N(t0, T), N counting
+    the epochs of a fresh rate-1/d Poisson process; N grows by one Poisson
+    draw per level (``_epochs_within``, drawing nothing at mean 0).  On
+    deterministic ones ``_arithmetic_index`` gives it.
     """
     intensity, mark, interval = params.lambda_a, params.mark_a, params.obs_interval
     d = interval.mean
     study, below, crossed, reached, count = {}, 0, 0.0, t0, 0
     for level in sorted(set(levels)):
-        if level <= 0:
-            study[level] = np.zeros(t0.size, dtype=np.int64)
-            continue
         # Each accumulator takes its sum in the buffer of the new draw.
         step = _crossing(rng, intensity, mark, below, level, t0.size)
         crossed = np.add(crossed, step, out=step)
@@ -378,33 +375,27 @@ def estimate_exits(
     Besides first passage at (m, n), records the axis-A exit index at every
     level in ``levels`` (``EmpiricalExitSummary.study_mu``).  The
     levels, m included, are drawn in increasing order on one fresh stream
-    per path (a nested chain; a level <= 0 reads index 0), from the same
+    per path (a nested chain; level 0 reads index 0), from the same
     generator after the (m, n) record, which is therefore the same with or
     without levels.  An index above ``horizon`` counts as censored.
 
     Deterministic for fixed (params, thresholds, n_paths, seed, levels).
-    Fails with a DomainError, before any draw, when a level is a bool or not
-    integral (an integral float reads as its int) or an axis with zero drift
-    has a positive threshold or recorded level, and with one after it when
-    more than MAX_CENSOR_FRACTION of paths are censored on either axis or at
-    any recorded level.
+    Fails with a DomainError, before any draw, when a level is not a count
+    of mark units (``mark_units``, as for m and n; numpy would truncate a
+    fraction) or an axis with zero drift has a positive threshold or level,
+    and with one after it when more than MAX_CENSOR_FRACTION of paths are
+    censored on either axis or at any recorded level.
     """
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
-    # A level counts mark units, as m and n do: numpy would truncate a
-    # fractional count of arrivals.
-    if any(isinstance(level, (bool, np.bool_))
-           or not (hasattr(level, "__index__") or float(level).is_integer())
-           for level in levels):
-        raise DomainError(f"study levels must be integers, got {tuple(levels)!r}")
-    levels = [int(level) for level in levels]
+    levels = [mark_units("study level", level) for level in levels]
     # A level with zero drift never moves, so no positive threshold is ever
     # reached (its crossing time is infinite): fail before drawing.
     for axis, intensity, mark, level in (
         ("A", params.lambda_a, params.mark_a, max((thresholds.m, *levels))),
         ("B", params.lambda_b, params.mark_b, thresholds.n),
     ):
-        if level > 0 and intensity * mark.mean() == 0.0:
+        if level > 0 and zero_drift(intensity, mark):
             raise DomainError(
                 f"axis {axis} has zero drift (intensity times mean mark) and "
                 f"never reaches level {level:g}"

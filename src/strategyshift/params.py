@@ -44,7 +44,8 @@ class MarkDistribution(Validated, namedtuple("MarkDistribution", "family value p
       * ``unit`` — every arrival contributes exactly 1: a fixed mark that
         stores ``value`` 1, so readers branch only on geometric or not.
       * ``fixed`` — every arrival contributes the constant ``value``.
-      * ``geometric`` — marks on {1, 2, ...} with success probability ``p``.
+      * ``geometric`` — marks on {1, 2, ...} with success probability ``p``,
+        and ``value`` 1: only a fixed mark of 0 has ``value`` 0.
     """
 
     __slots__ = ()
@@ -55,7 +56,7 @@ class MarkDistribution(Validated, namedtuple("MarkDistribution", "family value p
                 f"unsupported mark family {family!r}; "
                 f"expected one of {MARK_FAMILIES}"
             )
-        if family == "unit":
+        if family != "fixed":
             value = 1
         if family == "fixed" and (value < 0 or value != int(value)):
             raise DomainError("fixed mark value must be a nonnegative integer")
@@ -63,8 +64,10 @@ class MarkDistribution(Validated, namedtuple("MarkDistribution", "family value p
             raise DomainError("geometric mark parameter p must be in (0, 1]")
         return super().__new__(cls, family, value, p)
 
-    def mean(self) -> float:
-        return 1.0 / self.p if self.family == "geometric" else float(self.value)
+
+def zero_drift(intensity: float, mark: MarkDistribution) -> bool:
+    """True when an axis's level never moves: no arrivals, or marks of 0."""
+    return intensity == 0.0 or mark.value == 0
 
 
 class IntervalDistribution(Validated, namedtuple("IntervalDistribution", "family mean")):
@@ -129,13 +132,15 @@ class Thresholds(Validated, namedtuple("Thresholds", "m n")):
     __slots__ = ()
 
     def __new__(cls, m: int, n: int):
-        return super().__new__(cls, _count("m", m), _count("n", n))
+        return super().__new__(cls, mark_units("threshold m", m),
+                               mark_units("threshold n", n))
 
 
-def _count(name: str, value) -> int:
+def mark_units(name: str, value) -> int:
+    """``value`` as a count of mark units, a nonnegative int (an integral float
+    reads as its int); anything else is a DomainError naming ``name``."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not hasattr(value, "__index__") or value < 0:
-        raise DomainError(
-            f"threshold {name} must be a nonnegative integer, got {value!r}")
+        raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
     return operator.index(value)

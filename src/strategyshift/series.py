@@ -199,12 +199,10 @@ def _product(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def d_extract(f: TruncatedSeries, k: int) -> float:
-    """Coefficient k of F(x) / (1 - x): the k-th partial coefficient sum.
-
-    Returns 0 for negative k; raises DomainError past the retained order.
+    """Coefficient k of F(x) / (1 - x): the k-th partial coefficient sum,
+    at k >= 0 (``axis_factor`` refuses a negative order); a DomainError past
+    the retained order.
     """
-    if k < 0:
-        return 0.0
     if k > f.order:
         raise DomainError(
             f"coefficient {k} requested from a series of order {f.order}"

@@ -126,9 +126,9 @@ class TestPhiFunctional:
             assert abs(Fraction(got) - exact_phi_1_1(params, z)) <= 1e-30
 
     def test_negative_order_rejected(self, reference_params):
+        # axis_factor holds the one order guard: gamma_series and d_extract
+        # are reached only through it.
         p = reference_params
-        with pytest.raises(DomainError):
-            gamma_series(-1, 0.0, p.lambda_a, p.mark_a, p.obs_interval)
         with pytest.raises(DomainError):
             axis_factor(-1, 1.0, 0.0, 0.0, p.lambda_a, p.mark_a,
                         p.obs_initial, p.obs_interval)
@@ -203,6 +203,8 @@ class TestLemmaConstants:
         assert lemma_note(_exp_params(d0=1.0, d=1.0)) == "singular"
         assert lemma_note(_exp_params(lambda_b=0.0, d0=2.0)) == (
             "no shift predicted")
+        assert lemma_note(_exp_params(lambda_a=0.0, d0=2.0)) == (
+            "no shift predicted")
         assert lemma_note(_exp_params(d0=2.0, d=1.0)) is None
         # checked in order: memoryless, then d0 = d, then zero intensity
         singular_static = ModelParams(
@@ -240,8 +242,9 @@ class TestLemmaPgf:
             lemma_pgf(0.3, 2, params, params.lambda_a))
 
     def test_argument_domain(self, params):
-        with pytest.raises(DomainError):
-            lemma_pgf(-0.1, 1, params, params.lambda_a)
+        for z in (-0.1, 1.1):
+            with pytest.raises(DomainError, match="PGF argument"):
+                lemma_pgf(z, 1, params, params.lambda_a)
 
 
 def _index_mean(params, axis="a"):

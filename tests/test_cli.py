@@ -606,6 +606,32 @@ class TestExitCodes:
         assert zero_mark == zero_intensity
         assert (mean, note) == (1.0, "no shift predicted")
 
+    def test_zero_drift_with_an_infinite_mark_mean(self, tmp_path, monkeypatch, capsys):
+        # Geometric marks at p = 1e-310 have mean 1 / p = inf, so a drift
+        # test of intensity times mean mark read NaN at lambda_b = 0: simulate
+        # and conformance once died in a ZeroDivisionError (exit 1), and
+        # analyze could not invert a series (exit 4).  The axis is still, as
+        # at p = 0.5, and the analysis is the same.
+        reference = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
+        paths = []
+        for p in (1e-310, 0.5):
+            doc = json.loads(reference.read_text())
+            doc["process"].update(lambda_b=0.0, mark_b={"family": "geometric", "p": p})
+            paths.append(tmp_path / f"p{p}.json")
+            paths[-1].write_text(json.dumps(doc))
+        for command in ("simulate", "conformance"):
+            out = tmp_path / command
+            assert _run_in_process([command, str(paths[0])], out, monkeypatch, capsys) == (
+                4, "", "error: axis B has zero drift (intensity times mean mark) and "
+                "never reaches level 1\n")
+            assert not any(out.iterdir())
+        analyses = []
+        for path in paths:
+            out = tmp_path / f"analyze-{path.stem}"
+            assert _run_in_process(["analyze", str(path)], out, monkeypatch, capsys)[0] == 0
+            analyses.append((out / "analysis.json").read_bytes())
+        assert analyses[0] == analyses[1]
+
     @pytest.mark.parametrize("argv", [
         ["frobnicate"],
         ["classify", "CONFIG", "--share", "abc", "--growth", "5"],
@@ -863,6 +889,19 @@ class TestArtifacts:
         assert cli.main(["analyze", str(path)]) == 0
         report = json.loads((tmp_path / "out" / "analysis.json").read_text())
         assert report["means"]["a"]["shift_time_mean"] == "no shift predicted"
+
+    def test_analyze_static_axis_a_with_unequal_means(self, tmp_path, monkeypatch):
+        # d0 != d, so the closed-form PGF is not singular; lambda_a = 0 alone
+        # makes it undefined, and analyze writes the note in its place.
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        doc = json.loads(json.dumps(REFERENCE_DOC))
+        doc["process"]["lambda_a"] = 0.0
+        doc["observation"]["initial_mean"] = 2.0
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["analyze", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "analysis.json").read_text())
+        assert report["index_pgf_closed"] == {"note": "no shift predicted"}
 
     def test_analyze_deterministic_needs_memoryless(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))

@@ -10,11 +10,13 @@ import pytest
 from scipy import stats
 
 from literal import exit_indices, poisson_epochs, sample_path
+from strategyshift import oracle
 from strategyshift.analytics import DEFAULT_Z_GRID, TransformContext
 from strategyshift.config import DEFAULT_HORIZON
 from strategyshift.errors import DomainError
 from strategyshift.oracle import (
     ALIAS_CROSSOVER,
+    MAX_CENSOR_FRACTION,
     AxisExits,
     _alias_table,
     _arithmetic_epochs,
@@ -112,6 +114,9 @@ class TestEstimateExits:
         (0.0, MarkDistribution(), 1, ()),
         (1.0, MarkDistribution("fixed", 0), 1, ()),
         (0.0, MarkDistribution(), 0, (2,)),
+        # The mark mean 1 / p overflows to inf, so intensity times mean mark
+        # would read NaN here, not 0.
+        (0.0, MarkDistribution("geometric", p=1e-310), 1, ()),
     ])
     def test_zero_drift_fails_before_drawing(self, monkeypatch, lambda_a, mark_a,
                                              m, levels):
@@ -127,6 +132,46 @@ class TestEstimateExits:
         static_b = ModelParams(1.0, lambda_a, exp1, exp1, mark_b=mark_a)
         with pytest.raises(DomainError, match="axis B has zero drift"):
             estimate_exits(static_b, Thresholds(m=1, n=1), 20_000, 3)
+
+    def test_index_at_the_horizon_exits_and_one_above_is_censored(self, monkeypatch):
+        # Epochs 0.1 + 0.4 k, and axis A crossing m = 10**6 unit marks at
+        # rate 10**6, at time 1 +- 0.001: every path exits, on the record and
+        # on the study's own stream, at index 3 ((1 - 0.1) / 0.4 = 2.25, with
+        # an SD of 0.0025, is 100 SDs from an integer).  Axis B exits at 0.
+        det = partial(IntervalDistribution, "deterministic")
+        params, thresholds = ModelParams(1e6, 1e6, det(0.1), det(0.4)), Thresholds(10**6, 1)
+        s = estimate_exits(params, thresholds, 1000, 3, horizon=3, levels=(10**6,))
+        assert np.all(s.a.index == 3) and np.all(s.study_mu[10**6] == 3)
+        with pytest.raises(DomainError, match="1000/1000 paths hit the 2-observation cap"):
+            estimate_exits(params, thresholds, 1000, 3, horizon=2)
+        # With the censor gate open, each censored record reads index -1 and
+        # NaN epochs.
+        monkeypatch.setattr(oracle, "MAX_CENSOR_FRACTION", 1.0)
+        s = estimate_exits(params, thresholds, 1000, 3, horizon=2, levels=(10**6,))
+        assert np.all(s.a.index == -1) and np.all(s.study_mu[10**6] == -1)
+        for epochs in (s.a.prior, s.a.crossing, s.a.shift):
+            assert np.all(np.isnan(epochs))
+        assert np.all(s.b.index == 0) and not np.isnan(s.b.shift).any()
+
+    @pytest.mark.parametrize("censored, refused", [(2, False), (3, True)])
+    def test_censor_gate_admits_exactly_its_fraction(self, monkeypatch, reference_params,
+                                                     unit_thresholds, censored, refused):
+        # 2,000 paths at MAX_CENSOR_FRACTION = 0.001 may lose 2 to the cap on
+        # any recorded level, not 3.
+        assert MAX_CENSOR_FRACTION * 2000 == 2
+
+        def study(rng, params, t0, cap, levels):
+            index = np.zeros(t0.size, dtype=np.int64)
+            index[:censored] = -1
+            return {5: index}
+
+        monkeypatch.setattr(oracle, "_study", study)
+        if refused:
+            with pytest.raises(DomainError, match="3/2000 paths hit"):
+                estimate_exits(reference_params, unit_thresholds, 2000, 3, levels=(5,))
+        else:
+            s = estimate_exits(reference_params, unit_thresholds, 2000, 3, levels=(5,))
+            assert np.count_nonzero(s.study_mu[5] < 0) == censored
 
     def test_zero_drift_at_zero_threshold_simulates(self):
         # level 0 is reached at the first observation, drift or not
@@ -287,11 +332,10 @@ class TestMultiLevelRecord:
         assert np.all(s.study_mu[4] >= s.study_mu[3])
         assert not np.array_equal(s.study_mu[4], s.study_mu[3])
 
-    def test_levels_at_or_below_zero_read_index_zero(self, params, unit_thresholds):
-        s = estimate_exits(params, unit_thresholds, 2000, 67, levels=(-3, 0, 2))
-        for level in (-3, 0):
-            assert np.array_equal(s.study_mu[level], np.zeros(2000, dtype=np.int64))
-        # They draw nothing: level 2 reads as it does when recorded alone.
+    def test_level_zero_reads_index_zero(self, params, unit_thresholds):
+        s = estimate_exits(params, unit_thresholds, 2000, 67, levels=(0, 2))
+        assert np.array_equal(s.study_mu[0], np.zeros(2000, dtype=np.int64))
+        # It draws nothing: level 2 reads as it does when recorded alone.
         alone = estimate_exits(params, unit_thresholds, 2000, 67, levels=(2,))
         assert np.array_equal(s.study_mu[2], alone.study_mu[2])
 
@@ -301,8 +345,9 @@ class TestMultiLevelRecord:
     def test_levels_must_be_integers(self, monkeypatch, mark):
         # numpy would truncate a float binomial count: on geometric marks a
         # level of 2.5 would corrupt every level above it, and on unit marks
-        # it would read as level 3.  A bool or non-integral level is refused
-        # before any draw; an integral float reads as its int.
+        # it would read as level 3.  A bool, non-integral or negative level is
+        # refused before any draw, as a threshold is; an integral float reads
+        # as its int.
         det = IntervalDistribution("deterministic", 1.0)
         params, thresholds = ModelParams(1.0, 1.0, det, det, mark_a=mark), Thresholds(1, 1)
 
@@ -312,8 +357,9 @@ class TestMultiLevelRecord:
 
         with monkeypatch.context() as patch:
             patch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
-            for levels in ((2, 2.5, 3), (True,), (np.float64(0.5),), (math.nan,)):
-                with pytest.raises(DomainError, match="study levels must be integers"):
+            for levels in ((2, 2.5, 3), (True,), (np.float64(0.5),), (math.nan,), (-3, 2)):
+                with pytest.raises(DomainError,
+                                   match="study level must be a nonnegative integer"):
                     estimate_exits(params, thresholds, 2000, 5, levels=levels)
         whole = estimate_exits(params, thresholds, 2000, 5, levels=(2.0, np.int64(3)))
         plain = estimate_exits(params, thresholds, 2000, 5, levels=(2, 3))
@@ -718,6 +764,7 @@ class TestLevelAtExit:
     @pytest.mark.parametrize("intensity, mark", [
         (0.0, MarkDistribution()),
         (1e300, MarkDistribution("fixed", 0)),
+        (0.0, MarkDistribution("geometric", p=1e-310)),
     ])
     def test_zero_drift_never_forms_zero_times_infinity(self, intensity, mark):
         # A zero-drift axis at level 0 stays there, however far out its

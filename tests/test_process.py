@@ -117,8 +117,8 @@ class TestIncrementMoments:
         prods = (a - a.mean()) * (b - b.mean())
         se = prods.std(ddof=1) / np.sqrt(a.size)
         # cov(a, b) = lambda_a E[mark_a] lambda_b E[mark_b] Var(Delta), and an
-        # exponential interval has Var(Delta) = mean^2.
+        # exponential interval has Var(Delta) = mean^2; unit marks have mean 1.
         p = reference_params
-        cov = (p.lambda_a * p.mark_a.mean() * p.lambda_b * p.mark_b.mean()
-               * p.obs_interval.mean**2)
+        assert p.mark_a.family == p.mark_b.family == "unit"
+        cov = p.lambda_a * p.lambda_b * p.obs_interval.mean**2
         assert abs(sample_cov - cov) <= 3 * se

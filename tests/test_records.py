@@ -41,6 +41,7 @@ INVALID = {
     "boolean-m": (Thresholds(1, 2), {"m": True}, DomainError, "threshold m"),
     "z-above-1": (TransformContext(), {"z": 1.2}, DomainError, "z and g"),
     "g-negative": (TransformContext(), {"g": -0.1}, DomainError, "z and g"),
+    "g-above-1": (TransformContext(), {"g": 1.5}, DomainError, "z and g"),
     "theta1-negative": (TransformContext(), {"theta1": -0.1}, DomainError,
                         "exponential transform arguments"),
     "vartheta0-negative": (TransformContext(), {"vartheta0": -0.1}, DomainError,
@@ -63,6 +64,7 @@ def test_replace_normalises_as_the_constructor_does():
     replaced = Thresholds(1, 2)._replace(m=2.0)
     assert replaced == Thresholds(2, 2) and type(replaced.m) is int
     assert MarkDistribution()._replace(value=3).value == 1
+    assert MarkDistribution("geometric", p=0.5)._replace(value=0).value == 1
     with pytest.raises(ValueError):
         Thresholds(1, 2)._replace(k=3)
 
@@ -73,6 +75,8 @@ RECORDS = {
     "params": PARAMS,
     "thresholds": Thresholds(3, 0),
     "context": TransformContext(z=0.5, theta1=0.2),
+    "context-z-0": TransformContext(z=0.0),  # z and g range over [0, 1], closed
+    "context-g-0": TransformContext(g=0.0),
     "matrix": bcg_matrix(),
     "row": ConformanceRow("q", "ref", "a note", 1.5, 0.1, None, "not-assertable"),
     "config": config.load(Path(__file__).resolve().parents[1] / "configs"
