@@ -109,8 +109,8 @@ def axis_factor(order: int, weight: float, theta0: float, theta1: float,
     phi, G, G0 are the marginal-transform series at theta1, theta0 + theta1,
     and the initial-interval analog.  A negative order (a threshold) is
     refused here, the package's one such guard.  Zero drift (``zero_drift``)
-    collapses the numerator to zero; that case is short-circuited to avoid
-    inverting 1 - w at w = 1.  Otherwise the mark PGF has no constant term,
+    makes the factor the zero series of ``order``, built without inverting
+    1 - w at w = 1.  Otherwise the mark PGF has no constant term,
     so those of delta(theta1) - phi and 1 - w*G are ``lst_drop`` values, set
     over the constant terms the series arithmetic forms: not differences
     near 1 that round a tiny drift away.  Each distinct factor is built once
@@ -119,7 +119,7 @@ def axis_factor(order: int, weight: float, theta0: float, theta1: float,
     if order < 0:
         raise DomainError("series order must be nonnegative")
     if zero_drift(intensity, mark):
-        factor = TruncatedSeries.constant(0.0, order)
+        factor = TruncatedSeries(np.zeros(order + 1))
     else:
         phi = gamma_series(order, theta1, intensity, mark, obs_interval)
         big = gamma_series(order, theta0 + theta1, intensity, mark, obs_interval)
@@ -166,7 +166,6 @@ def lemma_note(params: ModelParams) -> Optional[str]:
         return "singular"
     if params.lambda_a <= 0.0 or params.lambda_b <= 0.0:
         return "no shift predicted"
-    return None
 
 
 def lemma_pgf(z: float, level: int, params: ModelParams, intensity: float) -> float:

@@ -68,18 +68,17 @@ def judge(
     return ConformanceRow(quantity, paper_ref, analytic, est, se, rel, verdict)
 
 
-def _power_table(z: float, top: int) -> np.ndarray:
-    """``z ** k`` for k = 0..top and 0 < z < 1, stopped where the powers
-    have underflowed to 0.0, so that ``take(k, mode="clip")`` reads
-    ``z ** k`` for every integer k >= 0.
+def _power_table(z: float) -> np.ndarray:
+    """``z ** k`` for 0 < z < 1 and every k up to the first power that has
+    underflowed to 0.0, so that ``take(k, mode="clip")`` reads ``z ** k``
+    for every integer k >= 0.
 
-    z ** k is 0.0 once it falls below 2**-1075, by k = 1076 ln 2 / -ln z
-    (2,594 entries at z = 0.75), so a huge ``top`` allocates no huge table
-    on DEFAULT_Z_GRID; a z near 1 would need a long one.  Each entry is the
-    same ``pow`` on the same integer as ``z ** k`` itself.
+    z ** k is 0.0 once it falls below 2**-1075, by k = 1076 ln 2 / -ln z:
+    2,594 entries at z = 0.75, the longest table on DEFAULT_Z_GRID, however
+    large the indices read from it.  A z near 1 would need a long one.  Each
+    entry is the same ``pow`` on the same integer as ``z ** k`` itself.
     """
-    underflow = math.ceil(1076 * math.log(2.0) / -math.log(z)) + 1
-    return z ** np.arange(min(top + 1, underflow))
+    return z ** np.arange(math.ceil(1076 * math.log(2.0) / -math.log(z)) + 1)
 
 
 def _exit_mean_assertable(params: ModelParams, level: int) -> bool:
@@ -127,8 +126,7 @@ def conformance_rows(summary: EmpiricalExitSummary) -> List[ConformanceRow]:
 
     # Each PGF term z ** k is read from one table of powers, not a pow a path;
     # a censored -1 clips to entry 0 and is dropped with its path.
-    top = int(a.index.max())
-    pgfs = {z: exit_mean_se(a.index, _power_table(z, top).take(a.index, mode="clip"),
+    pgfs = {z: exit_mean_se(a.index, _power_table(z).take(a.index, mode="clip"),
                             "the exit index")
             for z in DEFAULT_Z_GRID}
     for z, pgf in pgfs.items():

@@ -1,4 +1,5 @@
-"""Truncated power-series arithmetic and the discrete extraction operator.
+"""Truncated power-series arithmetic at one order, and the discrete
+extraction operator.
 
 The operator pair of the calculus is multiplication by (1 - x) and its
 inverse; the inverse reads coefficient k of F(x) / (1 - x), i.e. the k-th
@@ -55,50 +56,38 @@ FFT_CROSSOVER = 512
 class TruncatedSeries:
     """Dense univariate power series truncated at a fixed order.
 
-    Binary operations keep the smaller operand order.
+    Both operands of ``+`` and ``*`` have the same order; a number adds to
+    the constant term or multiplies every term.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
-
-    @classmethod
-    def constant(cls, value: float, order: int) -> "TruncatedSeries":
-        c = np.zeros(order + 1)
-        c[0] = value
-        return cls(c)
+        self.coeffs = np.asarray(coeffs, dtype=float)
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def _coerce(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            return other
-        return TruncatedSeries.constant(float(other), self.order)
-
     def __add__(self, other) -> "TruncatedSeries":
-        other = self._coerce(other)
-        k = min(self.order, other.order) + 1
-        return TruncatedSeries(self.coeffs[:k] + other.coeffs[:k])
+        if isinstance(other, TruncatedSeries):
+            return TruncatedSeries(self.coeffs + other.coeffs)
+        coeffs = self.coeffs.copy()
+        coeffs[0] += other
+        return TruncatedSeries(coeffs)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(-self.coeffs)
 
-    def __sub__(self, other) -> "TruncatedSeries":
-        return self + (-self._coerce(other))
-
     def __rsub__(self, other) -> "TruncatedSeries":
-        return self._coerce(other) - self
+        return -self + other
 
     def __mul__(self, other) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries(self.coeffs * float(other))
-        k = min(self.order, other.order) + 1
-        return TruncatedSeries(_product(self.coeffs, other.coeffs, 0, k))
+        return TruncatedSeries(_product(self.coeffs, other.coeffs, 0, len(self.coeffs)))
 
     __rmul__ = __mul__
 

@@ -57,6 +57,9 @@ class TestPhiFunctional:
         params = _exp_params(lambda_a=0.0)
         for m, n in [(0, 0), (1, 1), (2, 3)]:
             assert phi_functional(m, n, TransformContext(), params) == 0.0
+            # the zero series of the order asked for, as every factor is
+            factor = _factor(m, TransformContext(), params, "a")
+            assert factor.coeffs.tolist() == [0.0] * (m + 1)
 
     def test_separability(self, reference_params):
         ctx = TransformContext(z=0.5, g=0.7, theta1=0.2, vartheta0=0.1)

@@ -46,6 +46,13 @@ INTEGER_FIELDS = [f for f, e in LEAVES.items() if e.kind == "integer"]
 
 #: (field, upper bound) of every entry the table bounds from above.
 BOUNDED_FIELDS = [(f, e.le) for f, e in LEAVES.items() if e.le is not None]
+#: The upper bounds that README's config table documents, by key.
+DOCUMENTED_BOUNDS = {"value": 10**9, "p": 1, "m": 20_000, "n": 20_000,
+                     "paths": 1_000_000, "horizon": 10**9}
+FLOORED_FIELDS = [(f, e.ge) for f, e in LEAVES.items() if e.ge is not None]
+#: The inclusive lower bounds that README's config table documents, by key.
+DOCUMENTED_FLOORS = {"lambda_a": 0, "lambda_b": 0, "value": 0, "m": 0, "n": 0,
+                     "paths": 1, "seed": 0, "horizon": 1}
 
 
 def _block_of(doc, field):
@@ -143,8 +150,17 @@ class TestConfig:
             config_mod.from_dict(_doc_with(field, 1.5))
         assert excinfo.value.field == field
 
+    @pytest.mark.parametrize("field, floor", FLOORED_FIELDS)
+    def test_field_bounded_below(self, field, floor):
+        assert floor == DOCUMENTED_FLOORS[field.rpartition(".")[2]]
+        config_mod.from_dict(_doc_with(field, floor))
+        with pytest.raises(ConfigError) as excinfo:
+            config_mod.from_dict(_doc_with(field, floor - 1))
+        assert excinfo.value.field == field
+
     @pytest.mark.parametrize("field, bound", BOUNDED_FIELDS)
     def test_size_field_bounded(self, field, bound):
+        assert bound == DOCUMENTED_BOUNDS[field.rpartition(".")[2]]
         config_mod.from_dict(_doc_with(field, bound))
         with pytest.raises(ConfigError) as excinfo:
             config_mod.from_dict(_doc_with(field, bound + 1))
@@ -202,6 +218,18 @@ class TestConfig:
         with pytest.raises(ConfigError) as excinfo:
             config_mod.from_dict(doc)
         assert excinfo.value.field == field
+        path = field.rpartition(".")[0]
+        assert str(excinfo.value) == f"missing required key {key!r} in block {path!r}"
+
+    @pytest.mark.parametrize("field, choices", [
+        ("process.mark_a.family", ("unit", "fixed", "geometric")),
+        ("observation.family", ("exponential", "deterministic")),
+    ])
+    def test_unknown_family_lists_its_choices(self, field, choices):
+        with pytest.raises(ConfigError) as excinfo:
+            config_mod.from_dict(_doc_with(field, "poisson"))
+        assert str(excinfo.value) == (
+            f"{field} must be a string in {choices}, got 'poisson'")
 
     @pytest.mark.parametrize("block", [*sorted(config_mod.SCHEMA),
                                        "process.mark_a", "process.mark_b"])
@@ -412,7 +440,7 @@ class TestExitCodes:
     def test_conformance_ok(self, config_file):
         assert cli.main(["conformance", str(config_file)]) == 0
 
-    def test_conformance_deviation(self, config_file, monkeypatch):
+    def test_conformance_deviation(self, config_file, monkeypatch, capsys):
         # force an assertably wrong closed form to exercise exit code 5;
         # report binds axis_means at import, so it is patched there
         import strategyshift.report as report
@@ -424,6 +452,11 @@ class TestExitCodes:
 
         monkeypatch.setattr(report, "axis_means", wrong)
         assert cli.main(["conformance", str(config_file)]) == 5
+        # both gated exit-index means deviate, and the summary line counts them
+        rows = json.loads((config_file.parent / "out" / "conformance.json").read_text())
+        assert [r["quantity"] for r in rows if r["verdict"] == "deviation"] == [
+            "mean_exit_index_a", "mean_exit_index_b"]
+        assert ", 2 deviation(s) -> " in capsys.readouterr().out
 
     @pytest.mark.parametrize("field, value", [
         ("observation.initial_mean", 1e300),

@@ -83,6 +83,17 @@ class TestEstimateExits:
         with pytest.raises(DomainError, match="n_paths"):
             estimate_exits(reference_params, unit_thresholds, 0, 1)
 
+    def test_se_of_one_and_two_paths(self, reference_params, unit_thresholds):
+        # One path is a sample with no standard error; two paths x1, x2 have
+        # sample SD |x1 - x2| / sqrt(2), so an SE of |x1 - x2| / 2.
+        one = estimate_exits(reference_params, unit_thresholds, 1, 1).a.index
+        assert exit_mean_se(one, one, "") == (float(one[0]), 0.0)
+        two = estimate_exits(reference_params, unit_thresholds, 2, 1).a.index
+        x1, x2 = two.tolist()
+        assert x1 != x2
+        mean, se = exit_mean_se(two, two, "")
+        assert mean == (x1 + x2) / 2 and se == pytest.approx(abs(x1 - x2) / 2, rel=1e-15)
+
     def test_determinism(self, reference_params, unit_thresholds):
         s1 = estimate_exits(reference_params, unit_thresholds, 5000, 99)
         s2 = estimate_exits(reference_params, unit_thresholds, 5000, 99)
@@ -650,10 +661,9 @@ class TestEmpiricalPgf:
         # 2,594 entries (z = 0.75), the same pow on the same integers.
         k = np.r_[np.arange(3000), np.geomspace(3000, 10 ** 9, 2000).astype(np.int64),
                   10 ** 9]
-        table = _power_table(z, int(k.max()))
+        table = _power_table(z)
         assert table.size <= 2594 and table[-1] == 0.0
         assert np.array_equal(table.take(k, mode="clip"), z ** k)
-        assert _power_table(z, 10).size == min(11, table.size)
 
 
 class TestEmpiricalFunctional:
@@ -682,50 +692,85 @@ class TestEmpiricalFunctional:
         assert empirical_functional(summary, TransformContext()) == expected
 
     def test_matches_window_enumeration_oracle(self, reference_params, unit_thresholds):
-        # Independent oracle for the neutral-argument functional at m = n = 1:
-        # the value is P(first nonzero a-window has count 1 AND first nonzero
-        # b-window has count 1).  Window counts share an Exp(1) interval, so
-        # the joint pmf of (i, j) is C(i+j, i) / 3^(i+j+1).  Counts are binned
-        # into {0, 1, >=2} and an absorption DP runs over 12 windows; the
-        # un-absorbed tail mass bounds the truncation error.
-        from math import comb
-
-        def cell(i, j):
-            return comb(i + j, i) / 3.0 ** (i + j + 1)
-
-        big = 80
-        joint = [[0.0] * 3 for _ in range(3)]
-        for ia in range(3):
-            for jb in range(3):
-                i_range = [ia] if ia < 2 else range(2, big)
-                j_range = [jb] if jb < 2 else range(2, big)
-                joint[ia][jb] = sum(cell(i, j) for i in i_range for j in j_range)
-        assert sum(map(sum, joint)) == pytest.approx(1.0, abs=1e-12)
-
-        # per-axis state: 0 pending, 1 exited at level 1, 2 exited above 1
-        state = {(0, 0): 1.0}
-        for _ in range(12):
-            nxt = {}
-            for (sa, sb), p in state.items():
-                if sa != 0 and sb != 0:
-                    nxt[(sa, sb)] = nxt.get((sa, sb), 0.0) + p
-                    continue
-                for ia in range(3):
-                    for jb in range(3):
-                        na = sa if sa != 0 else (0 if ia == 0 else ia)
-                        nb = sb if sb != 0 else (0 if jb == 0 else jb)
-                        key = (na, nb)
-                        nxt[key] = nxt.get(key, 0.0) + p * joint[ia][jb]
-            state = nxt
-        oracle_value = state.get((1, 1), 0.0)
-        tail = sum(p for (sa, sb), p in state.items() if sa == 0 or sb == 0)
+        oracle_value, tail = window_enumeration(1.0, 1.0)
         assert tail < 1e-3
-
         estimate, se = empirical_functional(
             estimate_exits(reference_params, unit_thresholds, 100_000, 17),
             TransformContext(),
         )
         assert abs(estimate - oracle_value) <= 3 * se + tail
+
+    @pytest.mark.parametrize("z, g", [(0.5, 1.0), (1.0, 0.25), (0.5, 0.75)])
+    def test_index_weights_match_window_enumeration(self, reference_params,
+                                                    unit_thresholds, z, g):
+        # E[z^mu g^nu 1{...} 1{...}] at m = n = 1, each index weight the
+        # oracle's power of the window at which its axis exits.
+        oracle_value, tail = window_enumeration(z, g)
+        estimate, se = empirical_functional(
+            estimate_exits(reference_params, unit_thresholds, 100_000, 17),
+            TransformContext(z=z, g=g),
+        )
+        assert abs(estimate - oracle_value) <= 3 * se + tail
+
+    @pytest.mark.parametrize("theta, weight", [("theta1", "z"), ("vartheta1", "g")])
+    def test_shift_epoch_factor_is_an_index_power(self, theta, weight):
+        # On deterministic intervals tau_mu = d0 + d mu, so exp(-th tau_mu)
+        # is exp(-th d0) times z^mu at z = exp(-th d): the theta route and the
+        # index route agree on one sample up to rounding.
+        d0, d, th = 1.5, 0.5, 0.7
+        params = ModelParams(1.0, 2.0, IntervalDistribution("deterministic", d0),
+                             IntervalDistribution("deterministic", d),
+                             MarkDistribution("geometric", p=0.4))
+        summary = estimate_exits(params, Thresholds(2, 3), 2000, 5)
+        got = empirical_functional(summary, TransformContext(**{theta: th}))
+        via = empirical_functional(summary, TransformContext(**{weight: math.exp(-th * d)}))
+        assert got == pytest.approx(tuple(math.exp(-th * d0) * v for v in via), rel=1e-12)
+        assert got[0] < math.exp(-th * d0) * empirical_functional(
+            summary, TransformContext())[0]
+
+
+def window_enumeration(z, g):
+    """Independent oracle for the functional at m = n = 1 on the reference
+    process, E[z^mu g^nu 1{level_at_mu <= 1} 1{level_at_nu <= 1}], and the
+    truncation bound: the value weighs the event that the first nonzero
+    a-window and the first nonzero b-window each hold count 1 by z and g to
+    the power of their window.  Window counts share an Exp(1) interval, so
+    the joint pmf of (i, j) is C(i+j, i) / 3^(i+j+1).  Counts are binned
+    into {0, 1, >=2} and an absorption DP runs over 12 windows; the
+    un-absorbed tail mass (every weight is at most 1) bounds the error."""
+    from math import comb
+
+    def cell(i, j):
+        return comb(i + j, i) / 3.0 ** (i + j + 1)
+
+    big = 80
+    joint = [[0.0] * 3 for _ in range(3)]
+    for ia in range(3):
+        for jb in range(3):
+            i_range = [ia] if ia < 2 else range(2, big)
+            j_range = [jb] if jb < 2 else range(2, big)
+            joint[ia][jb] = sum(cell(i, j) for i in i_range for j in j_range)
+    assert sum(map(sum, joint)) == pytest.approx(1.0, abs=1e-12)
+
+    # per-axis state: 0 pending, 1 exited at level 1, 2 exited above 1
+    state = {(0, 0): 1.0}
+    for window in range(12):
+        nxt = {}
+        for (sa, sb), p in state.items():
+            if sa != 0 and sb != 0:
+                nxt[(sa, sb)] = nxt.get((sa, sb), 0.0) + p
+                continue
+            for ia in range(3):
+                for jb in range(3):
+                    na = sa if sa != 0 else ia
+                    nb = sb if sb != 0 else jb
+                    weight = ((z ** window if sa == 0 and na != 0 else 1.0)
+                              * (g ** window if sb == 0 and nb != 0 else 1.0))
+                    key = (na, nb)
+                    nxt[key] = nxt.get(key, 0.0) + p * joint[ia][jb] * weight
+        state = nxt
+    tail = sum(p for (sa, sb), p in state.items() if sa == 0 or sb == 0)
+    return state.get((1, 1), 0.0), tail
 
 
 class TestLevelAtExit:

@@ -10,9 +10,11 @@ from literal import bcg_matrix
 from strategyshift import config
 from strategyshift.analytics import TransformContext
 from strategyshift.errors import ConfigError, DomainError
+from strategyshift.oracle import AxisExits, EmpiricalExitSummary
 from strategyshift.params import (IntervalDistribution, MarkDistribution, ModelParams,
                                   Thresholds)
 from strategyshift.report import ConformanceRow
+from strategyshift.series import TruncatedSeries
 
 EXP1 = IntervalDistribution("exponential", 1.0)
 PARAMS = ModelParams(1.0, 2.0, EXP1, IntervalDistribution("deterministic", 0.5),
@@ -88,6 +90,22 @@ RECORDS = {
 def test_pickle_round_trip(record):
     copy = pickle.loads(pickle.dumps(record))
     assert copy == record and type(copy) is type(record)
+
+
+#: Every record type and the series type, each one instance: ``__slots__``
+#: leaves them no per-instance ``__dict__``.
+SLOTTED = {
+    **RECORDS,
+    "entry": config.SCHEMA["process"]["lambda_a"],
+    "axis-exits": AxisExits([0], [0.0], [0.5], [1.0]),
+    "summary": EmpiricalExitSummary(*[None] * 5),
+    "series": TruncatedSeries([1.0, 0.5]),
+}
+
+
+@pytest.mark.parametrize("record", SLOTTED.values(), ids=SLOTTED)
+def test_no_instance_dict(record):
+    assert not hasattr(record, "__dict__")
 
 
 def test_records_are_tuples_of_their_fields():

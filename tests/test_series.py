@@ -49,11 +49,15 @@ def geometric_series(beta, alpha, order):
 
 
 class TestTruncatedSeries:
-    def test_multiplication_truncates_to_min_order(self):
+    def test_sum_and_product_keep_the_order(self):
+        # Both operands have one order; a number adds to the constant term.
         a = TruncatedSeries([1.0, 2.0, 3.0, 4.0])
-        b = TruncatedSeries([1.0, 1.0])
-        assert (a * b).order == 1
-        assert np.allclose((a * b).coeffs, [1.0, 3.0])
+        b = TruncatedSeries([1.0, 1.0, 0.0, 0.0])
+        assert np.array_equal((a * b).coeffs, [1.0, 3.0, 5.0, 7.0])
+        assert np.array_equal((a + b).coeffs, [2.0, 3.0, 3.0, 4.0])
+        assert np.array_equal((0.5 + a).coeffs, [1.5, 2.0, 3.0, 4.0])
+        assert np.array_equal((a + 0.5).coeffs, (0.5 + a).coeffs)
+        assert a.coeffs.tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_mul_commutative_associative(self, rng):
         a = TruncatedSeries(rng.normal(size=9))
@@ -204,6 +208,8 @@ class TestProduct:
         (FFT_CROSSOVER, FFT_CROSSOVER, 0, FFT_CROSSOVER),
         (2 * FFT_CROSSOVER - 1, FFT_CROSSOVER, FFT_CROSSOVER, 2 * FFT_CROSSOVER - 1),
         (2 * FFT_CROSSOVER, FFT_CROSSOVER - 1, 0, 3 * FFT_CROSSOVER - 2),
+        # a full product whose top index, 2 * FFT_CROSSOVER, is a power of two
+        (FFT_CROSSOVER + 1, FFT_CROSSOVER + 1, 0, 2 * FFT_CROSSOVER + 1),
         (3000, 700, 0, 3000),
         (700, 3000, 1000, 2500),
         (3000, 3000, 2999, 3000),
@@ -264,16 +270,13 @@ class TestOperatorPair:
         assert np.array_equal(d_apply([]).coeffs, [0.0])
 
     def test_extract_all_ones(self):
-        f = TruncatedSeries.constant(1.0, 5)
+        f = TruncatedSeries([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         assert d_extract(f, 3) == 1.0
 
     def test_extract_monomial_tail(self):
         f = TruncatedSeries([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
         assert d_extract(f, 1) == 0.0
         assert d_extract(f, 5) == 1.0
-
-    def test_extract_negative_index_is_zero(self):
-        assert d_extract(TruncatedSeries([1.0]), -2) == 0.0
 
     def test_extract_past_order_raises(self):
         with pytest.raises(DomainError, match="coefficient 5"):
