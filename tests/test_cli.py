@@ -49,6 +49,7 @@ BOUNDED_FIELDS = [(f, e.le) for f, e in LEAVES.items() if e.le is not None]
 #: The upper bounds that README's config table documents, by key.
 DOCUMENTED_BOUNDS = {"value": 10**9, "p": 1, "m": 20_000, "n": 20_000,
                      "paths": 1_000_000, "horizon": 10**9}
+#: (field, inclusive lower bound) of every entry the table bounds from below.
 FLOORED_FIELDS = [(f, e.ge) for f, e in LEAVES.items() if e.ge is not None]
 #: The inclusive lower bounds that README's config table documents, by key.
 DOCUMENTED_FLOORS = {"lambda_a": 0, "lambda_b": 0, "value": 0, "m": 0, "n": 0,
